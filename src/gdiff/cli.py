@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(report_format=output_default)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized property tests (unused by deterministic runs)")
 
     p_family = sub.add_parser("family", help="emit a family graph")
     p_family.add_argument("--kind", required=True)

@@ -43,6 +43,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _union(rows: tuple[int, ...], mask: int) -> int:
+    """Union of ``rows[v]`` over the members v of ``mask``: N(S) for adjacency rows."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def mask_of(members: Iterable[int]) -> int:
     """Pack an iterable of vertex indices into a bitmask."""
     m = 0
@@ -231,34 +241,23 @@ class Graph:
     def set_neighborhood(self, s: "VertexSet | Iterable[int]", closed: bool = False) -> VertexSet:
         """N(S), the union of N(v) over v in S; the closed form also unions S."""
         smask = self._coerce(s)
-        out = smask if closed else 0
-        for v in bits(smask):
-            out |= self.adj[v]
-        return VertexSet(self.n, out)
+        out = _union(self.adj, smask)
+        return VertexSet(self.n, out | smask if closed else out)
 
     def boundary(self, s: "VertexSet | Iterable[int]") -> VertexSet:
         """B(S) = N(S) minus S."""
         smask = self._coerce(s)
-        out = 0
-        for v in bits(smask):
-            out |= self.adj[v]
-        return VertexSet(self.n, out & ~smask)
+        return VertexSet(self.n, _union(self.adj, smask) & ~smask)
 
     def exterior(self, s: "VertexSet | Iterable[int]") -> VertexSet:
         """C(S): vertices in neither S nor B(S); {S, B(S), C(S)} partitions V."""
         smask = self._coerce(s)
-        out = 0
-        for v in bits(smask):
-            out |= self.adj[v]
-        return VertexSet(self.n, self.full_mask & ~(out | smask))
+        return VertexSet(self.n, self.full_mask & ~(_union(self.adj, smask) | smask))
 
     def set_differential(self, s: "VertexSet | Iterable[int]") -> int:
         """|B(S)| - |S|; may be negative."""
         smask = self._coerce(s)
-        out = 0
-        for v in bits(smask):
-            out |= self.adj[v]
-        return (out & ~smask).bit_count() - smask.bit_count()
+        return (_union(self.adj, smask) & ~smask).bit_count() - smask.bit_count()
 
     def external_private_neighbors(self, v: int, s: "VertexSet | Iterable[int]") -> VertexSet:
         """Neighbors of v outside S that are adjacent to no other member of S.
@@ -269,9 +268,7 @@ class Graph:
         smask = self._coerce(s)
         if not smask >> v & 1:
             raise ValueError(f"vertex {v} is not a member of the set")
-        others = 0
-        for u in bits(smask & ~(1 << v)):
-            others |= self.adj[u]
+        others = _union(self.adj, smask & ~(1 << v))
         return VertexSet(self.n, self.adj[v] & ~smask & ~others)
 
     # -- structure ------------------------------------------------------------
@@ -308,10 +305,7 @@ class Graph:
             comp = remaining & -remaining
             frontier = comp
             while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self.adj[v]
-                frontier = grow & ~comp
+                frontier = _union(self.adj, frontier) & ~comp
                 comp |= frontier
             components.append(VertexSet(self.n, comp))
             remaining &= ~comp

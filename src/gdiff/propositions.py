@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .census import CANONICAL_MAX, canonical_form, connected_census
+from .census import connected_census
 from .codecs import write_graph6
 from .core import BudgetExceededError, CapacityError, Graph, VertexSet
 from .families import (
@@ -45,9 +45,7 @@ from .families import (
     is_complete,
     is_path,
     kprime_order,
-    star,
     star_center,
-    star_plus_edge,
     star_plus_edge_center,
     wheel_apex,
 )
@@ -57,9 +55,9 @@ from .solvers import (
     differential_exact,
     differential_of_r,
     domination_number,
-    independence_number,
     is_dominating,
     is_vertex_cover,
+    lambda_invariant,
     roman_domination_number,
     vertex_cover_number,
 )
@@ -181,7 +179,7 @@ class InstanceContext:
     @property
     def lam(self) -> int:
         return self._get(
-            "lam", lambda: self.g.m - self.g.n + 2 * independence_number(self.g)[0]
+            "lam", lambda: lambda_invariant(self.g, budget=self.config.budget)
         )
 
     def base_set(self, s: VertexSet) -> VertexSet:
@@ -318,13 +316,8 @@ def _p08(ctx):
     g = ctx.g
     m_r = ctx.rg.total.n
     diff_r = ctx.diff_r_v.value
-    if g.n <= CANONICAL_MAX:
-        form = canonical_form(g)
-        is_star = form == canonical_form(star(g.n))
-        is_spe = form == canonical_form(star_plus_edge(g.n))
-    else:
-        is_star = star_center(g) is not None
-        is_spe = star_plus_edge_center(g) is not None
+    is_star = star_center(g) is not None
+    is_spe = star_plus_edge_center(g) is not None
     problems = []
     if (diff_r == m_r - 2) != is_star:
         problems.append(f"star: diff_r={diff_r}, order(R)-2={m_r - 2}, iso={is_star}")

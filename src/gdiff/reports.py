@@ -88,28 +88,13 @@ def records_to_json(
 
 
 def records_to_csv(records: list[tuple[str, InvariantRecord]]) -> str:
-    fields = (
-        "instance_g6",
-        "n",
-        "m",
-        "delta_min",
-        "delta_max",
-        "diff",
-        "diff_r",
-        "gamma",
-        "tau",
-        "alpha",
-        "roman",
-        "psi",
-        "lambda",
-        "mu",
-        "skipped",
-    )
+    """One row per record, columns as in ``InvariantRecord.to_dict``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
-    for g6, record in records:
-        d = record.to_dict()
-        skipped = ";".join(f"{k}:{v}" for k, v in d["skipped"].items())
-        writer.writerow([g6] + [d[f] for f in fields[1:-1]] + [skipped])
+    for i, (g6, record) in enumerate(records):
+        row = {"instance_g6": g6, **record.to_dict()}
+        row["skipped"] = ";".join(f"{k}:{v}" for k, v in row["skipped"].items())
+        if i == 0:
+            writer.writerow(row)
+        writer.writerow(row.values())
     return out.getvalue()

@@ -1,22 +1,30 @@
 """Exact solvers for the differential and its companion invariants.
 
-Every solver is an exhaustive search, made practical by one cardinality
-bound each; no heuristics, no approximation. For a graph of order n and a
-candidate set S of size k:
+Every solver is an exhaustive search; no heuristics, no approximation.
+Cardinality-bounded searches share one kernel, ``_subsets``, which yields
+each k-subset of a universe together with the union of its members'
+adjacency rows and spends one node on it. For a graph of order n:
 
-* differential search: |B(S)| <= n - k, so the differential of S is at
-  most n - 2k and cardinalities with n - 2k below the incumbent can be
-  abandoned;
-* enclaveless search: |B(S)| <= n - k directly;
-* domination / vertex cover: scan cardinalities upward, so the first hit
-  is optimal;
+* differential: a k-set has differential at most n - 2k, so one pass over
+  cardinalities stops once that bound drops below the incumbent (or meets
+  it, when only the value is wanted), collecting maximizers as it goes;
+* domination: scan cardinalities upward over closed neighborhoods, so the
+  first cardinality with a hit is optimal;
 * independence: branch on a highest-degree vertex with memoization;
 * Roman domination: direct scan of all 3^n labelings, deliberately
   independent of the differential solver so the two can cross-check.
 
-Ties among witnesses are broken toward the lexicographically smallest
-member tuple among minimum-cardinality optima, which keeps reports
-reproducible. Searches that would exceed their node budget raise
+Two quantities are derived by identity instead of searched: the vertex
+cover number tau = n - alpha (Gallai) and the enclaveless number
+psi = n - gamma (Slater, "Enclaveless sets and MK-systems", 1977). Their
+witnesses are the complement of the independence witness and the minimum
+dominating set witness. The oracles in tests/ check both identities
+independently. ``full_record`` takes diff_r and mu from one enumeration
+of R(G).
+
+Ties among searched witnesses are broken toward the lexicographically
+smallest member tuple among minimum-cardinality optima, which keeps
+reports reproducible. Searches that would exceed their node budget raise
 BudgetExceededError rather than returning a partial answer.
 """
 
@@ -24,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import BudgetExceededError, CAPACITY, Graph, VertexSet, bits, mask_of
+from .core import BudgetExceededError, CAPACITY, Graph, VertexSet, _union, bits
 from .roperator import RGraph, build_r
 
 DEFAULT_BUDGET = 10_000_000
@@ -64,6 +72,32 @@ class _NodeCounter:
             )
 
 
+def _subsets(
+    universe: tuple[int, ...], rows: tuple[int, ...], k: int, counter: _NodeCounter
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(mask, union of rows over mask)`` for every k-subset of ``universe``.
+
+    Subsets come in itertools.combinations order. The mask and union of the
+    first k - 1 members are built once and shared by every choice of the
+    last member; those subsets are charged together, one node each, before
+    the first of them is yielded.
+    """
+    if k == 0:
+        counter.spend()
+        yield 0, 0
+        return
+    members = [(1 << v, rows[v]) for v in universe]
+    for head in combinations(range(len(members) - 1), k - 1):
+        head_mask = head_union = 0
+        for i in head:
+            head_mask |= members[i][0]
+            head_union |= members[i][1]
+        tail = members[head[-1] + 1 if head else 0 :]
+        counter.spend(len(tail))
+        for bit, row in tail:
+            yield head_mask | bit, head_union | row
+
+
 def differential_exact(
     g: Graph,
     restrict: VertexSet | Iterable[int] | None = None,
@@ -75,7 +109,7 @@ def differential_exact(
     The boundary is always taken in ``g`` itself, so with ``restrict`` this
     computes the maximum over a restricted search space of the same
     objective. With ``enumerate_all`` every maximizer in the search space is
-    collected.
+    collected, in the same single pass that finds the value.
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
@@ -83,49 +117,34 @@ def differential_exact(
         universe: tuple[int, ...] = tuple(range(g.n))
     else:
         universe = tuple(bits(g._coerce(restrict)))
-    adj = g.adj
-    ambient = g.n
     counter = _NodeCounter(budget)
 
     best = None
-    best_combo: tuple[int, ...] = ()
+    maximizers: list[int] = []
     for k in range(len(universe) + 1):
-        if best is not None and ambient - 2 * k <= best:
+        # A k-set has differential at most n - 2k; reaching only a tie adds
+        # maximizers, which only enumeration wants.
+        bound = g.n - 2 * k
+        if best is not None and (bound < best or (bound == best and not enumerate_all)):
             break
-        for combo in combinations(universe, k):
-            counter.spend()
-            smask = mask_of(combo)
-            b = 0
-            for v in combo:
-                b |= adj[v]
-            d = (b & ~smask).bit_count() - k
+        for smask, union in _subsets(universe, g.adj, k, counter):
+            d = (union & ~smask).bit_count() - k
             if best is None or d > best:
-                best, best_combo = d, combo
+                best, maximizers = d, [smask]
+            elif d == best and enumerate_all:
+                maximizers.append(smask)
     assert best is not None
 
-    witness = VertexSet(ambient, mask_of(best_combo))
+    witness = VertexSet(g.n, maximizers[0])
     if not enumerate_all:
         return DifferentialResult(best, witness, counter.nodes)
-
-    maximizers: list[VertexSet] = []
-    for k in range(len(universe) + 1):
-        if ambient - 2 * k < best:
-            break
-        for combo in combinations(universe, k):
-            counter.spend()
-            smask = mask_of(combo)
-            b = 0
-            for v in combo:
-                b |= adj[v]
-            if (b & ~smask).bit_count() - k == best:
-                maximizers.append(VertexSet(ambient, smask))
     return DifferentialResult(
         best,
         witness,
         counter.nodes,
-        all_sets=tuple(maximizers),
-        min_card=len(maximizers[0]),
-        max_card=len(maximizers[-1]),
+        all_sets=tuple(VertexSet(g.n, m) for m in maximizers),
+        min_card=maximizers[0].bit_count(),
+        max_card=maximizers[-1].bit_count(),
     )
 
 
@@ -157,11 +176,7 @@ def differential_of_r(
 
 def is_dominating(g: Graph, s: VertexSet | Iterable[int]) -> bool:
     """True iff every vertex is in S or adjacent to a member of S."""
-    smask = g._coerce(s)
-    covered = 0
-    for v in bits(smask):
-        covered |= g.closed_adj[v]
-    return covered == g.full_mask
+    return _union(g.closed_adj, g._coerce(s)) == g.full_mask
 
 
 def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
@@ -177,21 +192,16 @@ def domination_number(
     """Minimum dominating set size, one witness, optionally all minima."""
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    cadj = g.closed_adj
+    universe = tuple(range(g.n))
     full = g.full_mask
     counter = _NodeCounter(budget)
     for k in range(1, g.n + 1):
         found: list[VertexSet] = []
-        for combo in combinations(range(g.n), k):
-            counter.spend()
-            covered = 0
-            for v in combo:
-                covered |= cadj[v]
+        for smask, covered in _subsets(universe, g.closed_adj, k, counter):
             if covered == full:
-                witness = VertexSet(g.n, mask_of(combo))
                 if not enumerate_min:
-                    return k, witness, None
-                found.append(witness)
+                    return k, VertexSet(g.n, smask), None
+                found.append(VertexSet(g.n, smask))
         if found:
             return k, found[0], tuple(found)
     raise AssertionError("unreachable: V itself dominates")
@@ -200,24 +210,21 @@ def domination_number(
 def vertex_cover_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Minimum vertex cover size and one witness."""
-    edges = g.edges()
-    if not edges:
-        return 0, VertexSet(g.n)
-    counter = _NodeCounter(budget)
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            counter.spend()
-            smask = mask_of(combo)
-            if all(smask >> a & 1 or smask >> b & 1 for a, b in edges):
-                return k, VertexSet(g.n, smask)
-    raise AssertionError("unreachable: V itself covers")
+    """Minimum vertex cover size and one witness, by Gallai's tau = n - alpha.
+
+    The witness is the complement of the independence witness.
+    """
+    alpha, independent = independence_number(g, budget=budget)
+    return g.n - alpha, independent.complement()
 
 
-def independence_number(g: Graph) -> tuple[int, VertexSet]:
+def independence_number(
+    g: Graph, budget: int = DEFAULT_BUDGET
+) -> tuple[int, VertexSet]:
     """Maximum independent set size and its lexicographically smallest witness."""
     adj = g.adj
     memo: dict[int, int] = {}
+    counter = _NodeCounter(budget)
 
     def size(candidates: int) -> int:
         if candidates == 0:
@@ -225,6 +232,7 @@ def independence_number(g: Graph) -> tuple[int, VertexSet]:
         cached = memo.get(candidates)
         if cached is not None:
             return cached
+        counter.spend()
         pivot = -1
         pivot_deg = -1
         for v in bits(candidates):
@@ -287,28 +295,20 @@ def roman_domination_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 def enclaveless_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Maximum of |B(S)| over all subsets S, with witness."""
-    counter = _NodeCounter(budget)
-    best = -1
-    best_combo: tuple[int, ...] = ()
-    for k in range(g.n + 1):
-        if g.n - k <= best:
-            break
-        for combo in combinations(range(g.n), k):
-            counter.spend()
-            smask = mask_of(combo)
-            b = 0
-            for v in combo:
-                b |= g.adj[v]
-            val = (b & ~smask).bit_count()
-            if val > best:
-                best, best_combo = val, combo
-    return best, VertexSet(g.n, mask_of(best_combo))
+    """Maximum of |B(S)| over all subsets S, by Slater's psi = n - gamma.
+
+    S together with its exterior dominates, so |B(S)| <= n - gamma; a
+    minimum dominating set D has B(D) = V - D and is the witness.
+    """
+    if g.n == 0:
+        return 0, VertexSet(0)
+    gamma, dominating, _ = domination_number(g, budget=budget)
+    return g.n - gamma, dominating
 
 
-def lambda_invariant(g: Graph) -> int:
+def lambda_invariant(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """m - n + 2 * (independence number)."""
-    alpha, _ = independence_number(g)
+    alpha, _ = independence_number(g, budget=budget)
     return g.m - g.n + 2 * alpha
 
 
@@ -320,9 +320,7 @@ def mu_invariant(
     Returned witness lives in the base graph's ambient order. Requires a
     connected base of order at least 3.
     """
-    rg = build_r(g)
-    result = differential_of_r(rg, "v_restricted", enumerate_all=True, budget=budget)
-    assert result.all_sets is not None and result.max_card is not None
+    result = differential_of_r(build_r(g), enumerate_all=True, budget=budget)
     top = next(s for s in result.all_sets if len(s) == result.max_card)
     return result.max_card, VertexSet(g.n, top.mask)
 
@@ -371,7 +369,12 @@ class InvariantRecord:
 
 
 def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
-    """Compute every invariant of ``g``, marking infeasible ones as skipped."""
+    """Compute every invariant of ``g``, marking infeasible ones as skipped.
+
+    Five searches: diff, gamma, alpha, Roman and one enumeration of R(g)
+    that yields both diff_r and mu. tau, psi and lambda follow from alpha
+    and gamma by identity and are skipped with their source.
+    """
     skipped: dict[str, str] = {}
     stats = g.degree_stats()
 
@@ -384,13 +387,20 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
 
     diff = run("diff", lambda: differential_exact(g, budget=budget).value)
     gamma = run("gamma", lambda: domination_number(g, budget=budget)[0])
-    tau = run("tau", lambda: vertex_cover_number(g, budget=budget)[0])
-    alpha = run("alpha", lambda: independence_number(g)[0])
+    alpha = run("alpha", lambda: independence_number(g, budget=budget)[0])
     roman = run("roman", lambda: roman_domination_number(g)[0])
-    psi = run("psi", lambda: enclaveless_number(g, budget=budget)[0])
-    lam = g.m - g.n + 2 * alpha if alpha is not None else None
-    if lam is None:
-        skipped["lambda"] = skipped.get("alpha", "independence number unavailable")
+
+    tau = lam = psi = None
+    if alpha is None:
+        skipped["tau"] = skipped["lambda"] = skipped["alpha"]
+    else:
+        tau, lam = g.n - alpha, g.m - g.n + 2 * alpha
+    if gamma is not None:
+        psi = g.n - gamma
+    elif g.n == 0:
+        psi = 0  # gamma is undefined here, but the empty set has an empty boundary
+    else:
+        skipped["psi"] = skipped["gamma"]
 
     if g.n < 3:
         reason = "R-graph invariants require order >= 3"
@@ -400,16 +410,17 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
         reason = f"R-graph order {g.n + g.m} exceeds capacity {CAPACITY}"
     else:
         reason = None
+    diff_r = mu = None
     if reason is None:
-        rg = build_r(g)
-        diff_r = run(
-            "diff_r", lambda: differential_of_r(rg, budget=budget).value
+        res = run(
+            "diff_r",
+            lambda: differential_of_r(build_r(g), enumerate_all=True, budget=budget),
         )
-        mu = run("mu", lambda: mu_invariant(g, budget=budget)[0])
-    else:
-        diff_r = mu = None
-        skipped["diff_r"] = reason
-        skipped["mu"] = reason
+        if res is not None:
+            diff_r, mu = res.value, res.max_card
+        reason = skipped.get("diff_r")
+    if reason is not None:
+        skipped["diff_r"] = skipped["mu"] = reason
 
     return InvariantRecord(
         n=g.n,

@@ -2,7 +2,7 @@
 
 Every oracle here is a plain full scan with no pruning and no shared code
 with the solvers it checks, so agreement is meaningful. All of them are
-exponential and meant for orders up to ~8.
+exponential and meant for orders up to ~10.
 """
 
 from itertools import combinations
@@ -59,6 +59,20 @@ def naive_domination(g: Graph) -> int:
     return best
 
 
+def naive_minimum_dominating_sets(g: Graph) -> list[int]:
+    """All minimum dominating set masks, full scan, in mask order."""
+    full = (1 << g.n) - 1
+    dominating = []
+    for smask in range(1 << g.n):
+        covered = smask
+        for v in bits(smask):
+            covered |= g.adj[v]
+        if covered == full:
+            dominating.append(smask)
+    gamma = min(m.bit_count() for m in dominating)
+    return [m for m in dominating if m.bit_count() == gamma]
+
+
 def naive_vertex_cover(g: Graph) -> int:
     edges = g.edges()
     best = g.n
@@ -95,9 +109,23 @@ def naive_roman(g: Graph) -> int:
     return best
 
 
-def random_graph(rng: Random, n: int) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def random_graphs(seed: int, count: int, nmin: int = 0, nmax: int = 10):
+    """``count`` seeded G(n, p) graphs with n in nmin..nmax and p in 0.15..0.85."""
+    rng = Random(seed)
+    return [
+        random_graph(rng, rng.randint(nmin, nmax), rng.uniform(0.15, 0.85))
+        for _ in range(count)
+    ]
+
+
+def card_lex_order(masks) -> list[int]:
+    """Masks sorted by cardinality, then by member tuple."""
+    return sorted(masks, key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
 def random_connected_graph(rng: Random, n: int) -> Graph:

@@ -37,9 +37,18 @@ def test_compute_csv(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["compute", "--csv"], stdin=g6 + "\n")
     assert code == 0
     header, row = out.strip().splitlines()
-    assert header.startswith("instance_g6,n,m,")
+    # the columns follow InvariantRecord.to_dict; pinned so CSV bytes stay put
+    assert header == (
+        "instance_g6,n,m,delta_min,delta_max,diff,diff_r,gamma,tau,alpha,roman,psi,lambda,mu,skipped"
+    )
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["tau"] == "2" and fields["diff_r"] == "7"
+
+
+def test_seed_flag_removed(capsys, monkeypatch):
+    g6 = write_graph6(complete_bipartite(2, 3)) + "\n"
+    assert run_cli(capsys, monkeypatch, ["compute"], stdin=g6)[0] == 0
+    assert run_cli(capsys, monkeypatch, ["compute", "--seed", "1"], stdin=g6)[0] == 2
 
 
 def test_compute_rejects_malformed_file(tmp_path, capsys, monkeypatch):

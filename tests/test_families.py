@@ -1,6 +1,6 @@
 import pytest
 
-from gdiff.census import canonical_form
+from gdiff.census import canonical_form, connected_census
 from gdiff.families import (
     FamilySpec,
     complete,
@@ -115,3 +115,14 @@ def test_detectors_survive_relabeling():
     h = complete_bipartite(2, 3).relabel([4, 2, 0, 1, 3])
     parts = complete_bipartite_parts(h)
     assert parts is not None and len(parts[0]) == 2
+
+
+def test_star_detectors_match_canonical_form_census():
+    # P08 recognizes stars and stars plus an edge by these detectors alone
+    for n in range(3, 7):
+        star_form = canonical_form(star(n))
+        spe_form = canonical_form(star_plus_edge(n))
+        for g in connected_census(n):
+            form = canonical_form(g)
+            assert (star_center(g) is not None) == (form == star_form)
+            assert (star_plus_edge_center(g) is not None) == (form == spe_form)

@@ -32,15 +32,18 @@ from gdiff.solvers import (
 )
 
 from oracles import (
+    card_lex_order,
     naive_differential,
     naive_differential_sets,
     naive_domination,
     naive_enclaveless,
     naive_independence,
+    naive_minimum_dominating_sets,
     naive_roman,
     naive_vertex_cover,
     random_connected_graph,
     random_graph,
+    random_graphs,
 )
 
 
@@ -80,6 +83,19 @@ def test_differential_enumeration_complete():
     assert res.min_card == min(len(s) for s in expected)
     assert res.max_card == max(len(s) for s in expected)
     assert res.witness == res.all_sets[0]
+
+
+def test_differential_enumeration_matches_naive_random():
+    # one pass finds the value and every maximizer, in (cardinality, lex) order
+    for g in random_graphs(seed=61, count=60, nmin=1):
+        res = differential_exact(g, enumerate_all=True)
+        expected = card_lex_order(naive_differential_sets(g))
+        assert res.value == naive_differential(g)
+        assert [s.mask for s in res.all_sets] == expected
+        assert res.witness.mask == expected[0]
+        assert differential_exact(g).witness == res.witness
+        assert res.min_card == expected[0].bit_count()
+        assert res.max_card == expected[-1].bit_count()
 
 
 def test_differential_restricted_search():
@@ -169,6 +185,13 @@ def test_domination_matches_naive():
     for n in range(1, 6):
         for g in connected_census(n):
             assert domination_number(g)[0] == naive_domination(g)
+    for g in random_graphs(seed=67, count=60, nmin=1):
+        gamma, witness, all_min = domination_number(g, enumerate_min=True)
+        expected = card_lex_order(naive_minimum_dominating_sets(g))
+        assert gamma == naive_domination(g)
+        assert [s.mask for s in all_min] == expected
+        assert witness.mask == expected[0]
+        assert domination_number(g)[1] == witness
 
 
 def test_vertex_cover_known_values():
@@ -184,6 +207,12 @@ def test_vertex_cover_matches_naive():
     for n in range(1, 6):
         for g in connected_census(n):
             assert vertex_cover_number(g)[0] == naive_vertex_cover(g)
+    for g in random_graphs(seed=71, count=60):
+        tau, cover = vertex_cover_number(g)
+        assert tau == naive_vertex_cover(g)
+        assert len(cover) == tau and is_vertex_cover(g, cover)
+        # derived from alpha: the witness is the complement of its witness
+        assert cover == independence_number(g)[1].complement()
 
 
 def test_independence_known_values():
@@ -204,10 +233,48 @@ def test_independence_witness_and_oracle():
 
 
 def test_gallai_identity_census():
-    # alpha + tau = n, two independent algorithms
+    # alpha + tau = n on the oracles; the solver derives tau from it
     for n in range(1, 7):
         for g in connected_census(n):
-            assert independence_number(g)[0] + vertex_cover_number(g)[0] == g.n
+            tau = naive_vertex_cover(g)
+            assert naive_independence(g) + tau == g.n
+            assert vertex_cover_number(g)[0] == tau
+
+
+def test_slater_identity_census():
+    # psi = n - gamma on the oracles; the solver derives psi from it
+    for n in range(1, 7):
+        for g in connected_census(n):
+            psi = naive_enclaveless(g)
+            assert naive_domination(g) + psi == g.n
+            assert enclaveless_number(g)[0] == psi
+
+
+def test_independence_and_vertex_cover_budget():
+    g = cycle(9)
+    for solver in (independence_number, vertex_cover_number):
+        with pytest.raises(BudgetExceededError):
+            solver(g, budget=1)
+    assert independence_number(g, budget=1000)[0] == 4
+    assert vertex_cover_number(g, budget=1000)[0] == 5
+
+
+def test_enclaveless_and_domination_budget():
+    g = cycle(9)
+    for solver in (domination_number, enclaveless_number):
+        with pytest.raises(BudgetExceededError):
+            solver(g, budget=5)
+    assert enclaveless_number(g, budget=1000)[0] == 9 - 3
+
+
+def test_order_zero_derived_quantities():
+    g = empty_graph(0)
+    assert vertex_cover_number(g) == (0, VertexSet(0))
+    assert enclaveless_number(g) == (0, VertexSet(0))
+    record = full_record(g)
+    assert record.tau == 0 and record.psi == 0 and record.alpha == 0
+    assert record.gamma is None and "gamma" in record.skipped
+    assert "psi" not in record.skipped and "tau" not in record.skipped
 
 
 def test_is_dominating_is_vertex_cover():
@@ -277,8 +344,13 @@ def test_enclaveless_matches_naive_and_domination_bound():
             psi, witness = enclaveless_number(g)
             assert psi == naive_enclaveless(g)
             assert len(g.boundary(witness)) == psi
-            # complement of a minimum dominating set sits inside its boundary
-            assert psi >= g.n - domination_number(g)[0]
+    for g in random_graphs(seed=73, count=60):
+        psi, witness = enclaveless_number(g)
+        assert psi == naive_enclaveless(g)
+        assert len(g.boundary(witness)) == psi
+        # the witness is a minimum dominating set, whose boundary is V - D
+        if g.n:
+            assert witness == domination_number(g)[1]
 
 
 def test_lambda_known_values():
@@ -330,6 +402,24 @@ def test_full_record_p7():
     assert record.diff == 2
     assert record.roman == 5
     assert record.lam == 7
+
+
+def test_full_record_derived_fields_share_skips():
+    record = full_record(wheel(6), budget=1)
+    for derived, source in (("tau", "alpha"), ("lambda", "alpha"), ("psi", "gamma"), ("mu", "diff_r")):
+        assert "budget" in record.skipped[derived]
+        assert record.skipped[derived] == record.skipped[source]
+    assert record.tau is record.lam is record.psi is record.mu is None
+
+
+def test_full_record_matches_separate_solvers():
+    for g in (wheel(7), path(6), complete_bipartite(2, 4), kprime(2)):
+        record = full_record(g)
+        assert record.diff_r == differential_of_r(build_r(g)).value
+        assert record.mu == mu_invariant(g)[0]
+        assert record.tau == naive_vertex_cover(g)
+        assert record.psi == naive_enclaveless(g)
+        assert record.lam == lambda_invariant(g)
 
 
 def test_full_record_skips():
