@@ -1,15 +1,23 @@
-"""Canonical forms and exhaustive enumeration of small connected graphs.
+"""Canonical forms and isomorph-free generation of small connected graphs.
 
-The census iterates every edge subset of the complete graph, keeps the
-connected ones, and deduplicates by canonical form, trading speed for
-auditability. Feasible through n = 6 in seconds; n = 7 takes minutes and
-is only run when asked for explicitly.
+Every connected graph of order k >= 2 has a vertex whose removal leaves
+it connected (any leaf of a spanning tree will do). So each order-k class
+is some order-(k - 1) class plus one new vertex joined to a nonempty set
+of old vertices. ``enumerate_connected`` builds the census level by level
+from K1: it extends every representative of the level below in every
+such way, which never disconnects a graph, and keeps one graph per
+canonical form (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998). Each kept graph is decoded from its canonical
+form, so ``canonical_form`` of a representative is its own upper-triangle
+code, and each level is sorted by canonical form. The stream therefore
+depends only on the classes, not on the order in which extensions happen
+to find them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .core import Graph, bits
 
@@ -55,51 +63,42 @@ def canonical_form(g: Graph) -> bytes:
     return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")
 
 
-def _connected(rows: list[int], n: int) -> bool:
-    if n == 0:
-        return False
-    comp = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= rows[v]
-        frontier = grow & ~comp
-        comp |= frontier
-    return comp == (1 << n) - 1
+def _from_form(form: bytes) -> Graph:
+    """The graph whose own upper-triangle code is ``form``."""
+    n = form[0]
+    code = int.from_bytes(form[1:], "big")
+    rows = [0] * n
+    shift = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            shift -= 1
+            if code >> shift & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
-def enumerate_connected(n: int, dedup: bool = True):
-    """Yield connected graphs of order n, one per isomorphism class if dedup.
+def enumerate_connected(n: int):
+    """Yield one canonically labeled graph per connected class of order n.
 
-    Iterates all edge masks in ascending order, so representatives are the
-    first labeled occurrence of each class and the stream is deterministic.
+    Graphs come in ascending order of canonical form.
     """
-    if not 1 <= n <= 7:
-        raise ValueError("census enumeration supports 1 <= n <= 7")
-    pairs = list(combinations(range(n), 2))
-    seen: set[bytes] = set()
-    for emask in range(1 << len(pairs)):
-        rows = [0] * n
-        mm = emask
-        while mm:
-            low = mm & -mm
-            a, b = pairs[low.bit_length() - 1]
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-            mm ^= low
-        if not _connected(rows, n):
-            continue
-        g = Graph(n, tuple(rows))
-        if dedup:
-            form = canonical_form(g)
-            if form in seen:
-                continue
-            seen.add(form)
-        yield g
+    if not 1 <= n <= CANONICAL_MAX:
+        raise ValueError(f"census enumeration supports 1 <= n <= {CANONICAL_MAX}")
+    level = [Graph(1, (0,))]
+    for k in range(1, n):
+        new_bit = 1 << k
+        forms = set()
+        for g in level:
+            for nbrs in range(1, new_bit):
+                rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
+                rows.append(nbrs)
+                forms.add(canonical_form(Graph(k + 1, tuple(rows))))
+        level = [_from_form(form) for form in sorted(forms)]
+    yield from level
 
 
 @lru_cache(maxsize=None)
 def connected_census(n: int) -> tuple[Graph, ...]:
-    """Deduplicated connected census of order n, cached per process."""
-    return tuple(enumerate_connected(n, dedup=True))
+    """Connected census of order n, one graph per class, cached per process."""
+    return tuple(enumerate_connected(n))

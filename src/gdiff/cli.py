@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from .census import CANONICAL_MAX
 from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
 from .core import BudgetExceededError, CapacityError, Graph
 from .families import FamilySpec
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_verify)
 
     p_census = sub.add_parser("census", help="run proposition checks over the census")
-    p_census.add_argument("--nmax", type=int, default=5, help="largest order, up to 7")
+    p_census.add_argument("--nmax", type=int, default=5, help=f"largest order, up to {CANONICAL_MAX}")
     p_census.add_argument("--props", default="all")
     p_census.add_argument("--jobs", type=int, default=None, help="worker processes (or GDIFF_JOBS)")
     add_io(p_census)

@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .census import connected_census
+from .census import CANONICAL_MAX, connected_census
 from .codecs import write_graph6
 from .core import BudgetExceededError, CapacityError, Graph, VertexSet
 from .families import (
@@ -163,12 +163,10 @@ class InstanceContext:
 
     @property
     def gamma_r(self):
-        """Domination number of the R-graph with all minimum sets."""
+        """Domination number of the R-graph and its first minimum set."""
         return self._get(
             "gamma_r",
-            lambda: domination_number(
-                self.rg.total, enumerate_min=True, budget=self.config.budget
-            ),
+            lambda: domination_number(self.rg.total, budget=self.config.budget),
         )
 
     @property
@@ -228,10 +226,12 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
-    _, _, all_min = ctx.gamma_r
-    inside = [w for w in all_min if w.issubset(ctx.rg.v_part)]
-    if inside:
-        return PASS, (inside[0].members,), ""
+    total, budget = ctx.rg.total, ctx.config.budget
+    gamma, _, _ = ctx.gamma_r
+    gamma_v, inside, _ = domination_number(total, restrict=ctx.rg.v_part, budget=budget)
+    if gamma_v == gamma:
+        return PASS, (inside.members,), ""
+    _, _, all_min = domination_number(total, enumerate_min=True, budget=budget)
     return (
         FAIL,
         tuple(w.members for w in all_min),
@@ -640,8 +640,8 @@ def run_census(
     Reports come back in deterministic (instance, proposition) order
     regardless of the worker count.
     """
-    if not 3 <= n_max <= 7:
-        raise ValueError("census runs support 3 <= n_max <= 7")
+    if not 3 <= n_max <= CANONICAL_MAX:
+        raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
     config = config or HarnessConfig()
     ids = list(prop_ids) if prop_ids else list(PROPOSITIONS)
     for pid in ids:

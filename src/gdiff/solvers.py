@@ -9,7 +9,8 @@ adjacency rows and spends one node on it. For a graph of order n:
   cardinalities stops once that bound drops below the incumbent (or meets
   it, when only the value is wanted), collecting maximizers as it goes;
 * domination: scan cardinalities upward over closed neighborhoods, so the
-  first cardinality with a hit is optimal;
+  first cardinality with a hit is optimal, and stop at the first hit when
+  only the value is wanted;
 * independence: branch on a highest-degree vertex with memoization;
 * Roman domination: direct scan of all 3^n labelings, deliberately
   independent of the differential solver so the two can cross-check.
@@ -187,15 +188,31 @@ def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
 
 
 def domination_number(
-    g: Graph, enumerate_min: bool = False, budget: int = DEFAULT_BUDGET
+    g: Graph,
+    restrict: VertexSet | Iterable[int] | None = None,
+    enumerate_min: bool = False,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, VertexSet, tuple[VertexSet, ...] | None]:
-    """Minimum dominating set size, one witness, optionally all minima."""
+    """Minimum dominating set size, one witness, optionally all minima.
+
+    With ``restrict`` only dominating sets inside that universe count; it
+    must dominate ``g`` itself. The witness is the first minimum in
+    itertools.combinations order. So when the restricted minimum equals
+    the unrestricted one, the witness is the first unrestricted minimum
+    that lies inside ``restrict``.
+    """
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    universe = tuple(range(g.n))
     full = g.full_mask
+    if restrict is None:
+        universe: tuple[int, ...] = tuple(range(g.n))
+    else:
+        mask = g._coerce(restrict)
+        if _union(g.closed_adj, mask) != full:
+            raise ValueError("the restricted universe does not dominate the graph")
+        universe = tuple(bits(mask))
     counter = _NodeCounter(budget)
-    for k in range(1, g.n + 1):
+    for k in range(1, len(universe) + 1):
         found: list[VertexSet] = []
         for smask, covered in _subsets(universe, g.closed_adj, k, counter):
             if covered == full:
@@ -204,7 +221,7 @@ def domination_number(
                 found.append(VertexSet(g.n, smask))
         if found:
             return k, found[0], tuple(found)
-    raise AssertionError("unreachable: V itself dominates")
+    raise AssertionError("unreachable: the universe itself dominates")
 
 
 def vertex_cover_number(

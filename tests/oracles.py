@@ -59,16 +59,25 @@ def naive_domination(g: Graph) -> int:
     return best
 
 
-def naive_minimum_dominating_sets(g: Graph) -> list[int]:
-    """All minimum dominating set masks, full scan, in mask order."""
+def naive_minimum_dominating_sets(g: Graph, within: int | None = None) -> list[int]:
+    """All minimum dominating set masks inside ``within`` (default: V), in mask order.
+
+    Scans every submask of ``within``; ``within`` itself must dominate.
+    """
     full = (1 << g.n) - 1
+    within = full if within is None else within
     dominating = []
-    for smask in range(1 << g.n):
+    smask = within
+    while True:
         covered = smask
         for v in bits(smask):
             covered |= g.adj[v]
         if covered == full:
             dominating.append(smask)
+        if smask == 0:
+            break
+        smask = (smask - 1) & within
+    dominating.reverse()
     gamma = min(m.bit_count() for m in dominating)
     return [m for m in dominating if m.bit_count() == gamma]
 

@@ -172,8 +172,8 @@ def test_criterion_10_property_suites():
 
 
 def test_criterion_11_census_counts():
-    with criterion("11 census counts 2, 6, 21, 112 (A001349)", limit=300):
-        for n, count in ((3, 2), (4, 6), (5, 21), (6, 112)):
+    with criterion("11 census counts 2, 6, 21, 112, 853 (A001349)", limit=300):
+        for n, count in ((3, 2), (4, 6), (5, 21), (6, 112), (7, 853)):
             assert len(connected_census(n)) == count
 
 

@@ -1,10 +1,14 @@
-import pytest
+import os
+from itertools import permutations
+from math import factorial
 from random import Random
 
 import networkx as nx
+import pytest
 
 from gdiff.census import canonical_form, connected_census, enumerate_connected
 from gdiff.codecs import parse_graph6, write_graph6
+from gdiff.core import Graph
 from gdiff.families import complete, cycle, path, star
 
 from oracles import random_graph
@@ -12,11 +16,13 @@ from oracles import random_graph
 
 def test_census_counts_match_oracle():
     # connected isomorphism classes by order (OEIS A001349)
-    assert len(connected_census(1)) == 1
-    assert len(connected_census(2)) == 1
-    assert len(connected_census(3)) == 2
-    assert len(connected_census(4)) == 6
-    assert len(connected_census(5)) == 21
+    for n, count in ((1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)):
+        assert len(connected_census(n)) == count
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; order 8 takes about 15 s")
+def test_census_counts_order8():
+    assert len(connected_census(8)) == 11117
 
 
 def test_census_graphs_are_connected_and_ordered():
@@ -26,16 +32,56 @@ def test_census_graphs_are_connected_and_ordered():
             assert g.is_connected
 
 
+def test_census_matches_networkx_atlas():
+    # The atlas lists every graph of order <= 7, independently of gdiff.
+    atlas: dict[int, set[bytes]] = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n >= 1 and nx.is_connected(h):
+            atlas[n].add(canonical_form(Graph.from_edges(n, h.edges())))
+    for n in range(1, 8):
+        forms = [canonical_form(g) for g in connected_census(n)]
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == atlas[n]
+
+
+def _automorphisms(g: Graph) -> int:
+    edges = set(g.edges())
+    return sum(
+        all((min(p[a], p[b]), max(p[a], p[b])) in edges for a, b in edges)
+        for p in permutations(range(g.n))
+    )
+
+
 def test_census_labeled_count():
-    # all labeled connected graphs on 4 vertices: 38
-    assert sum(1 for _ in enumerate_connected(4, dedup=False)) == 38
+    # Each class stands for n!/|Aut| labeled graphs; the labeled connected
+    # graphs number 1, 1, 4, 38, 728, 26704 (OEIS A001187).
+    for n, labeled in ((1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)):
+        assert sum(factorial(n) // _automorphisms(g) for g in connected_census(n)) == labeled
+
+
+def _own_code(g: Graph) -> bytes:
+    """The upper-triangle adjacency code of g as labeled, in canonical_form's layout."""
+    code = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            code = code << 1 | (g.adj[i] >> j & 1)
+    nbits = g.n * (g.n - 1) // 2
+    return bytes([g.n]) + code.to_bytes((nbits + 7) // 8, "big")
+
+
+def test_census_representatives_are_canonical_and_sorted():
+    for n in range(1, 8):
+        forms = [canonical_form(g) for g in connected_census(n)]
+        assert forms == [_own_code(g) for g in connected_census(n)]
+        assert forms == sorted(forms)
 
 
 def test_census_range_guard():
     with pytest.raises(ValueError):
         list(enumerate_connected(0))
     with pytest.raises(ValueError):
-        list(enumerate_connected(8))
+        list(enumerate_connected(9))
 
 
 def test_census_is_deterministic():

@@ -1,7 +1,8 @@
 import pytest
 
+from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6
-from gdiff.core import VertexSet
+from gdiff.core import Graph, VertexSet
 from gdiff.families import complete, complete_bipartite, cycle, kprime, path, wheel
 from gdiff.propositions import (
     PROPOSITIONS,
@@ -10,7 +11,7 @@ from gdiff.propositions import (
     run_census,
     run_proposition,
 )
-from gdiff.roperator import build_r
+from gdiff.roperator import RGraph, build_r
 from gdiff.solvers import (
     differential_exact,
     differential_of_r,
@@ -104,6 +105,49 @@ def test_skipped_on_tiny_budget():
     assert "budget" in report.note
 
 
+def test_p02_p11_witnesses_on_census():
+    # P02's witness is the first minimum dominating set of R(G), in
+    # cardinality-then-lexicographic order, that lies inside V; P11 passes
+    # with the shared value in its note.
+    for n in range(3, 7):
+        for g in connected_census(n):
+            total = build_r(g).total
+            gamma, _, all_min = domination_number(total, enumerate_min=True)
+            inside = [w for w in all_min if w.mask < 1 << g.n]
+            p02, p11 = run_all(g, ["P02", "P11"])
+            assert (p02.status, p02.witness_sets, p02.note) == ("pass", (inside[0].members,), "")
+            assert (p11.status, p11.witness_sets, p11.note) == ("pass", (), f"tau = gamma(R) = {gamma}")
+
+
+def test_p02_on_hand_built_operator_graphs(monkeypatch):
+    # On a real R(G) P02 always passes, and the first minimum overall has so
+    # far always lain inside V; hand-built stand-ins reach the other
+    # branches. V = {0, 1, 2}, U = {3, 4}.
+    import gdiff.propositions as props
+
+    def stand_in(edges):
+        return lambda g: RGraph(
+            base=g,
+            total=Graph.from_edges(5, edges),
+            v_part=VertexSet(5, 0b00111),
+            u_part=VertexSet(5, 0b11000),
+            edge_map=((0, 1), (1, 2)),
+        )
+
+    # minima {0, 3} and {1, 2}: the witness is the first one inside V
+    monkeypatch.setattr(props, "build_r", stand_in([(0, 1), (1, 4), (2, 3), (3, 4)]))
+    report = run_proposition("P02", path(3))
+    assert (report.status, report.witness_sets) == ("pass", ((1, 2),))
+    # minima {0, 3} and {3, 4}; V needs 3 vertices: every minimum is the witness
+    monkeypatch.setattr(props, "build_r", stand_in([(0, 4), (1, 3), (2, 3)]))
+    report = run_proposition("P02", path(3))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0, 3), (3, 4)),
+        "no minimum dominating set lies inside V",
+    )
+
+
 def test_run_all_shares_context():
     reports = run_all(complete(4), ["P01", "P11", "P15"])
     assert [r.prop_id for r in reports] == ["P01", "P11", "P15"]
@@ -137,7 +181,9 @@ def test_census_parallel_matches_serial():
 
 def test_census_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        run_census(8)
+        run_census(2)
+    with pytest.raises(ValueError):
+        run_census(9)
     with pytest.raises(ValueError):
         run_census(4, ["P99"])
 
@@ -169,8 +215,6 @@ def test_mu_versus_gamma_observation():
     # relation on the small census without asserting it as a theorem.
     observed = []
     for n in range(3, 6):
-        from gdiff.census import connected_census
-
         for g in connected_census(n):
             observed.append(mu_invariant(g)[0] >= domination_number(g)[0])
     print(f"mu >= gamma on {sum(observed)}/{len(observed)} census graphs (n <= 5)")

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from random import Random
 
@@ -61,7 +59,6 @@ def test_validate_r_census():
             assert validate_r(build_r(g)) == []
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; the order-7 census takes minutes")
 def test_validate_r_census_order7():
     for g in connected_census(7):
         assert validate_r(build_r(g)) == []

@@ -1,10 +1,8 @@
-import os
-
 import pytest
 from random import Random
 
 from gdiff.census import connected_census
-from gdiff.core import BudgetExceededError, VertexSet
+from gdiff.core import BudgetExceededError, VertexSet, bits
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -194,6 +192,50 @@ def test_domination_matches_naive():
         assert domination_number(g)[1] == witness
 
 
+def test_domination_restricted_matches_naive():
+    rng = Random(79)
+    for g in random_graphs(seed=83, count=60, nmin=1):
+        within = rng.getrandbits(g.n)
+        covered = within
+        for v in bits(within):
+            covered |= g.adj[v]
+        within |= g.full_mask & ~covered  # the undominated vertices dominate themselves
+        gamma, witness, all_min = domination_number(
+            g, restrict=VertexSet(g.n, within), enumerate_min=True
+        )
+        expected = card_lex_order(naive_minimum_dominating_sets(g, within))
+        assert gamma == expected[0].bit_count()
+        assert [s.mask for s in all_min] == expected
+        assert witness.mask == expected[0]
+        assert domination_number(g, restrict=bits(within))[:2] == (gamma, witness)
+
+
+def test_domination_restricted_to_v_part_of_r():
+    rng = Random(89)
+    for _ in range(40):
+        rg = build_r(random_connected_graph(rng, rng.randint(3, 7)))
+        v_mask = rg.v_part.mask
+        gamma_v, witness, _ = domination_number(rg.total, restrict=rg.v_part)
+        expected = card_lex_order(naive_minimum_dominating_sets(rg.total, v_mask))
+        assert (gamma_v, witness.mask) == (expected[0].bit_count(), expected[0])
+        # the first V-inside minimum of the full search, when gamma is reached inside V
+        gamma, _, all_min = domination_number(rg.total, enumerate_min=True)
+        inside = [s for s in all_min if not s.mask & ~v_mask]
+        assert gamma_v >= gamma
+        if inside:
+            assert gamma_v == gamma and witness == inside[0]
+
+
+def test_domination_restrict_guards():
+    with pytest.raises(ValueError):
+        domination_number(path(3), restrict=[0])
+    with pytest.raises(ValueError):
+        domination_number(path(3), restrict=[])
+    with pytest.raises(BudgetExceededError):
+        domination_number(cycle(9), restrict=range(8), budget=5)
+    assert domination_number(path(3), restrict=[0, 2])[0] == 2
+
+
 def test_vertex_cover_known_values():
     for p, q in ((1, 2), (2, 3), (3, 4)):
         tau, witness = vertex_cover_number(complete_bipartite(p, q))
@@ -316,7 +358,6 @@ def test_roman_differential_identity_census():
             assert differential_exact(g).value + roman_domination_number(g)[0] == g.n
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; the order-7 census takes minutes")
 def test_roman_differential_identity_census_order7():
     for g in connected_census(7):
         assert differential_exact(g).value + roman_domination_number(g)[0] == g.n
