@@ -36,7 +36,6 @@ from .propositions import (
     PROPOSITIONS,
     CensusSummary,
     CheckReport,
-    HarnessConfig,
     run_all,
     run_census,
     run_proposition,
@@ -74,7 +73,6 @@ __all__ = [
     "FamilySpec",
     "FormatError",
     "Graph",
-    "HarnessConfig",
     "InvariantRecord",
     "PROPOSITIONS",
     "RGraph",

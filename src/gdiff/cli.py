@@ -24,7 +24,6 @@ from .core import BudgetExceededError, CapacityError, Graph
 from .families import FamilySpec
 from .propositions import (
     PROPOSITIONS,
-    HarnessConfig,
     default_jobs,
     run_all,
     run_census,
@@ -209,14 +208,13 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         prop_ids = _parse_props(args.props)
-        config = HarnessConfig(budget=args.budget)
         if args.kind:
             graphs = [_family_spec(args).build()]
         else:
             graphs = _read_graphs(args)
         reports = []
         for g in graphs:
-            reports.extend(run_all(g, prop_ids, config))
+            reports.extend(run_all(g, prop_ids, args.budget))
         runtime = time.perf_counter() - start
         if args.report_format == "csv":
             _write_output(args, reports_to_csv(reports))
@@ -226,9 +224,8 @@ def _dispatch(args) -> int:
 
     if args.command == "census":
         prop_ids = _parse_props(args.props)
-        config = HarnessConfig(budget=args.budget)
         jobs = args.jobs if args.jobs is not None else default_jobs()
-        summary, reports = run_census(args.nmax, prop_ids, jobs=jobs, config=config)
+        summary, reports = run_census(args.nmax, prop_ids, jobs=jobs, budget=args.budget)
         if args.report_format == "csv":
             _write_output(args, summary_to_csv(summary))
         else:

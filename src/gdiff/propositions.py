@@ -25,7 +25,7 @@ P13  boundaries of differential sets inside V are 2-dependent (1- if maximal)
 P14  exterior of a maximum differential set inside V is at most (n - mu)/2
 P15  lambda(G) <= diff(R(G)) <= lambda(G) + floor((n - mu)/2)
 P16  both P15 bounds are attained on the matched bipartite families
-P17  diff(G) + roman(G) = n, with an independent Roman solver
+P17  diff(G) + roman(G) = n, certified by the Roman labeling of a differential set
 P18  audit: does some set attain the differential of both P_7 and R(P_7)?
 """
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .census import CANONICAL_MAX, connected_census
-from .codecs import write_graph6
+from .codecs import parse_graph6, write_graph6
 from .core import BudgetExceededError, CapacityError, Graph, VertexSet
 from .families import (
     complete_bipartite_parts,
@@ -56,10 +56,9 @@ from .solvers import (
     differential_of_r,
     domination_number,
     is_dominating,
+    independence_number,
     is_vertex_cover,
-    lambda_invariant,
-    roman_domination_number,
-    vertex_cover_number,
+    roman_labeling,
 )
 
 PASS = "pass"
@@ -67,12 +66,7 @@ FAIL = "fail"
 VACUOUS = "vacuous"
 SKIPPED = "skipped"
 
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    budget: int = DEFAULT_BUDGET
-    full_enum_limit: int = 18  # max order of the R-graph for full-space enumeration
-    roman_limit: int = 12
+FULL_ENUM_LIMIT = 18  # max order of the R-graph for full-space enumeration
 
 
 @dataclass(frozen=True)
@@ -109,17 +103,24 @@ class InstanceContext:
     """One graph plus lazily computed, shared solver results.
 
     Checks for the same instance reuse the R-graph, the enumerated
-    differential sets and the domination numbers instead of re-solving.
+    differential sets and the domination and independence numbers instead
+    of re-solving. A search that runs out of budget is not run again: its
+    error is cached and raised to every later check that needs it.
     """
 
-    def __init__(self, g: Graph, config: HarnessConfig):
+    def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
         self.g = g
-        self.config = config
+        self.budget = budget
         self._cache: dict[str, object] = {}
 
     def _get(self, key: str, fn):
         if key not in self._cache:
-            self._cache[key] = fn()
+            try:
+                self._cache[key] = fn()
+            except (BudgetExceededError, CapacityError) as exc:
+                self._cache[key] = exc
+        if isinstance(self._cache[key], Exception):
+            raise self._cache[key]
         return self._cache[key]
 
     @property
@@ -132,7 +133,7 @@ class InstanceContext:
         return self._get(
             "diff_g",
             lambda: differential_exact(
-                self.g, enumerate_all=True, budget=self.config.budget
+                self.g, enumerate_all=True, budget=self.budget
             ),
         )
 
@@ -142,22 +143,22 @@ class InstanceContext:
         return self._get(
             "diff_r_v",
             lambda: differential_of_r(
-                self.rg, "v_restricted", enumerate_all=True, budget=self.config.budget
+                self.rg, "v_restricted", enumerate_all=True, budget=self.budget
             ),
         )
 
     @property
     def diff_r_full(self):
         """Differential of the R-graph over its full subset space."""
-        if self.rg.total.n > self.config.full_enum_limit:
+        if self.rg.total.n > FULL_ENUM_LIMIT:
             raise BudgetExceededError(
-                f"full enumeration needs R-graph order <= {self.config.full_enum_limit}, "
+                f"full enumeration needs R-graph order <= {FULL_ENUM_LIMIT}, "
                 f"got {self.rg.total.n}"
             )
         return self._get(
             "diff_r_full",
             lambda: differential_of_r(
-                self.rg, "full", enumerate_all=True, budget=self.config.budget
+                self.rg, "full", enumerate_all=True, budget=self.budget
             ),
         )
 
@@ -166,19 +167,24 @@ class InstanceContext:
         """Domination number of the R-graph and its first minimum set."""
         return self._get(
             "gamma_r",
-            lambda: domination_number(self.rg.total, budget=self.config.budget),
+            lambda: domination_number(self.rg.total, budget=self.budget),
         )
 
     @property
     def mu(self) -> int:
-        res = self.diff_r_v
-        return res.max_card
+        return self.diff_r_v.max_card
+
+    @property
+    def alpha(self):
+        """Independence number of the instance and its witness."""
+        return self._get(
+            "alpha", lambda: independence_number(self.g, budget=self.budget)
+        )
 
     @property
     def lam(self) -> int:
-        return self._get(
-            "lam", lambda: lambda_invariant(self.g, budget=self.config.budget)
-        )
+        """m - n + 2 * alpha."""
+        return self.g.m - self.g.n + 2 * self.alpha[0]
 
     def base_set(self, s: VertexSet) -> VertexSet:
         """Reinterpret a subset of the V part in the base graph's ambient order."""
@@ -226,7 +232,7 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
-    total, budget = ctx.rg.total, ctx.config.budget
+    total, budget = ctx.rg.total, ctx.budget
     gamma, _, _ = ctx.gamma_r
     gamma_v, inside, _ = domination_number(total, restrict=ctx.rg.v_part, budget=budget)
     if gamma_v == gamma:
@@ -337,8 +343,6 @@ def _p09_applies(ctx):
 
 @_register("P09", "unique differential set of R(K_{p,q}) is the smaller part", _p09_applies)
 def _p09(ctx):
-    if ctx.g.n > 8:
-        raise BudgetExceededError("uniqueness enumeration runs at p + q <= 8")
     parts = complete_bipartite_parts(ctx.g)
     p_set = parts[0]
     full = ctx.diff_r_full
@@ -399,7 +403,8 @@ def _p10(ctx):
 
 @_register("P11", "vertex cover of G equals domination of R(G)", _connected3)
 def _p11(ctx):
-    tau, cover = vertex_cover_number(ctx.g, budget=ctx.config.budget)
+    alpha, independent = ctx.alpha
+    tau, cover = ctx.g.n - alpha, independent.complement()
     gamma, dom, _ = ctx.gamma_r
     if tau == gamma:
         return PASS, (), f"tau = gamma(R) = {tau}"
@@ -516,19 +521,18 @@ def _p16(ctx):
 
 @_register("P17", "differential plus Roman domination equals the order", _connected3)
 def _p17(ctx):
-    if ctx.g.n > ctx.config.roman_limit:
-        raise BudgetExceededError(
-            f"Roman labeling scan runs at order <= {ctx.config.roman_limit}"
-        )
-    diff = ctx.diff_g.value
-    roman, labels = roman_domination_number(ctx.g)
-    if diff + roman == ctx.g.n:
-        return PASS, (), f"{diff} + {roman} = {ctx.g.n}"
-    return (
-        FAIL,
-        (ctx.diff_g.witness.members, tuple(labels)),
-        f"diff + roman = {diff + roman} != n = {ctx.g.n}",
-    )
+    # gamma_R = n - diff (Bermudo, Fernau and Sigarreta): check the certificate
+    # it rests on, the Roman labeling of a differential set.
+    g, res = ctx.g, ctx.diff_g
+    labels = roman_labeling(g, res.witness)
+    roman = sum(labels)
+    twos = sum(1 << v for v, lab in enumerate(labels) if lab == 2)
+    witnesses = (res.witness.members, labels)
+    if any(lab == 0 and not g.adj[v] & twos for v, lab in enumerate(labels)):
+        return FAIL, witnesses, "the labeling of a differential set is not Roman dominating"
+    if res.value + roman != g.n:
+        return FAIL, witnesses, f"diff + roman = {res.value + roman} != n = {g.n}"
+    return PASS, (), f"{res.value} + {roman} = {g.n}"
 
 
 @_register("P18", "audit: common differential set of P_7 and R(P_7)", lambda ctx: ctx.g.n == 7 and is_path(ctx.g))
@@ -557,11 +561,9 @@ def _p18(ctx):
     )
 
 
-def run_proposition(
-    prop_id: str, g: Graph, config: HarnessConfig | None = None
-) -> CheckReport:
+def run_proposition(prop_id: str, g: Graph, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Evaluate one registered proposition on one graph."""
-    ctx = InstanceContext(g, config or HarnessConfig())
+    ctx = InstanceContext(g, budget)
     return _run_with_ctx(PROPOSITIONS[prop_id], ctx)
 
 
@@ -588,10 +590,10 @@ def _run_with_ctx(check: PropositionCheck, ctx: InstanceContext) -> CheckReport:
 
 
 def run_all(
-    g: Graph, prop_ids: list[str] | None = None, config: HarnessConfig | None = None
+    g: Graph, prop_ids: list[str] | None = None, budget: int = DEFAULT_BUDGET
 ) -> list[CheckReport]:
     """Evaluate several propositions on one graph, sharing solver results."""
-    ctx = InstanceContext(g, config or HarnessConfig())
+    ctx = InstanceContext(g, budget)
     ids = prop_ids or list(PROPOSITIONS)
     return [_run_with_ctx(PROPOSITIONS[pid], ctx) for pid in ids]
 
@@ -615,11 +617,9 @@ class CensusSummary:
         }
 
 
-def _census_worker(args: tuple[str, list[str], HarnessConfig]) -> list[CheckReport]:
-    g6, prop_ids, config = args
-    from .codecs import parse_graph6
-
-    return run_all(parse_graph6(g6), prop_ids, config)
+def _census_worker(args: tuple[str, list[str], int]) -> list[CheckReport]:
+    g6, prop_ids, budget = args
+    return run_all(parse_graph6(g6), prop_ids, budget)
 
 
 def default_jobs() -> int:
@@ -633,7 +633,7 @@ def run_census(
     n_max: int,
     prop_ids: list[str] | None = None,
     jobs: int | None = None,
-    config: HarnessConfig | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[CensusSummary, list[CheckReport]]:
     """Evaluate propositions over every connected census graph of order 3..n_max.
 
@@ -642,7 +642,6 @@ def run_census(
     """
     if not 3 <= n_max <= CANONICAL_MAX:
         raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
-    config = config or HarnessConfig()
     ids = list(prop_ids) if prop_ids else list(PROPOSITIONS)
     for pid in ids:
         if pid not in PROPOSITIONS:
@@ -653,13 +652,13 @@ def run_census(
     instances = [g for n in range(3, n_max + 1) for g in connected_census(n)]
     reports: list[CheckReport] = []
     if jobs > 1:
-        payload = [(write_graph6(g), ids, config) for g in instances]
+        payload = [(write_graph6(g), ids, budget) for g in instances]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_census_worker, payload, chunksize=8):
                 reports.extend(chunk)
     else:
         for g in instances:
-            reports.extend(run_all(g, ids, config))
+            reports.extend(run_all(g, ids, budget))
 
     counts: dict[str, dict[str, int]] = {pid: {} for pid in ids}
     for report in reports:

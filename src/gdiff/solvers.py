@@ -11,17 +11,17 @@ adjacency rows and spends one node on it. For a graph of order n:
 * domination: scan cardinalities upward over closed neighborhoods, so the
   first cardinality with a hit is optimal, and stop at the first hit when
   only the value is wanted;
-* independence: branch on a highest-degree vertex with memoization;
-* Roman domination: direct scan of all 3^n labelings, deliberately
-  independent of the differential solver so the two can cross-check.
+* independence: branch on a highest-degree vertex with memoization.
 
-Two quantities are derived by identity instead of searched: the vertex
-cover number tau = n - alpha (Gallai) and the enclaveless number
-psi = n - gamma (Slater, "Enclaveless sets and MK-systems", 1977). Their
-witnesses are the complement of the independence witness and the minimum
-dominating set witness. The oracles in tests/ check both identities
-independently. ``full_record`` takes diff_r and mu from one enumeration
-of R(G).
+Three quantities are derived by identity instead of searched: the Roman
+domination number gamma_R = n - diff (Bermudo, Fernau and Sigarreta,
+2014), the vertex cover number tau = n - alpha (Gallai) and the
+enclaveless number psi = n - gamma (Slater, "Enclaveless sets and MK-systems", 1977). Their
+witnesses are the Roman labeling of the differential witness (see
+``roman_labeling``), the complement of the independence witness and the
+minimum dominating set witness. The oracles in tests/ check all three
+identities against the definitions. ``full_record`` takes diff_r and mu
+from one enumeration of R(G).
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple among minimum-cardinality optima, which keeps
@@ -32,7 +32,7 @@ BudgetExceededError rather than returning a partial answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import BudgetExceededError, CAPACITY, Graph, VertexSet, _union, bits
@@ -281,32 +281,31 @@ def independence_number(
     return alpha, VertexSet(g.n, chosen)
 
 
-def roman_domination_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Minimum weight of a Roman dominating function, by direct labeling scan.
+def roman_labeling(g: Graph, s: VertexSet | Iterable[int]) -> tuple[int, ...]:
+    """The labeling of V that puts 2 on S, 0 on B(S) and 1 elsewhere.
 
-    A labeling V -> {0, 1, 2} is valid when every 0-labeled vertex has a
-    2-labeled neighbor; the weight is the label sum. The scan covers all
-    3^n labelings and is capped at n <= 12.
+    Every 0-labeled vertex has a neighbor in S, so it is a Roman dominating
+    function, and its weight 2|S| + (n - |S| - |B(S)|) is n minus the
+    differential of S.
     """
-    if g.n == 0:
-        raise ValueError("Roman domination is undefined on the empty graph")
-    if g.n > 12:
-        raise ValueError("labeling search is capped at order 12")
-    adj = g.adj
-    best: int | None = None
-    best_labels: tuple[int, ...] = ()
-    for labels in product((0, 1, 2), repeat=g.n):
-        weight = sum(labels)
-        if best is not None and weight >= best:
-            continue
-        two_mask = 0
-        for v, lab in enumerate(labels):
-            if lab == 2:
-                two_mask |= 1 << v
-        if all(lab != 0 or adj[v] & two_mask for v, lab in enumerate(labels)):
-            best, best_labels = weight, labels
-    assert best is not None
-    return best, best_labels
+    smask = g._coerce(s)
+    boundary = _union(g.adj, smask) & ~smask
+    return tuple(
+        2 if smask >> v & 1 else 0 if boundary >> v & 1 else 1 for v in range(g.n)
+    )
+
+
+def roman_domination_number(
+    g: Graph, budget: int = DEFAULT_BUDGET
+) -> tuple[int, tuple[int, ...]]:
+    """Minimum weight of a Roman dominating function, by gamma_R = n - diff.
+
+    A labeling V -> {0, 1, 2} is Roman dominating when every 0-labeled
+    vertex has a 2-labeled neighbor; the weight is the label sum. The
+    witness is the Roman labeling of the differential witness.
+    """
+    res = differential_exact(g, budget=budget)
+    return g.n - res.value, roman_labeling(g, res.witness)
 
 
 def enclaveless_number(
@@ -366,7 +365,7 @@ class InvariantRecord:
     skipped: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "m": self.m,
             "delta_min": self.delta_min,
@@ -382,15 +381,14 @@ class InvariantRecord:
             "mu": self.mu,
             "skipped": dict(sorted(self.skipped.items())),
         }
-        return out
 
 
 def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
-    Five searches: diff, gamma, alpha, Roman and one enumeration of R(g)
-    that yields both diff_r and mu. tau, psi and lambda follow from alpha
-    and gamma by identity and are skipped with their source.
+    Four searches: diff, gamma, alpha and one enumeration of R(g) that
+    yields both diff_r and mu. roman, tau, psi and lambda follow from diff,
+    alpha and gamma by identity and are skipped with their source.
     """
     skipped: dict[str, str] = {}
     stats = g.degree_stats()
@@ -405,9 +403,12 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     diff = run("diff", lambda: differential_exact(g, budget=budget).value)
     gamma = run("gamma", lambda: domination_number(g, budget=budget)[0])
     alpha = run("alpha", lambda: independence_number(g, budget=budget)[0])
-    roman = run("roman", lambda: roman_domination_number(g)[0])
 
-    tau = lam = psi = None
+    roman = tau = lam = psi = None
+    if diff is None:
+        skipped["roman"] = skipped["diff"]
+    else:
+        roman = g.n - diff
     if alpha is None:
         skipped["tau"] = skipped["lambda"] = skipped["alpha"]
     else:

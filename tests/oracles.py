@@ -2,10 +2,11 @@
 
 Every oracle here is a plain full scan with no pruning and no shared code
 with the solvers it checks, so agreement is meaningful. All of them are
-exponential and meant for orders up to ~10.
+exponential and meant for orders up to ~10 (the Roman labeling scan, 3^n,
+up to ~7).
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 from gdiff.core import Graph, bits
@@ -116,6 +117,30 @@ def naive_roman(g: Graph) -> int:
         if best is None or weight < best:
             best = weight
     return best
+
+
+def naive_roman_labeling(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Minimum Roman weight and a minimum labeling, by the definition.
+
+    A labeling V -> {0, 1, 2} is valid when every 0-labeled vertex has a
+    2-labeled neighbor; the weight is the label sum. Scans all 3^n
+    labelings.
+    """
+    adj = g.adj
+    best: int | None = None
+    best_labels: tuple[int, ...] = ()
+    for labels in product((0, 1, 2), repeat=g.n):
+        weight = sum(labels)
+        if best is not None and weight >= best:
+            continue
+        two_mask = 0
+        for v, lab in enumerate(labels):
+            if lab == 2:
+                two_mask |= 1 << v
+        if all(lab != 0 or adj[v] & two_mask for v, lab in enumerate(labels)):
+            best, best_labels = weight, labels
+    assert best is not None
+    return best, best_labels
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:

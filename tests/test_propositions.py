@@ -6,7 +6,6 @@ from gdiff.core import Graph, VertexSet
 from gdiff.families import complete, complete_bipartite, cycle, kprime, path, wheel
 from gdiff.propositions import (
     PROPOSITIONS,
-    HarnessConfig,
     run_all,
     run_census,
     run_proposition,
@@ -55,7 +54,7 @@ def test_p05_vacuous_on_min_degree_one():
 
 
 def test_p09_on_bipartite_families():
-    for p, q in ((1, 3), (2, 3), (2, 4)):
+    for p, q in ((1, 3), (2, 3), (2, 4), (1, 8)):
         report = run_proposition("P09", complete_bipartite(p, q))
         assert report.status == "pass", (p, q, report)
         assert report.witness_sets == (tuple(range(p)),)
@@ -100,9 +99,50 @@ def test_p18_vacuous_elsewhere():
 
 
 def test_skipped_on_tiny_budget():
-    report = run_proposition("P03", complete(5), HarnessConfig(budget=3))
+    report = run_proposition("P03", complete(5), budget=3)
     assert report.status == "skipped"
     assert "budget" in report.note
+
+
+def test_failed_search_runs_once_per_instance(monkeypatch):
+    # A search that runs out of budget is cached with its error: run_all
+    # starts each search at most once, and every check that needs it gets
+    # the note it would get in a context of its own.
+    import gdiff.propositions as props
+
+    calls = {}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    g = complete(7)
+    alone = [run_proposition(pid, g, budget=50).row() for pid in PROPOSITIONS]
+    searches = ("differential_exact", "differential_of_r", "domination_number", "independence_number")
+    for name in searches:
+        monkeypatch.setattr(props, name, counting(getattr(props, name)))
+    shared = run_all(g, budget=50)
+    assert [r.row() for r in shared] == alone
+    assert sum(r.status == "skipped" for r in shared) >= 5
+    assert calls == dict.fromkeys(searches, 1)
+
+
+def test_p17_certifies_the_roman_labeling(monkeypatch):
+    import gdiff.propositions as props
+
+    report = run_proposition("P17", path(7))
+    assert (report.status, report.note) == ("pass", "2 + 5 = 7")
+    # a labeling that leaves a 0 undominated, then one of the wrong weight
+    monkeypatch.setattr(props, "roman_labeling", lambda g, s: (0,) * g.n)
+    report = run_proposition("P17", path(7))
+    assert report.status == "fail" and "not Roman dominating" in report.note
+    monkeypatch.setattr(props, "roman_labeling", lambda g, s: (1,) * g.n)
+    report = run_proposition("P17", path(7))
+    assert (report.status, report.note) == ("fail", "diff + roman = 9 != n = 7")
+    assert report.witness_sets[1] == (1,) * 7
 
 
 def test_p02_p11_witnesses_on_census():

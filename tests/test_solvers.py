@@ -38,6 +38,7 @@ from oracles import (
     naive_independence,
     naive_minimum_dominating_sets,
     naive_roman,
+    naive_roman_labeling,
     naive_vertex_cover,
     random_connected_graph,
     random_graph,
@@ -317,6 +318,7 @@ def test_order_zero_derived_quantities():
     assert record.tau == 0 and record.psi == 0 and record.alpha == 0
     assert record.gamma is None and "gamma" in record.skipped
     assert "psi" not in record.skipped and "tau" not in record.skipped
+    assert record.roman is None and record.skipped["roman"] == record.skipped["diff"]
 
 
 def test_is_dominating_is_vertex_cover():
@@ -336,38 +338,51 @@ def test_roman_known_values():
     assert roman_domination_number(path(7))[0] == 5
 
 
+def assert_roman_witness(g, weight, labels):
+    assert len(labels) == g.n and set(labels) <= {0, 1, 2}
+    assert sum(labels) == weight
+    two_mask = sum(1 << v for v, lab in enumerate(labels) if lab == 2)
+    for v, lab in enumerate(labels):
+        if lab == 0:
+            assert g.adj[v] & two_mask
+
+
 def test_roman_witness_is_valid():
     for g in (cycle(5), path(7), star(6)):
-        weight, labels = roman_domination_number(g)
-        assert sum(labels) == weight
-        two_mask = sum(1 << v for v, lab in enumerate(labels) if lab == 2)
-        for v, lab in enumerate(labels):
-            if lab == 0:
-                assert g.adj[v] & two_mask
+        assert_roman_witness(g, *roman_domination_number(g))
 
 
 def test_roman_matches_independent_oracle():
     for n in range(1, 6):
         for g in connected_census(n):
             assert roman_domination_number(g)[0] == naive_roman(g)
+    for g in random_graphs(seed=97, count=60, nmin=1):
+        weight, labels = roman_domination_number(g)
+        assert weight == naive_roman(g)
+        assert_roman_witness(g, weight, labels)
 
 
 def test_roman_differential_identity_census():
+    # the theorem against the definition: neither side uses the Roman solver
     for n in range(3, 6):
         for g in connected_census(n):
-            assert differential_exact(g).value + roman_domination_number(g)[0] == g.n
+            assert differential_exact(g).value + naive_roman_labeling(g)[0] == g.n
 
 
 def test_roman_differential_identity_census_order7():
     for g in connected_census(7):
-        assert differential_exact(g).value + roman_domination_number(g)[0] == g.n
+        assert differential_exact(g).value + naive_roman_labeling(g)[0] == g.n
 
 
 def test_roman_guards():
     with pytest.raises(ValueError):
         roman_domination_number(empty_graph(0))
-    with pytest.raises(ValueError):
-        roman_domination_number(empty_graph(13))
+    # no order cap: the value comes from the differential search
+    assert roman_domination_number(empty_graph(13))[0] == 13
+    g = path(16)
+    weight, labels = roman_domination_number(g)
+    assert weight == naive_roman(g)
+    assert_roman_witness(g, weight, labels)
 
 
 # -- enclaveless, lambda, mu -----------------------------------------------------
@@ -447,10 +462,23 @@ def test_full_record_p7():
 
 def test_full_record_derived_fields_share_skips():
     record = full_record(wheel(6), budget=1)
-    for derived, source in (("tau", "alpha"), ("lambda", "alpha"), ("psi", "gamma"), ("mu", "diff_r")):
+    for derived, source in (
+        ("tau", "alpha"),
+        ("lambda", "alpha"),
+        ("psi", "gamma"),
+        ("mu", "diff_r"),
+        ("roman", "diff"),
+    ):
         assert "budget" in record.skipped[derived]
         assert record.skipped[derived] == record.skipped[source]
-    assert record.tau is record.lam is record.psi is record.mu is None
+    assert record.tau is record.lam is record.psi is record.mu is record.roman is None
+
+
+def test_full_record_roman_beyond_order_12():
+    g = path(16)
+    record = full_record(g)
+    assert record.roman == g.n - record.diff == naive_roman(g)
+    assert "roman" not in record.skipped
 
 
 def test_full_record_matches_separate_solvers():
