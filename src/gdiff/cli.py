@@ -22,12 +22,7 @@ from .census import CANONICAL_MAX
 from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
 from .core import BudgetExceededError, CapacityError, Graph
 from .families import FamilySpec
-from .propositions import (
-    PROPOSITIONS,
-    default_jobs,
-    run_all,
-    run_census,
-)
+from .propositions import PROPOSITIONS, run_all, run_census
 from .reports import (
     records_to_csv,
     records_to_json,
@@ -97,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="run proposition checks over the census")
     p_census.add_argument("--nmax", type=int, default=5, help=f"largest order, up to {CANONICAL_MAX}")
     p_census.add_argument("--props", default="all")
-    p_census.add_argument("--jobs", type=int, default=None, help="worker processes (or GDIFF_JOBS)")
+    p_census.add_argument("--jobs", type=int, default=1, help="worker processes")
     add_io(p_census)
 
     return parser
@@ -224,8 +219,7 @@ def _dispatch(args) -> int:
 
     if args.command == "census":
         prop_ids = _parse_props(args.props)
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        summary, reports = run_census(args.nmax, prop_ids, jobs=jobs, budget=args.budget)
+        summary, reports = run_census(args.nmax, prop_ids, jobs=args.jobs, budget=args.budget)
         if args.report_format == "csv":
             _write_output(args, summary_to_csv(summary))
         else:

@@ -105,9 +105,12 @@ def parse_edgelist(text: str) -> Graph:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+            try:
+                n = int(parts[1]) if len(parts) == 2 and parts[0] == "n" else -1
+            except ValueError:
+                n = -1
+            if n < 0:
                 raise FormatError(f"line {lineno}: expected header 'n <count>'")
-            n = int(parts[1])
             if n > CAPACITY:
                 raise CapacityError(f"order {n} exceeds capacity {CAPACITY}")
             continue

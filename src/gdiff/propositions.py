@@ -6,6 +6,8 @@ never evaluates its conclusion when the hypothesis fails: it reports
 would overrun the configured budget produce ``skipped`` reports, never
 partial answers, and every ``fail`` report carries the violating sets
 verbatim so the counterexample can be replayed through the set primitives.
+The checks on one instance read every solver result from one
+``solvers.InstanceContext``, so each search runs at most once per instance.
 
 Registry overview (V/U is the canonical partition of the R-graph):
 
@@ -31,7 +33,6 @@ P18  audit: does some set attain the differential of both P_7 and R(P_7)?
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,14 +50,12 @@ from .families import (
     star_plus_edge_center,
     wheel_apex,
 )
-from .roperator import build_r, validate_r
+from .roperator import validate_r
 from .solvers import (
     DEFAULT_BUDGET,
-    differential_exact,
-    differential_of_r,
+    InstanceContext,
     domination_number,
     is_dominating,
-    independence_number,
     is_vertex_cover,
     roman_labeling,
 )
@@ -65,8 +64,6 @@ PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
 SKIPPED = "skipped"
-
-FULL_ENUM_LIMIT = 18  # max order of the R-graph for full-space enumeration
 
 
 @dataclass(frozen=True)
@@ -99,107 +96,21 @@ class PropositionCheck:
     run: Callable[["InstanceContext"], tuple[str, tuple, str]]
 
 
-class InstanceContext:
-    """One graph plus lazily computed, shared solver results.
+def _base_set(ctx: InstanceContext, s: VertexSet) -> VertexSet:
+    """Reinterpret a subset of the V part in the base graph's ambient order."""
+    return VertexSet(ctx.g.n, s.mask)
 
-    Checks for the same instance reuse the R-graph, the enumerated
-    differential sets and the domination and independence numbers instead
-    of re-solving. A search that runs out of budget is not run again: its
-    error is cached and raised to every later check that needs it.
-    """
 
-    def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
-        self.g = g
-        self.budget = budget
-        self._cache: dict[str, object] = {}
-
-    def _get(self, key: str, fn):
-        if key not in self._cache:
-            try:
-                self._cache[key] = fn()
-            except (BudgetExceededError, CapacityError) as exc:
-                self._cache[key] = exc
-        if isinstance(self._cache[key], Exception):
-            raise self._cache[key]
-        return self._cache[key]
-
-    @property
-    def rg(self):
-        return self._get("rg", lambda: build_r(self.g))
-
-    @property
-    def diff_g(self):
-        """Differential of the instance, all maximizers enumerated."""
-        return self._get(
-            "diff_g",
-            lambda: differential_exact(
-                self.g, enumerate_all=True, budget=self.budget
-            ),
-        )
-
-    @property
-    def diff_r_v(self):
-        """Differential of the R-graph over subsets of V, all maximizers."""
-        return self._get(
-            "diff_r_v",
-            lambda: differential_of_r(
-                self.rg, "v_restricted", enumerate_all=True, budget=self.budget
-            ),
-        )
-
-    @property
-    def diff_r_full(self):
-        """Differential of the R-graph over its full subset space."""
-        if self.rg.total.n > FULL_ENUM_LIMIT:
-            raise BudgetExceededError(
-                f"full enumeration needs R-graph order <= {FULL_ENUM_LIMIT}, "
-                f"got {self.rg.total.n}"
-            )
-        return self._get(
-            "diff_r_full",
-            lambda: differential_of_r(
-                self.rg, "full", enumerate_all=True, budget=self.budget
-            ),
-        )
-
-    @property
-    def gamma_r(self):
-        """Domination number of the R-graph and its first minimum set."""
-        return self._get(
-            "gamma_r",
-            lambda: domination_number(self.rg.total, budget=self.budget),
-        )
-
-    @property
-    def mu(self) -> int:
-        return self.diff_r_v.max_card
-
-    @property
-    def alpha(self):
-        """Independence number of the instance and its witness."""
-        return self._get(
-            "alpha", lambda: independence_number(self.g, budget=self.budget)
-        )
-
-    @property
-    def lam(self) -> int:
-        """m - n + 2 * alpha."""
-        return self.g.m - self.g.n + 2 * self.alpha[0]
-
-    def base_set(self, s: VertexSet) -> VertexSet:
-        """Reinterpret a subset of the V part in the base graph's ambient order."""
-        return VertexSet(self.g.n, s.mask)
-
-    def is_single_vertex_maximal(self, s: VertexSet) -> bool:
-        """No single added vertex keeps the differential of the R-graph."""
-        total = self.rg.total
-        value = self.diff_r_v.value
-        for w in range(total.n):
-            if w in s:
-                continue
-            if total.set_differential(VertexSet(total.n, s.mask | 1 << w)) >= value:
-                return False
-        return True
+def _single_vertex_maximal(ctx: InstanceContext, s: VertexSet) -> bool:
+    """No single added vertex keeps the differential of the R-graph."""
+    total = ctx.rg.total
+    value = ctx.diff_r_v.value
+    for w in range(total.n):
+        if w in s:
+            continue
+        if total.set_differential(VertexSet(total.n, s.mask | 1 << w)) >= value:
+            return False
+    return True
 
 
 PROPOSITIONS: dict[str, PropositionCheck] = {}
@@ -269,7 +180,7 @@ def _p03(ctx):
 @_register("P04", "some differential set of R(G) inside V dominates G", _connected3)
 def _p04(ctx):
     for s in ctx.diff_r_v.all_sets:
-        if is_dominating(ctx.g, ctx.base_set(s)):
+        if is_dominating(ctx.g, _base_set(ctx, s)):
             return PASS, (s.members,), ""
     return (
         FAIL,
@@ -281,7 +192,7 @@ def _p04(ctx):
 @_register("P05", "min degree >= 2 forces differential sets inside V to dominate", _min_degree2)
 def _p05(ctx):
     for s in ctx.diff_r_v.all_sets:
-        if not is_dominating(ctx.g, ctx.base_set(s)):
+        if not is_dominating(ctx.g, _base_set(ctx, s)):
             return FAIL, (s.members,), "differential set inside V does not dominate"
     return PASS, (), ""
 
@@ -403,8 +314,7 @@ def _p10(ctx):
 
 @_register("P11", "vertex cover of G equals domination of R(G)", _connected3)
 def _p11(ctx):
-    alpha, independent = ctx.alpha
-    tau, cover = ctx.g.n - alpha, independent.complement()
+    tau, cover = ctx.tau
     gamma, dom, _ = ctx.gamma_r
     if tau == gamma:
         return PASS, (), f"tau = gamma(R) = {tau}"
@@ -417,19 +327,18 @@ def _p11(ctx):
 
 @_register("P12", "differential-attaining vertex covers are differential sets of R", _connected3)
 def _p12(ctx):
+    # A cover that attains diff(G) is a maximizer, so the enumerated
+    # differential sets of G are the only candidates.
     g = ctx.g
-    diff_g = ctx.diff_g.value
+    res = ctx.diff_g
     diff_r = ctx.diff_r_v.value
     total = ctx.rg.total
     qualifying = 0
-    for smask in range(1 << g.n):
-        s = VertexSet(g.n, smask)
+    for s in res.all_sets:
         if not is_vertex_cover(g, s):
             continue
-        if g.set_differential(s) != diff_g:
-            continue
         qualifying += 1
-        value = total.set_differential(VertexSet(total.n, smask))
+        value = total.set_differential(VertexSet(total.n, s.mask))
         if value != diff_r:
             return (
                 FAIL,
@@ -446,11 +355,11 @@ def _p13(ctx):
     g = ctx.g
     res = ctx.diff_r_v
     for s in res.all_sets:
-        base = ctx.base_set(s)
+        base = _base_set(ctx, s)
         bound = g.boundary(base)
         if not g.is_k_dependent(bound, 2):
             return FAIL, (s.members, bound.members), "boundary is not 2-dependent"
-        maximal = ctx.is_single_vertex_maximal(s)
+        maximal = _single_vertex_maximal(ctx, s)
         if maximal and not g.is_k_dependent(bound, 1):
             return (
                 FAIL,
@@ -622,17 +531,10 @@ def _census_worker(args: tuple[str, list[str], int]) -> list[CheckReport]:
     return run_all(parse_graph6(g6), prop_ids, budget)
 
 
-def default_jobs() -> int:
-    env = os.environ.get("GDIFF_JOBS")
-    if env and env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
-
-
 def run_census(
     n_max: int,
     prop_ids: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[CensusSummary, list[CheckReport]]:
     """Evaluate propositions over every connected census graph of order 3..n_max.
@@ -646,7 +548,6 @@ def run_census(
     for pid in ids:
         if pid not in PROPOSITIONS:
             raise ValueError(f"unknown proposition id {pid!r}")
-    jobs = jobs if jobs is not None else default_jobs()
 
     start = time.perf_counter()
     instances = [g for n in range(3, n_max + 1) for g in connected_census(n)]

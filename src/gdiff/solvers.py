@@ -13,15 +13,18 @@ adjacency rows and spends one node on it. For a graph of order n:
   only the value is wanted;
 * independence: branch on a highest-degree vertex with memoization.
 
-Three quantities are derived by identity instead of searched: the Roman
-domination number gamma_R = n - diff (Bermudo, Fernau and Sigarreta,
-2014), the vertex cover number tau = n - alpha (Gallai) and the
-enclaveless number psi = n - gamma (Slater, "Enclaveless sets and MK-systems", 1977). Their
-witnesses are the Roman labeling of the differential witness (see
+``InstanceContext`` is the single per-instance cache: it runs each search
+on one graph at most once, and ``full_record``, the proposition checks and
+the public one-quantity solvers all read from it. The identities live on it
+and nowhere else. Four quantities are derived instead of searched: the
+Roman domination number gamma_R = n - diff (Bermudo, Fernau and
+Sigarreta, 2014), the vertex cover number tau = n - alpha (Gallai), the
+enclaveless number psi = n - gamma (Slater, "Enclaveless sets and
+MK-systems", 1977) and lambda = m - n + 2 alpha. The witnesses of the first
+three are the Roman labeling of the differential witness (see
 ``roman_labeling``), the complement of the independence witness and the
-minimum dominating set witness. The oracles in tests/ check all three
-identities against the definitions. ``full_record`` takes diff_r and mu
-from one enumeration of R(G).
+minimum dominating set witness. The oracles in tests/ check the identities
+against the definitions. diff_r and mu come from one enumeration of R(G).
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple among minimum-cardinality optima, which keeps
@@ -35,10 +38,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import BudgetExceededError, CAPACITY, Graph, VertexSet, _union, bits
+from .core import BudgetExceededError, CapacityError, Graph, VertexSet, _union, bits
 from .roperator import RGraph, build_r
 
 DEFAULT_BUDGET = 10_000_000
+FULL_ENUM_LIMIT = 18  # max order of the R-graph for full-space enumeration
 
 
 @dataclass(frozen=True)
@@ -149,27 +153,25 @@ def differential_exact(
     )
 
 
+def _require_r_base(g: Graph) -> None:
+    if g.n < 3:
+        raise ValueError("R-graph invariants require order >= 3")
+    if not g.is_connected:
+        raise ValueError("R-graph invariants require a connected graph")
+
+
 def differential_of_r(
     rg: RGraph,
-    mode: str = "v_restricted",
     enumerate_all: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> DifferentialResult:
-    """Differential of the R-graph.
+    """Differential of the R-graph, searched over subsets of the V part.
 
-    ``v_restricted`` searches only subsets of the original vertex part (a
-    2^n search instead of 2^(n+m)); it requires a connected base of order
-    at least 3. ``full`` scans every subset of the R-graph and exists to
-    test that the restriction loses nothing.
+    A 2^n search instead of 2^(n+m); it requires a connected base of order
+    at least 3. The full-space search is ``differential_exact(rg.total)``,
+    which the tests and P03 compare against this one.
     """
-    if mode == "full":
-        return differential_exact(rg.total, enumerate_all=enumerate_all, budget=budget)
-    if mode != "v_restricted":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rg.base.n < 3 or not rg.base.is_connected:
-        raise ValueError(
-            "v_restricted search requires a connected base of order >= 3"
-        )
+    _require_r_base(rg.base)
     return differential_exact(
         rg.total, restrict=rg.v_part, enumerate_all=enumerate_all, budget=budget
     )
@@ -227,12 +229,8 @@ def domination_number(
 def vertex_cover_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Minimum vertex cover size and one witness, by Gallai's tau = n - alpha.
-
-    The witness is the complement of the independence witness.
-    """
-    alpha, independent = independence_number(g, budget=budget)
-    return g.n - alpha, independent.complement()
+    """Minimum vertex cover size and one witness (see ``InstanceContext.tau``)."""
+    return InstanceContext(g, budget).tau
 
 
 def independence_number(
@@ -298,34 +296,25 @@ def roman_labeling(g: Graph, s: VertexSet | Iterable[int]) -> tuple[int, ...]:
 def roman_domination_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
-    """Minimum weight of a Roman dominating function, by gamma_R = n - diff.
+    """Minimum weight of a Roman dominating function and a minimum labeling.
 
     A labeling V -> {0, 1, 2} is Roman dominating when every 0-labeled
-    vertex has a 2-labeled neighbor; the weight is the label sum. The
-    witness is the Roman labeling of the differential witness.
+    vertex has a 2-labeled neighbor; the weight is the label sum. See
+    ``InstanceContext.roman``.
     """
-    res = differential_exact(g, budget=budget)
-    return g.n - res.value, roman_labeling(g, res.witness)
+    return InstanceContext(g, budget).roman
 
 
 def enclaveless_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Maximum of |B(S)| over all subsets S, by Slater's psi = n - gamma.
-
-    S together with its exterior dominates, so |B(S)| <= n - gamma; a
-    minimum dominating set D has B(D) = V - D and is the witness.
-    """
-    if g.n == 0:
-        return 0, VertexSet(0)
-    gamma, dominating, _ = domination_number(g, budget=budget)
-    return g.n - gamma, dominating
+    """Maximum of |B(S)| over all subsets S and one witness (see ``InstanceContext.psi``)."""
+    return InstanceContext(g, budget).psi
 
 
 def lambda_invariant(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """m - n + 2 * (independence number)."""
-    alpha, _ = independence_number(g, budget=budget)
-    return g.m - g.n + 2 * alpha
+    return InstanceContext(g, budget).lam
 
 
 def mu_invariant(
@@ -336,9 +325,139 @@ def mu_invariant(
     Returned witness lives in the base graph's ambient order. Requires a
     connected base of order at least 3.
     """
-    result = differential_of_r(build_r(g), enumerate_all=True, budget=budget)
+    result = InstanceContext(g, budget).diff_r_v
     top = next(s for s in result.all_sets if len(s) == result.max_card)
     return result.max_card, VertexSet(g.n, top.mask)
+
+
+class InstanceContext:
+    """One graph plus lazily computed, shared solver results.
+
+    Every reader of the same instance reuses the R-graph, the enumerated
+    differential sets and the domination and independence numbers instead
+    of re-solving. A search that runs out of budget or capacity is not run
+    again: its error is cached and raised to every later reader.
+    """
+
+    def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
+        self.g = g
+        self.budget = budget
+        self._cache: dict[str, object] = {}
+
+    def _get(self, key: str, fn):
+        if key not in self._cache:
+            try:
+                self._cache[key] = fn()
+            except (BudgetExceededError, CapacityError) as exc:
+                self._cache[key] = exc
+        if isinstance(self._cache[key], Exception):
+            raise self._cache[key]
+        return self._cache[key]
+
+    @property
+    def rg(self) -> RGraph:
+        return self._get("rg", lambda: build_r(self.g))
+
+    @property
+    def diff_g(self) -> DifferentialResult:
+        """Differential of the instance, all maximizers enumerated."""
+        return self._get(
+            "diff_g",
+            lambda: differential_exact(
+                self.g, enumerate_all=True, budget=self.budget
+            ),
+        )
+
+    @property
+    def diff_r_v(self) -> DifferentialResult:
+        """Differential of the R-graph over subsets of V, all maximizers."""
+
+        def search():
+            # Checked before R(G) is built, so a disconnected base is
+            # reported as such even when R(G) would exceed capacity.
+            _require_r_base(self.g)
+            return differential_of_r(self.rg, enumerate_all=True, budget=self.budget)
+
+        return self._get("diff_r_v", search)
+
+    @property
+    def diff_r_full(self) -> DifferentialResult:
+        """Differential of the R-graph over its full subset space."""
+        if self.rg.total.n > FULL_ENUM_LIMIT:
+            raise BudgetExceededError(
+                f"full enumeration needs R-graph order <= {FULL_ENUM_LIMIT}, "
+                f"got {self.rg.total.n}"
+            )
+        return self._get(
+            "diff_r_full",
+            lambda: differential_exact(
+                self.rg.total, enumerate_all=True, budget=self.budget
+            ),
+        )
+
+    @property
+    def gamma(self) -> tuple[int, VertexSet, None]:
+        """Domination number of the instance and its first minimum set."""
+        return self._get(
+            "gamma", lambda: domination_number(self.g, budget=self.budget)
+        )
+
+    @property
+    def gamma_r(self) -> tuple[int, VertexSet, None]:
+        """Domination number of the R-graph and its first minimum set."""
+        return self._get(
+            "gamma_r",
+            lambda: domination_number(self.rg.total, budget=self.budget),
+        )
+
+    @property
+    def alpha(self) -> tuple[int, VertexSet]:
+        """Independence number of the instance and its witness."""
+        return self._get(
+            "alpha", lambda: independence_number(self.g, budget=self.budget)
+        )
+
+    @property
+    def tau(self) -> tuple[int, VertexSet]:
+        """Vertex cover number by Gallai's tau = n - alpha.
+
+        The witness is the complement of the independence witness.
+        """
+        alpha, independent = self.alpha
+        return self.g.n - alpha, independent.complement()
+
+    @property
+    def psi(self) -> tuple[int, VertexSet]:
+        """Enclaveless number by Slater's psi = n - gamma.
+
+        S together with its exterior dominates, so |B(S)| <= n - gamma; a
+        minimum dominating set D has B(D) = V - D and is the witness. On the
+        empty graph gamma is undefined, but the empty set has an empty
+        boundary, so psi = 0.
+        """
+        if self.g.n == 0:
+            return 0, VertexSet(0)
+        gamma, dominating, _ = self.gamma
+        return self.g.n - gamma, dominating
+
+    @property
+    def roman(self) -> tuple[int, tuple[int, ...]]:
+        """Roman domination number by gamma_R = n - diff.
+
+        The witness is the Roman labeling of the differential witness.
+        """
+        res = self.diff_g
+        return self.g.n - res.value, roman_labeling(self.g, res.witness)
+
+    @property
+    def lam(self) -> int:
+        """m - n + 2 * alpha."""
+        return self.g.m - self.g.n + 2 * self.alpha[0]
+
+    @property
+    def mu(self) -> int:
+        """Largest cardinality of a differential set of R(G) inside V."""
+        return self.diff_r_v.max_card
 
 
 @dataclass(frozen=True)
@@ -386,73 +505,34 @@ class InvariantRecord:
 def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
-    Four searches: diff, gamma, alpha and one enumeration of R(g) that
-    yields both diff_r and mu. roman, tau, psi and lambda follow from diff,
-    alpha and gamma by identity and are skipped with their source.
+    Each field is read from one ``InstanceContext``, so four searches run:
+    diff, gamma, alpha and one enumeration of R(g) for both diff_r and mu.
+    A field derived from a search that failed is skipped with its reason.
     """
+    ctx = InstanceContext(g, budget)
     skipped: dict[str, str] = {}
-    stats = g.degree_stats()
 
-    def run(name, fn):
+    def read(name, fn):
         try:
             return fn()
         except (ValueError, BudgetExceededError) as exc:
             skipped[name] = str(exc)
             return None
 
-    diff = run("diff", lambda: differential_exact(g, budget=budget).value)
-    gamma = run("gamma", lambda: domination_number(g, budget=budget)[0])
-    alpha = run("alpha", lambda: independence_number(g, budget=budget)[0])
-
-    roman = tau = lam = psi = None
-    if diff is None:
-        skipped["roman"] = skipped["diff"]
-    else:
-        roman = g.n - diff
-    if alpha is None:
-        skipped["tau"] = skipped["lambda"] = skipped["alpha"]
-    else:
-        tau, lam = g.n - alpha, g.m - g.n + 2 * alpha
-    if gamma is not None:
-        psi = g.n - gamma
-    elif g.n == 0:
-        psi = 0  # gamma is undefined here, but the empty set has an empty boundary
-    else:
-        skipped["psi"] = skipped["gamma"]
-
-    if g.n < 3:
-        reason = "R-graph invariants require order >= 3"
-    elif not g.is_connected:
-        reason = "R-graph invariants require a connected graph"
-    elif g.n + g.m > CAPACITY:
-        reason = f"R-graph order {g.n + g.m} exceeds capacity {CAPACITY}"
-    else:
-        reason = None
-    diff_r = mu = None
-    if reason is None:
-        res = run(
-            "diff_r",
-            lambda: differential_of_r(build_r(g), enumerate_all=True, budget=budget),
-        )
-        if res is not None:
-            diff_r, mu = res.value, res.max_card
-        reason = skipped.get("diff_r")
-    if reason is not None:
-        skipped["diff_r"] = skipped["mu"] = reason
-
+    stats = g.degree_stats()
     return InvariantRecord(
         n=g.n,
         m=g.m,
         delta_min=stats.minimum,
         delta_max=stats.maximum,
-        diff=diff,
-        diff_r=diff_r,
-        gamma=gamma,
-        tau=tau,
-        alpha=alpha,
-        roman=roman,
-        psi=psi,
-        lam=lam,
-        mu=mu,
+        diff=read("diff", lambda: ctx.diff_g.value),
+        diff_r=read("diff_r", lambda: ctx.diff_r_v.value),
+        gamma=read("gamma", lambda: ctx.gamma[0]),
+        tau=read("tau", lambda: ctx.tau[0]),
+        alpha=read("alpha", lambda: ctx.alpha[0]),
+        roman=read("roman", lambda: ctx.roman[0]),
+        psi=read("psi", lambda: ctx.psi[0]),
+        lam=read("lambda", lambda: ctx.lam),
+        mu=read("mu", lambda: ctx.mu),
         skipped=skipped,
     )

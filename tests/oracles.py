@@ -143,6 +143,49 @@ def naive_roman_labeling(g: Graph) -> tuple[int, tuple[int, ...]]:
     return best, best_labels
 
 
+def naive_r_differentials(g: Graph) -> list[int]:
+    """The differential in R(G) of every subset S of V, indexed by mask.
+
+    Computed from G alone, without building R(G): the boundary of S in
+    R(G) is its boundary in G plus one edge-vertex per edge with an end in
+    S. The maximum is the differential of R(G) (some maximizer lies in V).
+    """
+    edges = g.edges()
+    out = []
+    for smask in range(1 << g.n):
+        b = 0
+        for v in bits(smask):
+            b |= g.adj[v]
+        touched = sum(1 for a, c in edges if smask >> a & 1 or smask >> c & 1)
+        out.append((b & ~smask).bit_count() + touched - smask.bit_count())
+    return out
+
+
+def naive_p12(g: Graph) -> tuple[str, int]:
+    """P12 by a scan of every subset of V: (status, qualifying covers).
+
+    A vertex cover qualifies when it attains the differential of G; P12
+    passes when every qualifying cover attains the differential of R(G).
+    """
+    edges = g.edges()
+    diff_g = naive_differential(g)
+    in_r = naive_r_differentials(g)
+    diff_r = max(in_r)
+    qualifying = 0
+    for smask in range(1 << g.n):
+        if not all(smask >> a & 1 or smask >> b & 1 for a, b in edges):
+            continue
+        b = 0
+        for v in bits(smask):
+            b |= g.adj[v]
+        if (b & ~smask).bit_count() - smask.bit_count() != diff_g:
+            continue
+        qualifying += 1
+        if in_r[smask] != diff_r:
+            return "fail", qualifying
+    return ("pass" if qualifying else "vacuous"), qualifying
+
+
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

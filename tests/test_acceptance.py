@@ -56,9 +56,9 @@ def test_criterion_01_complete_graphs():
         for n in (3, 4, 5, 6):
             expected = n * (n - 1) // 2 - n + 3
             rg = build_r(complete(n))
-            assert differential_of_r(rg, "v_restricted").value == expected
+            assert differential_of_r(rg).value == expected
             if n in (3, 4):
-                assert differential_of_r(rg, "full").value == expected
+                assert differential_exact(rg.total).value == expected
 
 
 def test_criterion_02_wheels():
@@ -79,7 +79,7 @@ def test_criterion_04_uniqueness():
     with criterion("04 unique differential set of R(K_pq) is P", limit=120):
         for p, q in ((1, 3), (2, 3), (2, 4), (3, 4), (2, 5)):
             rg = build_r(complete_bipartite(p, q))
-            res = differential_of_r(rg, "full", enumerate_all=True)
+            res = differential_exact(rg.total, enumerate_all=True)
             assert len(res.all_sets) == 1, (p, q, res.all_sets)
             assert res.all_sets[0] == VertexSet(rg.total.n, (1 << p) - 1)
 

@@ -173,10 +173,3 @@ def test_out_flag_writes_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["summary"]["instances"] == 2
-
-
-def test_gdiff_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("GDIFF_JOBS", "2")
-    code, out, _ = run_cli(capsys, monkeypatch, ["census", "--nmax", "3", "--props", "P01"])
-    assert code == 0
-    assert len(json.loads(out)["reports"]) == 2

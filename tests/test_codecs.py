@@ -2,6 +2,7 @@ import pytest
 from random import Random
 
 import networkx as nx
+from hypothesis import given, settings, strategies as st
 
 from gdiff.codecs import (
     FormatError,
@@ -114,3 +115,26 @@ def test_edgelist_errors_carry_line_numbers():
         parse_edgelist("n 2\na b\n")
     with pytest.raises(FormatError):
         parse_edgelist("")
+    for header in ("n \u00b2", "n -1", "n 2 3", "m 2"):
+        with pytest.raises(FormatError, match="line 1: expected header"):
+            parse_edgelist(header + "\n")
+
+
+# Arbitrary text, plus text shaped like each format so the fuzzer reaches
+# past the first check of each parser.
+EDGELIST_LIKE = st.lists(
+    st.lists(st.sampled_from(["n", "0", "1", "2", "-1", "64", "#"]) | st.text(max_size=3), max_size=3)
+    .map(" ".join),
+    max_size=5,
+).map("\n".join)
+GRAPH6_LIKE = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=130), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.text() | EDGELIST_LIKE | GRAPH6_LIKE | st.builds("n {}".format, st.text()))
+def test_parsers_raise_only_format_or_capacity_errors(text):
+    for parse in (parse_graph6, parse_edgelist):
+        try:
+            parse(text)
+        except (FormatError, CapacityError):
+            pass

@@ -1,7 +1,7 @@
 import pytest
 
 from gdiff.census import connected_census
-from gdiff.codecs import parse_graph6
+from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.core import Graph, VertexSet
 from gdiff.families import complete, complete_bipartite, cycle, kprime, path, wheel
 from gdiff.propositions import (
@@ -17,6 +17,8 @@ from gdiff.solvers import (
     domination_number,
     mu_invariant,
 )
+
+from oracles import naive_p12, random_graphs
 
 
 def test_registry_is_complete():
@@ -79,7 +81,7 @@ def test_p18_counterexample_replays():
     g = parse_graph6(report.instance)
     rg = build_r(g)
     diff_g = differential_exact(g).value
-    diff_r = differential_of_r(rg, "full").value
+    diff_r = differential_exact(rg.total).value
     if report.status == "fail":
         # every witness attains the differential of the path but not of the R-graph
         for members in report.witness_sets:
@@ -106,15 +108,19 @@ def test_skipped_on_tiny_budget():
 
 def test_failed_search_runs_once_per_instance(monkeypatch):
     # A search that runs out of budget is cached with its error: run_all
-    # starts each search at most once, and every check that needs it gets
-    # the note it would get in a context of its own.
-    import gdiff.propositions as props
+    # starts each search at most once per graph, and every check that needs
+    # it gets the note it would get in a context of its own. Calls are
+    # counted per (search, graph) because differential_of_r hands its
+    # search to differential_exact on R(G).
+    import gdiff.solvers as solvers
 
     calls = {}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            graph = getattr(args[0], "total", args[0])
+            key = (fn.__name__, write_graph6(graph))
+            calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -123,11 +129,12 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
     alone = [run_proposition(pid, g, budget=50).row() for pid in PROPOSITIONS]
     searches = ("differential_exact", "differential_of_r", "domination_number", "independence_number")
     for name in searches:
-        monkeypatch.setattr(props, name, counting(getattr(props, name)))
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     shared = run_all(g, budget=50)
     assert [r.row() for r in shared] == alone
     assert sum(r.status == "skipped" for r in shared) >= 5
-    assert calls == dict.fromkeys(searches, 1)
+    assert {name for name, _ in calls} == set(searches)
+    assert set(calls.values()) == {1}
 
 
 def test_p17_certifies_the_roman_labeling(monkeypatch):
@@ -163,7 +170,7 @@ def test_p02_on_hand_built_operator_graphs(monkeypatch):
     # On a real R(G) P02 always passes, and the first minimum overall has so
     # far always lain inside V; hand-built stand-ins reach the other
     # branches. V = {0, 1, 2}, U = {3, 4}.
-    import gdiff.propositions as props
+    import gdiff.solvers as solvers
 
     def stand_in(edges):
         return lambda g: RGraph(
@@ -175,17 +182,30 @@ def test_p02_on_hand_built_operator_graphs(monkeypatch):
         )
 
     # minima {0, 3} and {1, 2}: the witness is the first one inside V
-    monkeypatch.setattr(props, "build_r", stand_in([(0, 1), (1, 4), (2, 3), (3, 4)]))
+    monkeypatch.setattr(solvers, "build_r", stand_in([(0, 1), (1, 4), (2, 3), (3, 4)]))
     report = run_proposition("P02", path(3))
     assert (report.status, report.witness_sets) == ("pass", ((1, 2),))
     # minima {0, 3} and {3, 4}; V needs 3 vertices: every minimum is the witness
-    monkeypatch.setattr(props, "build_r", stand_in([(0, 4), (1, 3), (2, 3)]))
+    monkeypatch.setattr(solvers, "build_r", stand_in([(0, 4), (1, 3), (2, 3)]))
     report = run_proposition("P02", path(3))
     assert (report.status, report.witness_sets, report.note) == (
         "fail",
         ((0, 3), (3, 4)),
         "no minimum dominating set lies inside V",
     )
+
+
+def test_p12_matches_the_subset_scan():
+    # P12 reads the enumerated differential sets of G instead of scanning
+    # every subset; the scan is the reference for status and count.
+    graphs = [g for n in range(3, 7) for g in connected_census(n)]
+    graphs += random_graphs(seed=83, count=60, nmin=3)
+    for g in graphs:
+        report = run_proposition("P12", g)
+        status, qualifying = naive_p12(g) if g.is_connected else ("vacuous", 0)
+        assert report.status == status, write_graph6(g)
+        if status == "pass":
+            assert report.note == f"{qualifying} qualifying cover(s)"
 
 
 def test_run_all_shares_context():

@@ -37,6 +37,7 @@ from oracles import (
     naive_enclaveless,
     naive_independence,
     naive_minimum_dominating_sets,
+    naive_r_differentials,
     naive_roman,
     naive_roman_labeling,
     naive_vertex_cover,
@@ -143,23 +144,21 @@ def test_differential_of_r_modes_agree():
             rg = build_r(g)
             if rg.total.n > 18:
                 continue
-            full = differential_of_r(rg, "full", enumerate_all=True)
-            vres = differential_of_r(rg, "v_restricted", enumerate_all=True)
+            full = differential_exact(rg.total, enumerate_all=True)
+            vres = differential_of_r(rg, enumerate_all=True)
             assert full.value == vres.value
             v_sizes = {len(s) for s in vres.all_sets}
             assert {len(s) for s in full.all_sets} <= v_sizes
 
 
 def test_differential_of_r_guards():
-    with pytest.raises(ValueError):
-        differential_of_r(build_r(path(2)))  # order < 3
+    with pytest.raises(ValueError, match="require order >= 3"):
+        differential_of_r(build_r(path(2)))
     disconnected = complete(3).disjoint_union(complete(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="require a connected graph"):
         differential_of_r(build_r(disconnected))
-    # full mode still works on the same instance
-    assert differential_of_r(build_r(disconnected), "full").value > 0
-    with pytest.raises(ValueError):
-        differential_of_r(build_r(path(3)), "sideways")
+    # the full-space search still works on the same instance
+    assert differential_exact(build_r(disconnected).total).value > 0
 
 
 # -- domination / cover / independence -----------------------------------------
@@ -489,12 +488,37 @@ def test_full_record_matches_separate_solvers():
         assert record.tau == naive_vertex_cover(g)
         assert record.psi == naive_enclaveless(g)
         assert record.lam == lambda_invariant(g)
+    # every field of the shared-cache record against the oracles
+    rng = Random(89)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(1, 10))
+        record = full_record(g)
+        assert record.diff == naive_differential(g)
+        assert record.gamma == naive_domination(g)
+        assert record.alpha == naive_independence(g)
+        assert record.tau == naive_vertex_cover(g)
+        assert record.psi == naive_enclaveless(g)
+        assert record.roman == naive_roman(g)
+        assert record.lam == g.m - g.n + 2 * naive_independence(g)
+        if g.n < 3:
+            assert record.diff_r is record.mu is None
+            assert set(record.skipped) == {"diff_r", "mu"}
+            continue
+        in_r = naive_r_differentials(g)
+        assert record.diff_r == max(in_r)
+        assert record.mu == max(m.bit_count() for m, d in enumerate(in_r) if d == record.diff_r)
+        assert record.skipped == {}
 
 
 def test_full_record_skips():
     record = full_record(empty_graph(4))
     assert record.diff_r is None and record.mu is None
     assert "connected" in record.skipped["diff_r"]
+    # the base is checked before R(G) (order 72 here) meets the capacity
+    record = full_record(complete(8).disjoint_union(complete(8)))
+    assert record.skipped["mu"] == record.skipped["diff_r"] == (
+        "R-graph invariants require a connected graph"
+    )
     record = full_record(path(2))
     assert "order >= 3" in record.skipped["diff_r"]
     d = record.to_dict()
