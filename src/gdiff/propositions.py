@@ -8,6 +8,9 @@ partial answers, and every ``fail`` report carries the violating sets
 verbatim so the counterexample can be replayed through the set primitives.
 The checks on one instance read every solver result from one
 ``solvers.InstanceContext``, so each search runs at most once per instance.
+The differential sets of R(G) over its full subset space follow from those
+inside V (``InstanceContext.diff_r_sizes``); only when they do not confirm
+P03, P06 or P09 does the exhaustive search over R(G) decide and list them.
 
 Registry overview (V/U is the canonical partition of the R-graph):
 
@@ -53,7 +56,9 @@ from .families import (
 from .roperator import validate_r
 from .solvers import (
     DEFAULT_BUDGET,
+    DifferentialResult,
     InstanceContext,
+    differential_exact,
     domination_number,
     is_dominating,
     is_vertex_cover,
@@ -96,9 +101,9 @@ class PropositionCheck:
     run: Callable[["InstanceContext"], tuple[str, tuple, str]]
 
 
-def _base_set(ctx: InstanceContext, s: VertexSet) -> VertexSet:
-    """Reinterpret a subset of the V part in the base graph's ambient order."""
-    return VertexSet(ctx.g.n, s.mask)
+def _full_space_sets(ctx: InstanceContext) -> DifferentialResult:
+    """Every differential set of R(G), by the exhaustive search over R(G)."""
+    return differential_exact(ctx.rg.total, enumerate_all=True, budget=ctx.budget)
 
 
 def _single_vertex_maximal(ctx: InstanceContext, s: VertexSet) -> bool:
@@ -158,15 +163,17 @@ def _p02(ctx):
 
 @_register("P03", "differential set of R(G) inside V of every realized size", _connected3)
 def _p03(ctx):
-    full = ctx.diff_r_full
     vres = ctx.diff_r_v
+    v_sizes = {len(s) for s in vres.all_sets}
+    if ctx.diff_r_sizes <= v_sizes:
+        return PASS, (), ""
+    full = _full_space_sets(ctx)
     if full.value != vres.value:
         return (
             FAIL,
             (full.witness.members, vres.witness.members),
             f"full value {full.value} != V-restricted value {vres.value}",
         )
-    v_sizes = {len(s) for s in vres.all_sets}
     for d in full.all_sets:
         if len(d) not in v_sizes:
             return (
@@ -180,7 +187,7 @@ def _p03(ctx):
 @_register("P04", "some differential set of R(G) inside V dominates G", _connected3)
 def _p04(ctx):
     for s in ctx.diff_r_v.all_sets:
-        if is_dominating(ctx.g, _base_set(ctx, s)):
+        if is_dominating(ctx.g, s):
             return PASS, (s.members,), ""
     return (
         FAIL,
@@ -192,16 +199,17 @@ def _p04(ctx):
 @_register("P05", "min degree >= 2 forces differential sets inside V to dominate", _min_degree2)
 def _p05(ctx):
     for s in ctx.diff_r_v.all_sets:
-        if not is_dominating(ctx.g, _base_set(ctx, s)):
+        if not is_dominating(ctx.g, s):
             return FAIL, (s.members,), "differential set inside V does not dominate"
     return PASS, (), ""
 
 
 @_register("P06", "min degree >= 2 forces |Y| >= |X| across differential sets", _min_degree2)
 def _p06(ctx):
-    full = ctx.diff_r_full
     biggest_x = max(ctx.diff_g.all_sets, key=len)
-    smallest_y = min(full.all_sets, key=len)
+    if min(ctx.diff_r_sizes) >= len(biggest_x):
+        return PASS, (), ""
+    smallest_y = min(_full_space_sets(ctx).all_sets, key=len)
     if len(smallest_y) >= len(biggest_x):
         return PASS, (), ""
     return (
@@ -256,7 +264,11 @@ def _p09_applies(ctx):
 def _p09(ctx):
     parts = complete_bipartite_parts(ctx.g)
     p_set = parts[0]
-    full = ctx.diff_r_full
+    # A differential set of R(G) is one inside V, A, plus up to |C(A)|
+    # edge-vertices, so it is unique iff A is and C(A) is empty.
+    if ctx.diff_r_v.all_sets == (p_set,) and ctx.diff_r_sizes == {len(p_set)}:
+        return PASS, (p_set.members,), ""
+    full = _full_space_sets(ctx)
     if len(full.all_sets) == 1 and full.all_sets[0].mask == p_set.mask:
         return PASS, (p_set.members,), ""
     return (
@@ -355,8 +367,7 @@ def _p13(ctx):
     g = ctx.g
     res = ctx.diff_r_v
     for s in res.all_sets:
-        base = _base_set(ctx, s)
-        bound = g.boundary(base)
+        bound = g.boundary(s)
         if not g.is_k_dependent(bound, 2):
             return FAIL, (s.members, bound.members), "boundary is not 2-dependent"
         maximal = _single_vertex_maximal(ctx, s)
@@ -383,7 +394,7 @@ def _p14(ctx):
     for s in res.all_sets:
         if len(s) != mu:
             continue
-        ext = total.exterior(s)
+        ext = total.exterior(VertexSet(total.n, s.mask))
         if 2 * len(ext) > ctx.g.n - mu:
             return (
                 FAIL,
@@ -449,7 +460,7 @@ def _p18(ctx):
     g = ctx.g
     total = ctx.rg.total
     diff_g = ctx.diff_g.value
-    diff_r = ctx.diff_r_full.value
+    diff_r = ctx.diff_r_v.value
     common = [
         s.members
         for s in ctx.diff_g.all_sets

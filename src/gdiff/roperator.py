@@ -38,6 +38,18 @@ class RGraph:
         return self.base.n + i
 
 
+def r_v_rows(g: Graph) -> tuple[int, ...]:
+    """R(g)'s rows for V: N_G(v) plus bit n + i for each edge i of ``g.edges()`` at v.
+
+    Plain integers, so they exist even when R(g) exceeds ``CAPACITY``.
+    """
+    rows = list(g.adj)
+    for i, (a, b) in enumerate(g.edges()):
+        rows[a] |= 1 << g.n + i
+        rows[b] |= 1 << g.n + i
+    return tuple(rows)
+
+
 def build_r(g: Graph) -> RGraph:
     """Construct R(g) with edge-vertices in lexicographic endpoint order."""
     edges = g.edges()
@@ -46,13 +58,8 @@ def build_r(g: Graph) -> RGraph:
         raise CapacityError(
             f"R-graph order {total_n} exceeds capacity {CAPACITY}"
         )
-    rows = list(g.adj) + [0] * len(edges)
-    for i, (a, b) in enumerate(edges):
-        u = g.n + i
-        rows[u] = 1 << a | 1 << b
-        rows[a] |= 1 << u
-        rows[b] |= 1 << u
-    total = Graph(total_n, tuple(rows))
+    rows = r_v_rows(g) + tuple(1 << a | 1 << b for a, b in edges)
+    total = Graph(total_n, rows)
     v_mask = (1 << g.n) - 1
     return RGraph(
         base=g,

@@ -24,7 +24,9 @@ MK-systems", 1977) and lambda = m - n + 2 alpha. The witnesses of the first
 three are the Roman labeling of the differential witness (see
 ``roman_labeling``), the complement of the independence witness and the
 minimum dominating set witness. The oracles in tests/ check the identities
-against the definitions. diff_r and mu come from one enumeration of R(G).
+against the definitions. The differential of R(G) comes from a scan of V
+with R(G)'s rows, built from G; its differential sets over the full subset
+space follow from the sets inside V (see ``InstanceContext.diff_r_sizes``).
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple among minimum-cardinality optima, which keeps
@@ -39,10 +41,9 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import BudgetExceededError, CapacityError, Graph, VertexSet, _union, bits
-from .roperator import RGraph, build_r
+from .roperator import RGraph, build_r, r_v_rows
 
 DEFAULT_BUDGET = 10_000_000
-FULL_ENUM_LIMIT = 18  # max order of the R-graph for full-space enumeration
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,47 @@ def _subsets(
             yield head_mask | bit, head_union | row
 
 
+def _max_differential(
+    n: int,
+    universe: tuple[int, ...],
+    rows: tuple[int, ...],
+    order: int,
+    enumerate_all: bool,
+    counter: _NodeCounter,
+) -> DifferentialResult:
+    """Maximize |N(S) - S| - |S| over subsets S of ``universe``, a part of 0..n-1.
+
+    ``rows`` are adjacency rows of a graph on ``order`` vertices, where a
+    k-set scores at most order - 2k.
+    """
+    best = None
+    maximizers: list[int] = []
+    for k in range(len(universe) + 1):
+        # Reaching only a tie adds maximizers, which only enumeration wants.
+        bound = order - 2 * k
+        if best is not None and (bound < best or (bound == best and not enumerate_all)):
+            break
+        for smask, union in _subsets(universe, rows, k, counter):
+            d = (union & ~smask).bit_count() - k
+            if best is None or d > best:
+                best, maximizers = d, [smask]
+            elif d == best and enumerate_all:
+                maximizers.append(smask)
+    assert best is not None
+
+    witness = VertexSet(n, maximizers[0])
+    if not enumerate_all:
+        return DifferentialResult(best, witness, counter.nodes)
+    return DifferentialResult(
+        best,
+        witness,
+        counter.nodes,
+        all_sets=tuple(VertexSet(n, m) for m in maximizers),
+        min_card=maximizers[0].bit_count(),
+        max_card=maximizers[-1].bit_count(),
+    )
+
+
 def differential_exact(
     g: Graph,
     restrict: VertexSet | Iterable[int] | None = None,
@@ -122,35 +164,7 @@ def differential_exact(
         universe: tuple[int, ...] = tuple(range(g.n))
     else:
         universe = tuple(bits(g._coerce(restrict)))
-    counter = _NodeCounter(budget)
-
-    best = None
-    maximizers: list[int] = []
-    for k in range(len(universe) + 1):
-        # A k-set has differential at most n - 2k; reaching only a tie adds
-        # maximizers, which only enumeration wants.
-        bound = g.n - 2 * k
-        if best is not None and (bound < best or (bound == best and not enumerate_all)):
-            break
-        for smask, union in _subsets(universe, g.adj, k, counter):
-            d = (union & ~smask).bit_count() - k
-            if best is None or d > best:
-                best, maximizers = d, [smask]
-            elif d == best and enumerate_all:
-                maximizers.append(smask)
-    assert best is not None
-
-    witness = VertexSet(g.n, maximizers[0])
-    if not enumerate_all:
-        return DifferentialResult(best, witness, counter.nodes)
-    return DifferentialResult(
-        best,
-        witness,
-        counter.nodes,
-        all_sets=tuple(VertexSet(g.n, m) for m in maximizers),
-        min_card=maximizers[0].bit_count(),
-        max_card=maximizers[-1].bit_count(),
-    )
+    return _max_differential(g.n, universe, g.adj, g.n, enumerate_all, _NodeCounter(budget))
 
 
 def _require_r_base(g: Graph) -> None:
@@ -161,19 +175,18 @@ def _require_r_base(g: Graph) -> None:
 
 
 def differential_of_r(
-    rg: RGraph,
+    g: Graph,
     enumerate_all: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> DifferentialResult:
-    """Differential of the R-graph, searched over subsets of the V part.
+    """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
-    A 2^n search instead of 2^(n+m); it requires a connected base of order
-    at least 3. The full-space search is ``differential_exact(rg.total)``,
-    which the tests and P03 compare against this one.
+    A 2^n scan of V with R(g)'s rows, built from g, so R(g) may exceed
+    ``CAPACITY``. It requires a connected g of order at least 3.
     """
-    _require_r_base(rg.base)
-    return differential_exact(
-        rg.total, restrict=rg.v_part, enumerate_all=enumerate_all, budget=budget
+    _require_r_base(g)
+    return _max_differential(
+        g.n, tuple(range(g.n)), r_v_rows(g), g.n + g.m, enumerate_all, _NodeCounter(budget)
     )
 
 
@@ -322,12 +335,11 @@ def mu_invariant(
 ) -> tuple[int, VertexSet]:
     """Largest cardinality of a differential set of R(g) inside the V part.
 
-    Returned witness lives in the base graph's ambient order. Requires a
-    connected base of order at least 3.
+    Requires a connected base of order at least 3.
     """
     result = InstanceContext(g, budget).diff_r_v
     top = next(s for s in result.all_sets if len(s) == result.max_card)
-    return result.max_card, VertexSet(g.n, top.mask)
+    return result.max_card, top
 
 
 class InstanceContext:
@@ -371,29 +383,29 @@ class InstanceContext:
     @property
     def diff_r_v(self) -> DifferentialResult:
         """Differential of the R-graph over subsets of V, all maximizers."""
-
-        def search():
-            # Checked before R(G) is built, so a disconnected base is
-            # reported as such even when R(G) would exceed capacity.
-            _require_r_base(self.g)
-            return differential_of_r(self.rg, enumerate_all=True, budget=self.budget)
-
-        return self._get("diff_r_v", search)
+        return self._get(
+            "diff_r_v",
+            lambda: differential_of_r(self.g, enumerate_all=True, budget=self.budget),
+        )
 
     @property
-    def diff_r_full(self) -> DifferentialResult:
-        """Differential of the R-graph over its full subset space."""
-        if self.rg.total.n > FULL_ENUM_LIMIT:
-            raise BudgetExceededError(
-                f"full enumeration needs R-graph order <= {FULL_ENUM_LIMIT}, "
-                f"got {self.rg.total.n}"
-            )
-        return self._get(
-            "diff_r_full",
-            lambda: differential_exact(
-                self.rg.total, enumerate_all=True, budget=self.budget
-            ),
-        )
+    def diff_r_sizes(self) -> set[int]:
+        """Every size of a differential set of the R-graph over all its subsets.
+
+        Write a set of R(G) as A + E' (A in V, E' edge-vertices). An edge-vertex
+        at A costs 2 and any other gains the ends it newly reaches outside
+        N[A], minus 1, so the best E' gains the matching number of G - N[A].
+        That is 0 at an optimum: for an edge uv there, adding u or v to A (one
+        has degree >= 2, G being connected of order >= 3) gains more than the
+        matching loses. So the value is diff_r_v's, and the differential sets
+        are A + E' with A among diff_r_v's sets and E' one edge-vertex at each
+        of any vertices of the exterior C(A): |A| to |A| + |C(A)| members.
+        """
+        return {
+            k
+            for a in self.diff_r_v.all_sets
+            for k in range(len(a), len(a) + len(self.g.exterior(a)) + 1)
+        }
 
     @property
     def gamma(self) -> tuple[int, VertexSet, None]:
@@ -506,7 +518,8 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
     Each field is read from one ``InstanceContext``, so four searches run:
-    diff, gamma, alpha and one enumeration of R(g) for both diff_r and mu.
+    diff, gamma, alpha and one scan of V for both diff_r and mu; R(g) is
+    never built.
     A field derived from a search that failed is skipped with its reason.
     """
     ctx = InstanceContext(g, budget)

@@ -55,24 +55,22 @@ def test_criterion_01_complete_graphs():
     with criterion("01 diff(R(K_n)) = n(n-1)/2 - n + 3", limit=10):
         for n in (3, 4, 5, 6):
             expected = n * (n - 1) // 2 - n + 3
-            rg = build_r(complete(n))
-            assert differential_of_r(rg).value == expected
+            assert differential_of_r(complete(n)).value == expected
             if n in (3, 4):
-                assert differential_exact(rg.total).value == expected
+                assert differential_exact(build_r(complete(n)).total).value == expected
 
 
 def test_criterion_02_wheels():
     with criterion("02 diff(R(W_n)) = 2n - 3", limit=10):
         for n in (4, 5, 6, 7):
-            assert differential_of_r(build_r(wheel(n))).value == 2 * n - 3
+            assert differential_of_r(wheel(n)).value == 2 * n - 3
 
 
 def test_criterion_03_complete_bipartite():
     with criterion("03 diff(R(K_pq)) = q(p+1) - p", limit=30):
         for p in range(1, 5):
             for q in range(p + 1, 10 - p):
-                rg = build_r(complete_bipartite(p, q))
-                assert differential_of_r(rg).value == q * (p + 1) - p
+                assert differential_of_r(complete_bipartite(p, q)).value == q * (p + 1) - p
 
 
 def test_criterion_04_uniqueness():
@@ -103,7 +101,7 @@ def test_criterion_05_cover_domination_duality():
 def test_criterion_06_main_bounds():
     with criterion("06 lambda <= diff(R) <= lambda + floor((n - mu)/2)", limit=600):
         for g in census_3_to_6():
-            res = differential_of_r(build_r(g), enumerate_all=True)
+            res = differential_of_r(g, enumerate_all=True)
             lam = lambda_invariant(g)
             mu = res.max_card
             assert lam <= res.value <= lam + (g.n - mu) // 2, write_graph6(g)
@@ -112,16 +110,16 @@ def test_criterion_06_main_bounds():
 def test_criterion_07_tightness():
     with criterion("07 tight families K_{r,2r} and K'_{r,2r}", limit=300):
         # r = 2
-        assert differential_of_r(build_r(complete_bipartite(2, 4))).value == 10
+        assert differential_of_r(complete_bipartite(2, 4)).value == 10
         assert lambda_invariant(complete_bipartite(2, 4)) == 10
-        assert differential_of_r(build_r(kprime(2))).value == 10
+        assert differential_of_r(kprime(2)).value == 10
         assert lambda_invariant(kprime(2)) == 8
         assert mu_invariant(kprime(2))[0] == 2
         assert 8 + (6 - 2) // 2 == 10
         # r = 3
-        assert differential_of_r(build_r(complete_bipartite(3, 6))).value == 21
+        assert differential_of_r(complete_bipartite(3, 6)).value == 21
         assert lambda_invariant(complete_bipartite(3, 6)) == 21
-        assert differential_of_r(build_r(kprime(3))).value == 21
+        assert differential_of_r(kprime(3)).value == 21
         assert lambda_invariant(kprime(3)) == 18
         assert mu_invariant(kprime(3))[0] == 3
         assert 18 + (9 - 3) // 2 == 21
@@ -140,9 +138,8 @@ def test_criterion_09_characterizations():
         star_forms = {n: canonical_form(star(n)) for n in range(3, 7)}
         spe_forms = {n: canonical_form(star_plus_edge(n)) for n in range(3, 7)}
         for g in census_3_to_6():
-            rg = build_r(g)
-            m_r = rg.total.n
-            diff_r = differential_of_r(rg).value
+            m_r = build_r(g).total.n
+            diff_r = differential_of_r(g).value
             form = canonical_form(g)
             assert (diff_r == m_r - 2) == (form == star_forms[g.n]), write_graph6(g)
             assert (diff_r == m_r - 3) == (form == spe_forms[g.n]), write_graph6(g)

@@ -10,6 +10,7 @@ from gdiff.census import canonical_form, connected_census, enumerate_connected
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.core import Graph
 from gdiff.families import complete, cycle, path, star
+from gdiff.propositions import run_census
 
 from oracles import random_graph
 
@@ -23,6 +24,15 @@ def test_census_counts_match_oracle():
 @pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; order 8 takes about 15 s")
 def test_census_counts_order8():
     assert len(connected_census(8)) == 11117
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 18 s")
+def test_census_order8_full_space_checks_answer():
+    # P03, P06 and P09 read the differential of R(G) over its full subset
+    # space; on the census up to order 8 none of them is skipped or fails.
+    summary, _ = run_census(8, ["P03", "P06", "P09"])
+    for pid, counts in summary.counts.items():
+        assert "skipped" not in counts and "fail" not in counts, (pid, counts)
 
 
 def test_census_graphs_are_connected_and_ordered():

@@ -1,10 +1,13 @@
 import io
 import json
+from random import Random
 
 from gdiff.cli import cli
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.families import complete_bipartite, wheel
 from gdiff.roperator import build_r
+
+from oracles import random_graph
 
 
 def run_cli(capsys, monkeypatch, args, stdin=""):
@@ -43,6 +46,27 @@ def test_compute_csv(capsys, monkeypatch):
     )
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["tau"] == "2" and fields["diff_r"] == "7"
+
+
+def test_compute_on_large_sparse_graphs_ends_within_budget(capsys, monkeypatch):
+    # Every input up to the capacity answers or exits 3 within --budget, and
+    # an R(G) beyond the capacity skips no field: R(G) is never built.
+    rng = Random(109)
+    graphs = []
+    for n in (24, 32, 40, 48, 56, 64):
+        g = random_graph(rng, n, 3 / (n - 1))
+        while not g.is_connected:
+            g = random_graph(rng, n, 3 / (n - 1))
+        graphs.append(g)
+    assert any(g.n + g.m > 64 for g in graphs)
+    stdin = "".join(write_graph6(g) + "\n" for g in graphs)
+    args = ["compute", "--json", "--budget", "20000"]
+    code, out, _ = run_cli(capsys, monkeypatch, args, stdin=stdin)
+    assert code in (0, 3)
+    records = json.loads(out)["records"]
+    assert len(records) == len(graphs)
+    reasons = [reason for r in records for reason in r["skipped"].values()]
+    assert all(reason.startswith("search exceeded its node budget") for reason in reasons)
 
 
 def test_seed_flag_removed(capsys, monkeypatch):

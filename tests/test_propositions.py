@@ -40,7 +40,7 @@ def test_p15_on_k24_lower_bound_tight():
 def test_p10_on_w6():
     report = run_proposition("P10", wheel(6))
     assert report.status == "pass"
-    assert differential_of_r(build_r(wheel(6))).value == 9
+    assert differential_of_r(wheel(6)).value == 9
 
 
 def test_p16_families():
@@ -63,9 +63,44 @@ def test_p09_on_bipartite_families():
 
 
 def test_p09_skipped_beyond_budget_size():
+    # R(K_{4,5}) has order 29; the scan of V answers it, and only a budget
+    # too small for that scan skips it.
     report = run_proposition("P09", complete_bipartite(4, 5))
+    assert (report.status, report.witness_sets) == ("pass", ((0, 1, 2, 3),))
+    report = run_proposition("P09", complete_bipartite(4, 5), budget=20)
     assert report.status == "skipped"
     assert "budget" in report.note
+
+
+def test_full_space_checks_answer_beyond_the_exhaustive_search():
+    # R(C_16) has 32 vertices; the exhaustive search over it runs past this
+    # budget, the scan of V does not.
+    for pid in ("P03", "P06"):
+        assert run_proposition(pid, cycle(16), budget=2_000_000).status == "pass"
+
+
+def test_full_space_fail_paths_run_the_exhaustive_search(monkeypatch):
+    # When the sets inside V do not confirm P03, P06 or P09, the exhaustive
+    # search over R(G) decides and lists the sets. Here a stand-in V search
+    # finds only the empty set, with differential 0 instead of 7.
+    import gdiff.propositions as props
+    import gdiff.solvers as solvers
+
+    empty = VertexSet(5, 0)
+    low = solvers.DifferentialResult(0, empty, 0, (empty,), 0, 0)
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, enumerate_all, budget: low)
+    runs = []
+    exhaustive = props.differential_exact
+    monkeypatch.setattr(
+        props, "differential_exact", lambda *a, **k: runs.append(a) or exhaustive(*a, **k)
+    )
+    reports = run_all(complete_bipartite(2, 3), ["P03", "P06", "P09"])
+    assert [(r.status, r.witness_sets, r.note) for r in reports] == [
+        ("fail", ((0, 1), ()), "full value 7 != V-restricted value 0"),
+        ("pass", (), ""),
+        ("pass", ((0, 1),), ""),
+    ]
+    assert len(runs) == 3
 
 
 def test_p18_verdict_is_definitive():
@@ -110,16 +145,15 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
     # A search that runs out of budget is cached with its error: run_all
     # starts each search at most once per graph, and every check that needs
     # it gets the note it would get in a context of its own. Calls are
-    # counted per (search, graph) because differential_of_r hands its
-    # search to differential_exact on R(G).
+    # counted per (search, graph): domination_number runs on R(K7), the
+    # differential searches and independence_number on K7 itself.
     import gdiff.solvers as solvers
 
     calls = {}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            graph = getattr(args[0], "total", args[0])
-            key = (fn.__name__, write_graph6(graph))
+            key = (fn.__name__, write_graph6(args[0]))
             calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
 

@@ -2,6 +2,7 @@ import pytest
 from random import Random
 
 from gdiff.census import connected_census
+from gdiff.codecs import write_graph6
 from gdiff.core import BudgetExceededError, VertexSet, bits
 from gdiff.families import (
     complete,
@@ -15,6 +16,7 @@ from gdiff.families import (
 )
 from gdiff.roperator import build_r
 from gdiff.solvers import (
+    InstanceContext,
     differential_exact,
     differential_of_r,
     domination_number,
@@ -132,31 +134,64 @@ def test_differential_component_additivity():
 
 
 def test_differential_of_r_known_values():
-    assert differential_of_r(build_r(complete(4))).value == 5
-    assert differential_of_r(build_r(wheel(5))).value == 7
-    assert differential_of_r(build_r(complete_bipartite(2, 3))).value == 7
+    assert differential_of_r(complete(4)).value == 5
+    assert differential_of_r(wheel(5)).value == 7
+    assert differential_of_r(complete_bipartite(2, 3)).value == 7
 
 
 def test_differential_of_r_modes_agree():
-    # restriction to the V part loses nothing, full-space check at n + m <= 18
-    for n in range(3, 7):
-        for g in connected_census(n):
-            rg = build_r(g)
-            if rg.total.n > 18:
-                continue
-            full = differential_exact(rg.total, enumerate_all=True)
-            vres = differential_of_r(rg, enumerate_all=True)
-            assert full.value == vres.value
-            v_sizes = {len(s) for s in vres.all_sets}
-            assert {len(s) for s in full.all_sets} <= v_sizes
+    # the scan of V with R(G)'s rows built from G is the V-restricted search
+    # in R(G) itself: same value, witness and maximizers in the same order
+    graphs = [g for n in range(3, 7) for g in connected_census(n)]
+    rng = Random(101)
+    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(40)]
+    for g in graphs:
+        rg = build_r(g)
+        in_r = differential_exact(rg.total, restrict=rg.v_part, enumerate_all=True)
+        vres = differential_of_r(g, enumerate_all=True)
+        assert vres.value == in_r.value, write_graph6(g)
+        assert vres.witness.members == in_r.witness.members
+        assert [s.members for s in vres.all_sets] == [s.members for s in in_r.all_sets]
+
+
+def test_r_differential_sets_match_the_exhaustive_search():
+    # The differential sets of R(G) over all its subsets, derived from those
+    # inside V, against every subset of R(G): the value, each set A inside V
+    # with the sizes of the differential sets meeting V in A, the realized
+    # sizes, and whether the differential set is unique (and which it is).
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    rng = Random(103)
+    graphs += [random_connected_graph(rng, rng.randint(3, 8)) for _ in range(60)]
+    checked = 0
+    for g in graphs:
+        if g.n + g.m > 22:
+            continue
+        checked += 1
+        ctx = InstanceContext(g)
+        vres = ctx.diff_r_v
+        brute = differential_exact(build_r(g).total, enumerate_all=True)
+        assert vres.value == brute.value, write_graph6(g)
+        by_a = {}
+        for s in brute.all_sets:
+            by_a.setdefault(s.mask & g.full_mask, set()).add(len(s))
+        sizes = {}
+        for a in vres.all_sets:
+            sizes[a.mask] = set(range(len(a), len(a) + len(g.exterior(a)) + 1))
+        assert sizes == by_a, write_graph6(g)
+        assert ctx.diff_r_sizes == {len(s) for s in brute.all_sets}
+        unique = len(vres.all_sets) == 1 and ctx.diff_r_sizes == {vres.min_card}
+        assert unique == (len(brute.all_sets) == 1), write_graph6(g)
+        if unique:
+            assert brute.all_sets[0].mask == vres.witness.mask
+    assert checked > 950
 
 
 def test_differential_of_r_guards():
     with pytest.raises(ValueError, match="require order >= 3"):
-        differential_of_r(build_r(path(2)))
+        differential_of_r(path(2))
     disconnected = complete(3).disjoint_union(complete(3))
     with pytest.raises(ValueError, match="require a connected graph"):
-        differential_of_r(build_r(disconnected))
+        differential_of_r(disconnected)
     # the full-space search still works on the same instance
     assert differential_exact(build_r(disconnected).total).value > 0
 
@@ -483,7 +518,7 @@ def test_full_record_roman_beyond_order_12():
 def test_full_record_matches_separate_solvers():
     for g in (wheel(7), path(6), complete_bipartite(2, 4), kprime(2)):
         record = full_record(g)
-        assert record.diff_r == differential_of_r(build_r(g)).value
+        assert record.diff_r == differential_of_r(g).value
         assert record.mu == mu_invariant(g)[0]
         assert record.tau == naive_vertex_cover(g)
         assert record.psi == naive_enclaveless(g)
@@ -514,7 +549,7 @@ def test_full_record_skips():
     record = full_record(empty_graph(4))
     assert record.diff_r is None and record.mu is None
     assert "connected" in record.skipped["diff_r"]
-    # the base is checked before R(G) (order 72 here) meets the capacity
+    # R(G) would have order 72, but only the connectivity reason applies
     record = full_record(complete(8).disjoint_union(complete(8)))
     assert record.skipped["mu"] == record.skipped["diff_r"] == (
         "R-graph invariants require a connected graph"
@@ -524,6 +559,24 @@ def test_full_record_skips():
     d = record.to_dict()
     assert d["lambda"] == record.lam
     assert "diff_r" in d["skipped"]
+
+
+def test_full_record_builds_no_r_graph(monkeypatch):
+    # diff_r and mu come from a scan of V, so R(G) beyond the capacity
+    # (order 66 and 78 here) skips nothing; P10's closed form for K_n is
+    # n(n-1)/2 - n + 3, attained at n - 3 and n - 2 vertices.
+    for n, diff_r in ((11, 47), (12, 57)):
+        record = full_record(complete(n))
+        assert (record.diff_r, record.mu, record.skipped) == (diff_r, n - 2, {})
+    import gdiff.solvers as solvers
+
+    expected = full_record(wheel(7))
+
+    def refuse(g):
+        raise AssertionError("full_record built R(G)")
+
+    monkeypatch.setattr(solvers, "build_r", refuse)
+    assert full_record(wheel(7)) == expected
 
 
 def test_witnesses_recheck_on_random_graphs():
