@@ -1,16 +1,17 @@
 """Exact solvers for the differential and its companion invariants.
 
 Every solver is an exhaustive search; no heuristics, no approximation.
-Cardinality-bounded searches share one kernel, ``_subsets``, which yields
-each k-subset of a universe together with the union of its members'
-adjacency rows and spends one node on it. For a graph of order n:
+For a graph of order n:
 
-* differential: a k-set has differential at most n - 2k, so one pass over
+* differential: the kernel ``_subsets`` yields each k-subset of a universe
+  together with the union of its members' adjacency rows and spends one
+  node on it; a k-set has differential at most n - 2k, so one pass over
   cardinalities stops once that bound drops below the incumbent (or meets
   it, when only the value is wanted), collecting maximizers as it goes;
-* domination: scan cardinalities upward over closed neighborhoods, so the
-  first cardinality with a hit is optimal, and stop at the first hit when
-  only the value is wanted;
+* domination: set-cover branch and bound (``_DominatingSets``) on an
+  undominated vertex with the fewest dominators, pruned by a coverage and a
+  packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
+  and van Rooij and Bodlaender, Discrete Appl. Math. 159, 2011);
 * independence: branch on a highest-degree vertex with memoization.
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
@@ -202,6 +203,116 @@ def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
     return all(not g.adj[v] & outside for v in bits(outside))
 
 
+class _DominatingSets:
+    """Set-cover branch and bound over the dominating sets of one graph.
+
+    Only members of ``universe`` may be chosen. Every search spends from one
+    node budget.
+    """
+
+    def __init__(self, g: Graph, universe: int, budget: int):
+        self.full = g.full_mask
+        self.rows = g.closed_adj
+        self.universe = universe
+        self.counter = _NodeCounter(budget)
+
+    def covers(self, undominated: int, allowed: int, chosen: int, limit: int) -> Iterator[int]:
+        """Yield dominating sets ``chosen`` + T, T inside ``allowed``, |T| <= ``limit``.
+
+        Branch on the undominated vertex with the fewest allowed dominators,
+        taking each of them in turn and excluding the earlier ones from the
+        later branches, so every yielded set is reached in exactly one
+        branch. A dominator that reaches no undominated vertex is dropped: no
+        minimum set contains it. Prune when one of two lower bounds on |T|
+        exceeds ``limit``: the undominated count over the most undominated
+        vertices one vertex reaches, rounded up, and the number of
+        undominated vertices with pairwise disjoint dominators, taken fewest
+        dominators first, since each needs its own. So every minimum
+        dominating set within ``limit`` is yielded, and other dominating sets
+        may be. Each call spends one node.
+        """
+        self.counter.spend()
+        if not undominated:
+            yield chosen
+            return
+        rows = self.rows
+        reach = [0] * len(rows)
+        useful = 0
+        for v in bits(allowed):
+            k = (rows[v] & undominated).bit_count()
+            if k:
+                reach[v] = k
+                useful |= 1 << v
+        options = []
+        for u in bits(undominated):
+            dominators = rows[u] & useful
+            if not dominators:
+                return
+            options.append((dominators.bit_count(), dominators))
+        options.sort()
+        packed = taken = 0
+        for _, dominators in options:
+            if not dominators & taken:
+                packed += 1
+                taken |= dominators
+        if max(packed, -(-undominated.bit_count() // max(reach))) > limit:
+            return
+        for d in sorted(bits(options[0][1]), key=reach.__getitem__, reverse=True):
+            useful &= ~(1 << d)
+            yield from self.covers(undominated & ~rows[d], useful, chosen | 1 << d, limit - 1)
+
+    def minimum(self) -> int:
+        """A minimum dominating set: ask for a smaller one until there is none.
+
+        The first set is greedy: each step takes the vertex that dominates
+        the most vertices still undominated. Often it is already minimum, and
+        one search proves it.
+        """
+        rows = self.rows
+        best = 0
+        undominated = self.full
+        while undominated:
+            v = max(bits(self.universe), key=lambda v: (rows[v] & undominated).bit_count())
+            best |= 1 << v
+            undominated &= ~rows[v]
+        while True:
+            smaller = next(self.covers(self.full, self.universe, 0, best.bit_count() - 1), None)
+            if smaller is None:
+                return best
+            best = smaller
+
+    def all_minima(self, gamma: int) -> list[int]:
+        """Every dominating set of ``gamma`` members, the minimum, in lex order."""
+        minima = self.covers(self.full, self.universe, 0, gamma)
+        return sorted(minima, key=lambda m: tuple(bits(m)))
+
+    def first_minimum(self, best: int) -> int:
+        """The first minimum in itertools.combinations order, given the minimum ``best``.
+
+        Walk the universe in index order and keep a vertex when some minimum
+        set agrees with every decision so far and contains it. ``best``, kept
+        agreeing, answers when it contains the vertex; else a search over the
+        later vertices does, and its set becomes ``best``.
+        """
+        gamma = best.bit_count()
+        kept = 0
+        later = self.universe
+        for v in bits(self.universe):
+            if kept.bit_count() == gamma:
+                break
+            later &= ~(1 << v)
+            trial = kept | 1 << v
+            if not best >> v & 1:
+                undominated = self.full & ~_union(self.rows, trial)
+                limit = gamma - trial.bit_count()
+                agreeing = next(self.covers(undominated, later, trial, limit), None)
+                if agreeing is None:
+                    continue
+                best = agreeing
+            kept = trial
+        return best
+
+
 def domination_number(
     g: Graph,
     restrict: VertexSet | Iterable[int] | None = None,
@@ -214,29 +325,25 @@ def domination_number(
     must dominate ``g`` itself. The witness is the first minimum in
     itertools.combinations order. So when the restricted minimum equals
     the unrestricted one, the witness is the first unrestricted minimum
-    that lies inside ``restrict``.
+    that lies inside ``restrict``. A value pass finds some minimum set;
+    then either a witness pass finds the first one, or one search bounded
+    at the value collects them all (see ``_DominatingSets``).
     """
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    full = g.full_mask
     if restrict is None:
-        universe: tuple[int, ...] = tuple(range(g.n))
+        universe = g.full_mask
     else:
-        mask = g._coerce(restrict)
-        if _union(g.closed_adj, mask) != full:
+        universe = g._coerce(restrict)
+        if _union(g.closed_adj, universe) != g.full_mask:
             raise ValueError("the restricted universe does not dominate the graph")
-        universe = tuple(bits(mask))
-    counter = _NodeCounter(budget)
-    for k in range(1, len(universe) + 1):
-        found: list[VertexSet] = []
-        for smask, covered in _subsets(universe, g.closed_adj, k, counter):
-            if covered == full:
-                if not enumerate_min:
-                    return k, VertexSet(g.n, smask), None
-                found.append(VertexSet(g.n, smask))
-        if found:
-            return k, found[0], tuple(found)
-    raise AssertionError("unreachable: the universe itself dominates")
+    search = _DominatingSets(g, universe, budget)
+    best = search.minimum()
+    gamma = best.bit_count()
+    if enumerate_min:
+        found = tuple(VertexSet(g.n, m) for m in search.all_minima(gamma))
+        return gamma, found[0], found
+    return gamma, VertexSet(g.n, search.first_minimum(best)), None
 
 
 def vertex_cover_number(

@@ -205,6 +205,18 @@ def card_lex_order(masks) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
+def sparse_connected_graphs(seed: int, orders) -> list[Graph]:
+    """One connected G(n, 3 / (n - 1)) graph per order, redrawn until connected."""
+    rng = Random(seed)
+    graphs = []
+    for n in orders:
+        g = random_graph(rng, n, 3 / (n - 1))
+        while not g.is_connected:
+            g = random_graph(rng, n, 3 / (n - 1))
+        graphs.append(g)
+    return graphs
+
+
 def random_connected_graph(rng: Random, n: int) -> Graph:
     while True:
         g = random_graph(rng, n)

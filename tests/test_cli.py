@@ -1,13 +1,12 @@
 import io
 import json
-from random import Random
 
 from gdiff.cli import cli
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.families import complete_bipartite, wheel
 from gdiff.roperator import build_r
 
-from oracles import random_graph
+from oracles import sparse_connected_graphs
 
 
 def run_cli(capsys, monkeypatch, args, stdin=""):
@@ -51,13 +50,7 @@ def test_compute_csv(capsys, monkeypatch):
 def test_compute_on_large_sparse_graphs_ends_within_budget(capsys, monkeypatch):
     # Every input up to the capacity answers or exits 3 within --budget, and
     # an R(G) beyond the capacity skips no field: R(G) is never built.
-    rng = Random(109)
-    graphs = []
-    for n in (24, 32, 40, 48, 56, 64):
-        g = random_graph(rng, n, 3 / (n - 1))
-        while not g.is_connected:
-            g = random_graph(rng, n, 3 / (n - 1))
-        graphs.append(g)
+    graphs = sparse_connected_graphs(109, (24, 32, 40, 48, 56, 64))
     assert any(g.n + g.m > 64 for g in graphs)
     stdin = "".join(write_graph6(g) + "\n" for g in graphs)
     args = ["compute", "--json", "--budget", "20000"]

@@ -1,4 +1,5 @@
 import pytest
+from random import Random
 
 from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6, write_graph6
@@ -18,7 +19,7 @@ from gdiff.solvers import (
     mu_invariant,
 )
 
-from oracles import naive_p12, random_graphs
+from oracles import naive_p12, random_graph, random_graphs
 
 
 def test_registry_is_complete():
@@ -198,6 +199,22 @@ def test_p02_p11_witnesses_on_census():
             p02, p11 = run_all(g, ["P02", "P11"])
             assert (p02.status, p02.witness_sets, p02.note) == ("pass", (inside[0].members,), "")
             assert (p11.status, p11.witness_sets, p11.note) == ("pass", (), f"tau = gamma(R) = {gamma}")
+
+
+def test_p02_p11_pass_beyond_the_census():
+    # Connected graphs of order 11-14 with R-order 32-48. P11 pairs the
+    # domination search on R(G) with independence_number on G, which share
+    # no code.
+    rng = Random(97)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(11, 14)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.5))
+        if not g.is_connected or not 32 <= n + g.m <= 48:
+            continue
+        p02, p11 = run_all(g, ["P02", "P11"])
+        assert (p02.status, p11.status) == ("pass", "pass")
+        checked += 1
 
 
 def test_p02_on_hand_built_operator_graphs(monkeypatch):

@@ -46,6 +46,7 @@ from oracles import (
     random_connected_graph,
     random_graph,
     random_graphs,
+    sparse_connected_graphs,
 )
 
 
@@ -218,7 +219,10 @@ def test_domination_matches_naive():
     for n in range(1, 6):
         for g in connected_census(n):
             assert domination_number(g)[0] == naive_domination(g)
-    for g in random_graphs(seed=67, count=60, nmin=1):
+    # orders 11-14 go past the census, where the 2^n oracle still answers fast
+    graphs = random_graphs(seed=67, count=60, nmin=1)
+    graphs += random_graphs(seed=71, count=20, nmin=11, nmax=14)
+    for g in graphs:
         gamma, witness, all_min = domination_number(g, enumerate_min=True)
         expected = card_lex_order(naive_minimum_dominating_sets(g))
         assert gamma == naive_domination(g)
@@ -229,7 +233,9 @@ def test_domination_matches_naive():
 
 def test_domination_restricted_matches_naive():
     rng = Random(79)
-    for g in random_graphs(seed=83, count=60, nmin=1):
+    graphs = random_graphs(seed=83, count=60, nmin=1)
+    graphs += random_graphs(seed=73, count=20, nmin=11, nmax=14)
+    for g in graphs:
         within = rng.getrandbits(g.n)
         covered = within
         for v in bits(within):
@@ -267,8 +273,65 @@ def test_domination_restrict_guards():
     with pytest.raises(ValueError):
         domination_number(path(3), restrict=[])
     with pytest.raises(BudgetExceededError):
-        domination_number(cycle(9), restrict=range(8), budget=5)
+        domination_number(cycle(16), restrict=range(15), budget=5)
     assert domination_number(path(3), restrict=[0, 2])[0] == 2
+
+
+def test_domination_of_cycles_and_paths():
+    # gamma(C_n) = gamma(P_n) = ceil(n / 3) up to order 64, far past the
+    # orders where a k-subset scan answers within this budget
+    for n in range(1, 65):
+        graphs = (path(n), cycle(n)) if n >= 3 else (path(n),)
+        for g in graphs:
+            gamma, witness, _ = domination_number(g, budget=2_000_000)
+            assert gamma == len(witness) == -(-n // 3)
+            assert is_dominating(g, witness)
+
+
+def test_domination_spends_one_budget_on_every_pass(monkeypatch):
+    # On cycle(10) the value pass ends on a minimum set that is not the
+    # first one, so the witness pass searches too. A budget the value pass
+    # uses up exactly runs out in the witness pass; one node less runs out
+    # before it starts. The enumeration pass spends from the same budget.
+    import gdiff.solvers as solvers
+
+    entered = []
+    first_minimum = solvers._DominatingSets.first_minimum
+
+    def recording(self, best):
+        entered.append(self.counter.nodes)
+        return first_minimum(self, best)
+
+    monkeypatch.setattr(solvers._DominatingSets, "first_minimum", recording)
+    g = cycle(10)
+    assert domination_number(g)[1].members == (0, 1, 4, 7)
+    value_nodes = entered.pop()
+    with pytest.raises(BudgetExceededError):
+        domination_number(g, budget=value_nodes - 1)
+    assert entered == []
+    with pytest.raises(BudgetExceededError):
+        domination_number(g, budget=value_nodes)
+    assert entered == [value_nodes]
+    with pytest.raises(BudgetExceededError):
+        domination_number(g, enumerate_min=True, budget=value_nodes)
+
+
+def test_domination_on_large_sparse_graphs():
+    # The graphs of test_compute_on_large_sparse_graphs_ends_within_budget:
+    # orders 32-56 answer at a budget of 2e6 nodes, where the k-subset scan
+    # ran out, and order 64 answers or runs out of budget. Up to order 48
+    # the witness is the first set of the enumeration.
+    for g in sparse_connected_graphs(109, (24, 32, 40, 48, 56, 64))[1:]:
+        try:
+            gamma, witness, _ = domination_number(g, budget=2_000_000)
+        except BudgetExceededError:
+            assert g.n == 64
+            continue
+        assert len(witness) == gamma and is_dominating(g, witness)
+        if g.n <= 48:
+            _, first, all_min = domination_number(g, enumerate_min=True, budget=2_000_000)
+            assert first == witness == all_min[0]
+            assert all(len(s) == gamma and is_dominating(g, s) for s in all_min)
 
 
 def test_vertex_cover_known_values():
@@ -337,11 +400,11 @@ def test_independence_and_vertex_cover_budget():
 
 
 def test_enclaveless_and_domination_budget():
-    g = cycle(9)
+    # a budget of 5 nodes: cycle(16) needs 14, cycle(9) only 5
     for solver in (domination_number, enclaveless_number):
         with pytest.raises(BudgetExceededError):
-            solver(g, budget=5)
-    assert enclaveless_number(g, budget=1000)[0] == 9 - 3
+            solver(cycle(16), budget=5)
+    assert enclaveless_number(cycle(9), budget=1000)[0] == 9 - 3
 
 
 def test_order_zero_derived_quantities():
