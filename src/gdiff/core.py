@@ -1,10 +1,11 @@
 """Immutable bit-vector graphs and vertex-set primitives.
 
-A graph stores, for every vertex, its neighborhood as one machine word, so
-set-level operations (neighborhood of a set, boundary, exterior, private
-neighbors, induced subgraphs) reduce to a handful of word operations.
-Vertex indices run 0..n-1 with n bounded by CAPACITY, which keeps every
-vertex set a single word.
+A graph stores, for every vertex, its neighborhood as one integer bitmask,
+so set-level operations (neighborhood of a set, boundary, exterior, private
+neighbors, induced subgraphs) reduce to a handful of integer operations.
+Vertex indices run 0..n-1. Python integers have no word size, so graphs of
+any order are values; only input from outside the program (the parsers and
+the family generators) is bounded, by CAPACITY.
 
 Terminology used throughout the package, for a graph G and S a subset of
 its vertices:
@@ -22,13 +23,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-#: Vertex capacity. Every vertex set is a single CAPACITY-bit word; graphs
-#: larger than this are rejected at construction time.
+#: Largest order accepted from outside the program: by the graph6 and
+#: edge-list parsers and by ``families.generate``. Graphs built inside it,
+#: such as R(G), may be larger.
 CAPACITY = 64
 
 
 class CapacityError(ValueError):
-    """Requested graph does not fit in the fixed bit-vector capacity."""
+    """An input graph's order exceeds CAPACITY."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -71,8 +73,8 @@ class VertexSet:
     mask: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= CAPACITY:
-            raise CapacityError(f"ambient order {self.n} outside 0..{CAPACITY}")
+        if self.n < 0:
+            raise ValueError(f"negative ambient order {self.n}")
         if self.mask < 0 or self.mask >> self.n:
             raise ValueError("vertex index out of range for ambient order")
 
@@ -148,8 +150,6 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        if self.n > CAPACITY:
-            raise CapacityError(f"order {self.n} exceeds capacity {CAPACITY}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency rows must match vertex count")
         for v, row in enumerate(self.adj):
@@ -206,9 +206,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted pairs, in lexicographic order."""
         return [(v, u) for v in range(self.n) for u in bits(self.adj[v]) if u > v]
-
-    def vertex_set(self, members: Iterable[int] = ()) -> VertexSet:
-        return VertexSet(self.n, self._coerce(members))
 
     # -- validation helpers -------------------------------------------------
 
@@ -342,11 +339,8 @@ class Graph:
         return Graph(self.n, tuple(rows), new_labels)
 
     def disjoint_union(self, other: "Graph") -> "Graph":
-        n = self.n + other.n
-        if n > CAPACITY:
-            raise CapacityError(f"union order {n} exceeds capacity {CAPACITY}")
         rows = list(self.adj) + [row << self.n for row in other.adj]
-        return Graph(n, tuple(rows))
+        return Graph(self.n + other.n, tuple(rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Graph, VertexSet, bits
+from .core import CAPACITY, CapacityError, Graph, VertexSet, bits
 
 KINDS = (
     "complete",
@@ -108,20 +108,29 @@ class FamilySpec:
         return generate(self)
 
 
+def _check_order(kind: str, order: int) -> None:
+    if order > CAPACITY:
+        raise CapacityError(f"{kind} order {order} exceeds capacity {CAPACITY}")
+
+
 def generate(spec: FamilySpec) -> Graph:
+    """Build the graph a spec names; an order above CAPACITY is refused first."""
     kind = spec.kind
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
     if kind == "complete_bipartite":
         if spec.p is None or spec.q is None:
             raise ValueError("complete_bipartite requires p and q")
+        _check_order(kind, spec.p + spec.q)
         return complete_bipartite(spec.p, spec.q)
     if kind == "kprime":
         if spec.r is None:
             raise ValueError("kprime requires r")
+        _check_order(kind, 3 * spec.r)
         return kprime(spec.r)
     if spec.n is None:
         raise ValueError(f"{kind} requires n")
+    _check_order(kind, spec.n)
     builder = {
         "complete": complete,
         "wheel": wheel,

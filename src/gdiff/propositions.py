@@ -43,7 +43,7 @@ from typing import Callable
 
 from .census import CANONICAL_MAX, connected_census
 from .codecs import parse_graph6, write_graph6
-from .core import BudgetExceededError, CapacityError, Graph, VertexSet
+from .core import BudgetExceededError, Graph, VertexSet
 from .families import (
     complete_bipartite_parts,
     is_complete,
@@ -239,7 +239,7 @@ def _p07(ctx):
 @_register("P08", "order(R)-2 / order(R)-3 characterizations", _connected3)
 def _p08(ctx):
     g = ctx.g
-    m_r = ctx.rg.total.n
+    m_r = g.n + g.m
     diff_r = ctx.diff_r_v.value
     is_star = star_center(g) is not None
     is_spe = star_plus_edge_center(g) is not None
@@ -497,8 +497,6 @@ def _run_with_ctx(check: PropositionCheck, ctx: InstanceContext) -> CheckReport:
             status, witnesses, note = check.run(ctx)
     except BudgetExceededError as exc:
         status, witnesses, note = SKIPPED, (), f"budget: {exc}"
-    except CapacityError as exc:
-        status, witnesses, note = SKIPPED, (), f"capacity: {exc}"
     return CheckReport(
         prop_id=check.prop_id,
         instance=instance,

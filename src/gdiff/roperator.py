@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CAPACITY, CapacityError, Graph, VertexSet, bits
+from .core import Graph, VertexSet, bits
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class RGraph:
 def r_v_rows(g: Graph) -> tuple[int, ...]:
     """R(g)'s rows for V: N_G(v) plus bit n + i for each edge i of ``g.edges()`` at v.
 
-    Plain integers, so they exist even when R(g) exceeds ``CAPACITY``.
+    Plain integers, so a scan of V can use them without building R(g).
     """
     rows = list(g.adj)
     for i, (a, b) in enumerate(g.edges()):
@@ -54,10 +54,6 @@ def build_r(g: Graph) -> RGraph:
     """Construct R(g) with edge-vertices in lexicographic endpoint order."""
     edges = g.edges()
     total_n = g.n + len(edges)
-    if total_n > CAPACITY:
-        raise CapacityError(
-            f"R-graph order {total_n} exceeds capacity {CAPACITY}"
-        )
     rows = r_v_rows(g) + tuple(1 << a | 1 << b for a, b in edges)
     total = Graph(total_n, rows)
     v_mask = (1 << g.n) - 1

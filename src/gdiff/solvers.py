@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import BudgetExceededError, CapacityError, Graph, VertexSet, _union, bits
+from .core import BudgetExceededError, Graph, VertexSet, _union, bits
 from .roperator import RGraph, build_r, r_v_rows
 
 DEFAULT_BUDGET = 10_000_000
@@ -182,8 +182,8 @@ def differential_of_r(
 ) -> DifferentialResult:
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
-    A 2^n scan of V with R(g)'s rows, built from g, so R(g) may exceed
-    ``CAPACITY``. It requires a connected g of order at least 3.
+    A 2^n scan of V with R(g)'s rows, built from g, so R(g) itself is never
+    built. It requires a connected g of order at least 3.
     """
     _require_r_base(g)
     return _max_differential(
@@ -454,8 +454,8 @@ class InstanceContext:
 
     Every reader of the same instance reuses the R-graph, the enumerated
     differential sets and the domination and independence numbers instead
-    of re-solving. A search that runs out of budget or capacity is not run
-    again: its error is cached and raised to every later reader.
+    of re-solving. A search that runs out of budget is not run again: its
+    error is cached and raised to every later reader.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -467,7 +467,7 @@ class InstanceContext:
         if key not in self._cache:
             try:
                 self._cache[key] = fn()
-            except (BudgetExceededError, CapacityError) as exc:
+            except BudgetExceededError as exc:
                 self._cache[key] = exc
         if isinstance(self._cache[key], Exception):
             raise self._cache[key]

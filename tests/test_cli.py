@@ -48,8 +48,8 @@ def test_compute_csv(capsys, monkeypatch):
 
 
 def test_compute_on_large_sparse_graphs_ends_within_budget(capsys, monkeypatch):
-    # Every input up to the capacity answers or exits 3 within --budget, and
-    # an R(G) beyond the capacity skips no field: R(G) is never built.
+    # Every input up to CAPACITY answers or exits 3 within --budget, and an
+    # R(G) of more than 64 vertices skips no field: R(G) is never built.
     graphs = sparse_connected_graphs(109, (24, 32, 40, 48, 56, 64))
     assert any(g.n + g.m > 64 for g in graphs)
     stdin = "".join(write_graph6(g) + "\n" for g in graphs)
@@ -60,6 +60,49 @@ def test_compute_on_large_sparse_graphs_ends_within_budget(capsys, monkeypatch):
     assert len(records) == len(graphs)
     reasons = [reason for r in records for reason in r["skipped"].values()]
     assert all(reason.startswith("search exceeded its node budget") for reason in reasons)
+
+
+def test_verify_answers_on_r_graphs_beyond_input_capacity(capsys, monkeypatch):
+    # R orders 66, 78, 69 and 96: CAPACITY bounds input, not R(G).
+    for spec in (
+        ["--kind", "complete", "--n", "11"],
+        ["--kind", "complete", "--n", "12"],
+        ["--kind", "complete_bipartite", "--p", "6", "--q", "9"],
+        ["--kind", "kprime", "--r", "6"],
+    ):
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--props", "all", *spec])
+        statuses = {r["status"] for r in json.loads(out)["reports"]}
+        assert code == 0 and statuses <= {"pass", "vacuous"}, (spec, statuses)
+
+
+def test_verify_on_large_sparse_graphs_skips_only_for_budget(capsys, monkeypatch):
+    graphs = sparse_connected_graphs(109, (24, 32, 40, 48))
+    assert sum(g.n + g.m > 64 for g in graphs) == 3
+    stdin = "".join(write_graph6(g) + "\n" for g in graphs)
+    args = ["verify", "--props", "all", "--budget", "20000"]
+    code, out, _ = run_cli(capsys, monkeypatch, args, stdin=stdin)
+    assert code in (0, 3)
+    reports = json.loads(out)["reports"]
+    assert [r["status"] for r in reports if r["prop"] == "P01"] == ["pass"] * len(graphs)
+    assert all(r["note"].startswith("budget:") for r in reports if r["status"] == "skipped")
+
+
+def test_family_refuses_orders_beyond_capacity(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch, ["family", "--kind", "complete", "--n", "100000"])
+    assert code == 2 and out == "" and "capacity" in err
+
+
+def test_unread_flags_removed(capsys, monkeypatch):
+    g6 = write_graph6(complete_bipartite(2, 3)) + "\n"
+    for args in (
+        ["family", "--kind", "wheel", "--n", "5", "--input", "-"],
+        ["family", "--kind", "wheel", "--n", "5", "--json"],
+        ["family", "--kind", "wheel", "--n", "5", "--budget", "9"],
+        ["roper", "--csv"],
+        ["roper", "--budget", "9"],
+        ["census", "--nmax", "3", "--format", "edgelist"],
+    ):
+        assert run_cli(capsys, monkeypatch, args, stdin=g6)[0] == 2, args
 
 
 def test_seed_flag_removed(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from random import Random
 
-from gdiff.core import CAPACITY, CapacityError, Graph, VertexSet, bits
+from gdiff.core import Graph, VertexSet, bits
 from gdiff.families import complete, complete_bipartite, cycle, empty_graph, path, star, wheel
 
 from oracles import naive_differential, random_graph
@@ -162,8 +162,6 @@ def test_constructor_validation():
         Graph(1, (0b1,))  # self-loop
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
-    with pytest.raises(CapacityError):
-        Graph.from_edges(CAPACITY + 1, [])
     with pytest.raises(IndexError):
         path(3).open_neighborhood(3)
 

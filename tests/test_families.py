@@ -1,6 +1,7 @@
 import pytest
 
 from gdiff.census import canonical_form, connected_census
+from gdiff.core import CAPACITY, CapacityError, Graph
 from gdiff.families import (
     FamilySpec,
     complete,
@@ -63,6 +64,24 @@ def test_generate_dispatch():
     assert generate(FamilySpec("kprime", r=2)) == kprime(2)
     assert generate(FamilySpec("empty", n=3)) == empty_graph(3)
     assert FamilySpec("path", n=4).build() == path(4)
+
+
+def test_generate_refuses_orders_beyond_capacity(monkeypatch):
+    # CAPACITY bounds input only: generate checks the spec's order before it
+    # builds anything, so a huge spec is refused at once.
+    assert generate(FamilySpec("complete", n=CAPACITY)).n == CAPACITY
+
+    def refuse(*args):
+        raise AssertionError("generate built a graph")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    for spec in (
+        FamilySpec("complete", n=CAPACITY + 1),
+        FamilySpec("complete_bipartite", p=30, q=35),
+        FamilySpec("kprime", r=22),
+    ):
+        with pytest.raises(CapacityError):
+            generate(spec)
 
 
 def test_parameter_validation():

@@ -4,7 +4,16 @@ from random import Random
 from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.core import Graph, VertexSet
-from gdiff.families import complete, complete_bipartite, cycle, kprime, path, wheel
+from gdiff.families import (
+    complete,
+    complete_bipartite,
+    cycle,
+    kprime,
+    path,
+    star,
+    star_plus_edge,
+    wheel,
+)
 from gdiff.propositions import (
     PROPOSITIONS,
     run_all,
@@ -140,6 +149,18 @@ def test_skipped_on_tiny_budget():
     report = run_proposition("P03", complete(5), budget=3)
     assert report.status == "skipped"
     assert "budget" in report.note
+
+
+def test_p08_builds_no_r_graph(monkeypatch):
+    # order(R) is n + m, so P08 reads it from G, also where R(G) is large.
+    import gdiff.solvers as solvers
+
+    def refuse(g):
+        raise AssertionError("P08 built R(G)")
+
+    monkeypatch.setattr(solvers, "build_r", refuse)
+    for g in (star(6), star_plus_edge(6), wheel(7), complete(12)):
+        assert run_proposition("P08", g).status == "pass"
 
 
 def test_failed_search_runs_once_per_instance(monkeypatch):

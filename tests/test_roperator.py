@@ -2,7 +2,7 @@ import pytest
 from random import Random
 
 from gdiff.census import canonical_form, connected_census
-from gdiff.core import CapacityError, Graph
+from gdiff.core import Graph
 from gdiff.families import complete, cycle, empty_graph, path
 from gdiff.roperator import RGraph, build_r, validate_r
 
@@ -109,6 +109,8 @@ def test_edge_count_identity_random():
         assert rg.total.n == g.n + g.m
 
 
-def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        build_r(complete(11))  # 11 + 55 = 66 > 64
+def test_build_r_beyond_input_capacity():
+    # CAPACITY bounds input only; R(K_11) has 11 + 55 = 66 vertices.
+    rg = build_r(complete(11))
+    assert rg.total.n == 66
+    assert validate_r(rg) == []

@@ -625,8 +625,8 @@ def test_full_record_skips():
 
 
 def test_full_record_builds_no_r_graph(monkeypatch):
-    # diff_r and mu come from a scan of V, so R(G) beyond the capacity
-    # (order 66 and 78 here) skips nothing; P10's closed form for K_n is
+    # diff_r and mu come from a scan of V, so full_record never builds R(G)
+    # (order 66 and 78 here); P10's closed form for K_n is
     # n(n-1)/2 - n + 3, attained at n - 3 and n - 2 vertices.
     for n, diff_r in ((11, 47), (12, 57)):
         record = full_record(complete(n))
