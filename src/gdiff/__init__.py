@@ -40,7 +40,7 @@ from .propositions import (
     run_census,
     run_proposition,
 )
-from .roperator import RGraph, build_r, validate_r
+from .roperator import build_r, validate_r
 from .solvers import (
     DEFAULT_BUDGET,
     DifferentialResult,
@@ -75,7 +75,6 @@ __all__ = [
     "Graph",
     "InvariantRecord",
     "PROPOSITIONS",
-    "RGraph",
     "VertexSet",
     "build_r",
     "canonical_form",

@@ -181,7 +181,7 @@ def _dispatch(args) -> int:
 
     if args.command == "roper":
         graphs = _read_graphs(args)
-        _emit_graphs(args, [build_r(g).total for g in graphs])
+        _emit_graphs(args, [build_r(g) for g in graphs])
         return EXIT_OK
 
     if args.command == "compute":

@@ -19,7 +19,7 @@ its vertices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -145,7 +145,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -161,13 +160,9 @@ class Graph:
             for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels must match vertex count")
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], labels: tuple[str, ...] | None = None
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
@@ -176,7 +171,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {a}")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        return cls(n, tuple(rows), labels)
+        return cls(n, tuple(rows))
 
     # -- counts and masks ---------------------------------------------------
 
@@ -283,10 +278,7 @@ class Graph:
             for u in bits(self.adj[old] & smask):
                 row |= 1 << index[u]
             rows.append(row)
-        new_labels = None
-        if self.labels is not None:
-            new_labels = tuple(self.labels[old] for old in members)
-        return Graph(len(members), tuple(rows), new_labels), index
+        return Graph(len(members), tuple(rows)), index
 
     def degree_stats(self) -> DegreeStats:
         degrees = tuple(row.bit_count() for row in self.adj)
@@ -330,13 +322,7 @@ class Graph:
         for v, row in enumerate(self.adj):
             for u in bits(row):
                 rows[p[v]] |= 1 << p[u]
-        new_labels = None
-        if self.labels is not None:
-            new_labels = [""] * self.n
-            for v in range(self.n):
-                new_labels[p[v]] = self.labels[v]
-            new_labels = tuple(new_labels)
-        return Graph(self.n, tuple(rows), new_labels)
+        return Graph(self.n, tuple(rows))
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         rows = list(self.adj) + [row << self.n for row in other.adj]

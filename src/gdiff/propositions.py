@@ -12,7 +12,7 @@ The differential sets of R(G) over its full subset space follow from those
 inside V (``InstanceContext.diff_r_sizes``); only when they do not confirm
 P03, P06 or P09 does the exhaustive search over R(G) decide and list them.
 
-Registry overview (V/U is the canonical partition of the R-graph):
+Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
 P01  structural identities of the R-graph construction
 P02  some minimum dominating set of R(G) lies inside V
@@ -103,17 +103,17 @@ class PropositionCheck:
 
 def _full_space_sets(ctx: InstanceContext) -> DifferentialResult:
     """Every differential set of R(G), by the exhaustive search over R(G)."""
-    return differential_exact(ctx.rg.total, enumerate_all=True, budget=ctx.budget)
+    return differential_exact(ctx.rg, enumerate_all=True, budget=ctx.budget)
 
 
 def _single_vertex_maximal(ctx: InstanceContext, s: VertexSet) -> bool:
     """No single added vertex keeps the differential of the R-graph."""
-    total = ctx.rg.total
+    r = ctx.rg
     value = ctx.diff_r_v.value
-    for w in range(total.n):
+    for w in range(r.n):
         if w in s:
             continue
-        if total.set_differential(VertexSet(total.n, s.mask | 1 << w)) >= value:
+        if r.set_differential(VertexSet(r.n, s.mask | 1 << w)) >= value:
             return False
     return True
 
@@ -140,7 +140,7 @@ def _min_degree2(ctx: InstanceContext) -> bool:
 
 @_register("P01", "structural identities of the R-graph", lambda ctx: ctx.g.n >= 3)
 def _p01(ctx):
-    violations = validate_r(ctx.rg)
+    violations = validate_r(ctx.g, ctx.rg)
     if violations:
         return FAIL, (), "violated: " + ", ".join(violations)
     return PASS, (), ""
@@ -148,12 +148,12 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
-    total, budget = ctx.rg.total, ctx.budget
+    r, budget = ctx.rg, ctx.budget
     gamma, _, _ = ctx.gamma_r
-    gamma_v, inside, _ = domination_number(total, restrict=ctx.rg.v_part, budget=budget)
+    gamma_v, inside, _ = domination_number(r, restrict=range(ctx.g.n), budget=budget)
     if gamma_v == gamma:
         return PASS, (inside.members,), ""
-    _, _, all_min = domination_number(total, enumerate_min=True, budget=budget)
+    _, _, all_min = domination_number(r, enumerate_min=True, budget=budget)
     return (
         FAIL,
         tuple(w.members for w in all_min),
@@ -292,7 +292,7 @@ def _p10_applies(ctx):
 def _p10(ctx):
     g = ctx.g
     n = g.n
-    total = ctx.rg.total
+    r = ctx.rg
     diff_r = ctx.diff_r_v.value
     problems = []
     if is_complete(g):
@@ -306,7 +306,7 @@ def _p10(ctx):
             n: n * (n - 1) // 2 - n,
         }
         for k, want in table.items():
-            got = total.set_differential(VertexSet(total.n, (1 << k) - 1))
+            got = r.set_differential(VertexSet(r.n, (1 << k) - 1))
             if got != want:
                 problems.append(f"complete case |S|={k}: got {got}, expected {want}")
     if wheel_apex(g) is not None:
@@ -344,13 +344,13 @@ def _p12(ctx):
     g = ctx.g
     res = ctx.diff_g
     diff_r = ctx.diff_r_v.value
-    total = ctx.rg.total
+    r = ctx.rg
     qualifying = 0
     for s in res.all_sets:
         if not is_vertex_cover(g, s):
             continue
         qualifying += 1
-        value = total.set_differential(VertexSet(total.n, s.mask))
+        value = r.set_differential(VertexSet(r.n, s.mask))
         if value != diff_r:
             return (
                 FAIL,
@@ -389,12 +389,12 @@ def _p13(ctx):
 @_register("P14", "exterior bound for maximum differential sets inside V", _connected3)
 def _p14(ctx):
     res = ctx.diff_r_v
-    total = ctx.rg.total
+    r = ctx.rg
     mu = res.max_card
     for s in res.all_sets:
         if len(s) != mu:
             continue
-        ext = total.exterior(VertexSet(total.n, s.mask))
+        ext = r.exterior(VertexSet(r.n, s.mask))
         if 2 * len(ext) > ctx.g.n - mu:
             return (
                 FAIL,
@@ -458,13 +458,13 @@ def _p17(ctx):
 @_register("P18", "audit: common differential set of P_7 and R(P_7)", lambda ctx: ctx.g.n == 7 and is_path(ctx.g))
 def _p18(ctx):
     g = ctx.g
-    total = ctx.rg.total
+    r = ctx.rg
     diff_g = ctx.diff_g.value
     diff_r = ctx.diff_r_v.value
     common = [
         s.members
         for s in ctx.diff_g.all_sets
-        if total.set_differential(VertexSet(total.n, s.mask)) == diff_r
+        if r.set_differential(VertexSet(r.n, s.mask)) == diff_r
     ]
     searched = f"searched all {1 << g.n} subsets of V(P_7)"
     if common:

@@ -12,7 +12,8 @@ For a graph of order n:
   undominated vertex with the fewest dominators, pruned by a coverage and a
   packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
   and van Rooij and Bodlaender, Discrete Appl. Math. 159, 2011);
-* independence: branch on a highest-degree vertex with memoization.
+* independence: take a vertex with at most one candidate neighbour without
+  branching, else branch on a highest-degree vertex; memoized.
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
 on one graph at most once, and ``full_record``, the proposition checks and
@@ -42,7 +43,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import BudgetExceededError, Graph, VertexSet, _union, bits
-from .roperator import RGraph, build_r, r_v_rows
+from .roperator import build_r, r_v_rows
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -148,24 +149,19 @@ def _max_differential(
 
 def differential_exact(
     g: Graph,
-    restrict: VertexSet | Iterable[int] | None = None,
     enumerate_all: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> DifferentialResult:
-    """Maximize |B(S)| - |S| over subsets S of ``restrict`` (default: all of V).
+    """Maximize |B(S)| - |S| over all subsets S of V.
 
-    The boundary is always taken in ``g`` itself, so with ``restrict`` this
-    computes the maximum over a restricted search space of the same
-    objective. With ``enumerate_all`` every maximizer in the search space is
-    collected, in the same single pass that finds the value.
+    With ``enumerate_all`` every maximizer is collected, in the same single
+    pass that finds the value.
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    if restrict is None:
-        universe: tuple[int, ...] = tuple(range(g.n))
-    else:
-        universe = tuple(bits(g._coerce(restrict)))
-    return _max_differential(g.n, universe, g.adj, g.n, enumerate_all, _NodeCounter(budget))
+    return _max_differential(
+        g.n, tuple(range(g.n)), g.adj, g.n, enumerate_all, _NodeCounter(budget)
+    )
 
 
 def _require_r_base(g: Graph) -> None:
@@ -372,10 +368,13 @@ def independence_number(
         pivot_deg = -1
         for v in bits(candidates):
             d = (adj[v] & candidates).bit_count()
+            if d <= 1:
+                # Swapping v for its neighbour keeps a maximum set maximum,
+                # so some maximum independent set contains v.
+                result = 1 + size(candidates & ~(adj[v] | 1 << v))
+                break
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
-        if pivot_deg == 0:
-            result = candidates.bit_count()
         else:
             with_pivot = 1 + size(candidates & ~(adj[pivot] | 1 << pivot))
             without_pivot = size(candidates & ~(1 << pivot))
@@ -452,9 +451,9 @@ def mu_invariant(
 class InstanceContext:
     """One graph plus lazily computed, shared solver results.
 
-    Every reader of the same instance reuses the R-graph, the enumerated
-    differential sets and the domination and independence numbers instead
-    of re-solving. A search that runs out of budget is not run again: its
+    Every reader of the same instance reuses R(G) (a plain ``Graph``, built
+    only when a check inspects it), the enumerated differential sets and
+    the domination and independence numbers instead of re-solving. A search that runs out of budget is not run again: its
     error is cached and raised to every later reader.
     """
 
@@ -474,7 +473,7 @@ class InstanceContext:
         return self._cache[key]
 
     @property
-    def rg(self) -> RGraph:
+    def rg(self) -> Graph:
         return self._get("rg", lambda: build_r(self.g))
 
     @property
@@ -526,7 +525,7 @@ class InstanceContext:
         """Domination number of the R-graph and its first minimum set."""
         return self._get(
             "gamma_r",
-            lambda: domination_number(self.rg.total, budget=self.budget),
+            lambda: domination_number(self.rg, budget=self.budget),
         )
 
     @property

@@ -57,7 +57,7 @@ def test_criterion_01_complete_graphs():
             expected = n * (n - 1) // 2 - n + 3
             assert differential_of_r(complete(n)).value == expected
             if n in (3, 4):
-                assert differential_exact(build_r(complete(n)).total).value == expected
+                assert differential_exact(build_r(complete(n))).value == expected
 
 
 def test_criterion_02_wheels():
@@ -76,10 +76,10 @@ def test_criterion_03_complete_bipartite():
 def test_criterion_04_uniqueness():
     with criterion("04 unique differential set of R(K_pq) is P", limit=120):
         for p, q in ((1, 3), (2, 3), (2, 4), (3, 4), (2, 5)):
-            rg = build_r(complete_bipartite(p, q))
-            res = differential_exact(rg.total, enumerate_all=True)
+            r = build_r(complete_bipartite(p, q))
+            res = differential_exact(r, enumerate_all=True)
             assert len(res.all_sets) == 1, (p, q, res.all_sets)
-            assert res.all_sets[0] == VertexSet(rg.total.n, (1 << p) - 1)
+            assert res.all_sets[0] == VertexSet(r.n, (1 << p) - 1)
 
 
 def test_criterion_05_cover_domination_duality():
@@ -94,7 +94,7 @@ def test_criterion_05_cover_domination_duality():
         ]
         for g in instances:
             tau = vertex_cover_number(g)[0]
-            gamma = domination_number(build_r(g).total)[0]
+            gamma = domination_number(build_r(g))[0]
             assert tau == gamma, write_graph6(g)
 
 
@@ -138,7 +138,7 @@ def test_criterion_09_characterizations():
         star_forms = {n: canonical_form(star(n)) for n in range(3, 7)}
         spe_forms = {n: canonical_form(star_plus_edge(n)) for n in range(3, 7)}
         for g in census_3_to_6():
-            m_r = build_r(g).total.n
+            m_r = build_r(g).n
             diff_r = differential_of_r(g).value
             form = canonical_form(g)
             assert (diff_r == m_r - 2) == (form == star_forms[g.n]), write_graph6(g)

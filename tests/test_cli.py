@@ -27,7 +27,7 @@ def test_family_roper_compute_pipeline(capsys, monkeypatch):
     assert code == 0
     code, out, _ = run_cli(capsys, monkeypatch, ["roper"], stdin=out)
     assert code == 0
-    assert parse_graph6(out.strip()) == build_r(wheel(6)).total
+    assert parse_graph6(out.strip()) == build_r(wheel(6))
     code, out, _ = run_cli(capsys, monkeypatch, ["compute", "--json"], stdin=out)
     assert code == 0
     record = json.loads(out)["records"][0]

@@ -20,7 +20,7 @@ from gdiff.propositions import (
     run_census,
     run_proposition,
 )
-from gdiff.roperator import RGraph, build_r
+from gdiff.roperator import build_r
 from gdiff.solvers import (
     differential_exact,
     differential_of_r,
@@ -124,20 +124,20 @@ def test_p18_verdict_is_definitive():
 def test_p18_counterexample_replays():
     report = run_proposition("P18", path(7))
     g = parse_graph6(report.instance)
-    rg = build_r(g)
+    r = build_r(g)
     diff_g = differential_exact(g).value
-    diff_r = differential_exact(rg.total).value
+    diff_r = differential_exact(r).value
     if report.status == "fail":
         # every witness attains the differential of the path but not of the R-graph
         for members in report.witness_sets:
             s = VertexSet(g.n, sum(1 << v for v in members))
             assert g.set_differential(s) == diff_g
-            assert rg.total.set_differential(VertexSet(rg.total.n, s.mask)) < diff_r
+            assert r.set_differential(VertexSet(r.n, s.mask)) < diff_r
     else:
         members = report.witness_sets[0]
         s = VertexSet(g.n, sum(1 << v for v in members))
         assert g.set_differential(s) == diff_g
-        assert rg.total.set_differential(VertexSet(rg.total.n, s.mask)) == diff_r
+        assert r.set_differential(VertexSet(r.n, s.mask)) == diff_r
 
 
 def test_p18_vacuous_elsewhere():
@@ -214,8 +214,7 @@ def test_p02_p11_witnesses_on_census():
     # with the shared value in its note.
     for n in range(3, 7):
         for g in connected_census(n):
-            total = build_r(g).total
-            gamma, _, all_min = domination_number(total, enumerate_min=True)
+            gamma, _, all_min = domination_number(build_r(g), enumerate_min=True)
             inside = [w for w in all_min if w.mask < 1 << g.n]
             p02, p11 = run_all(g, ["P02", "P11"])
             assert (p02.status, p02.witness_sets, p02.note) == ("pass", (inside[0].members,), "")
@@ -245,13 +244,7 @@ def test_p02_on_hand_built_operator_graphs(monkeypatch):
     import gdiff.solvers as solvers
 
     def stand_in(edges):
-        return lambda g: RGraph(
-            base=g,
-            total=Graph.from_edges(5, edges),
-            v_part=VertexSet(5, 0b00111),
-            u_part=VertexSet(5, 0b11000),
-            edge_map=((0, 1), (1, 2)),
-        )
+        return lambda g: Graph.from_edges(5, edges)
 
     # minima {0, 3} and {1, 2}: the witness is the first one inside V
     monkeypatch.setattr(solvers, "build_r", stand_in([(0, 1), (1, 4), (2, 3), (3, 4)]))

@@ -1,20 +1,23 @@
 """Contracts with the tooling around gdiff.
 
 The benchmark's tracer looks gdiff's public names up by name; keep them.
-Every command-line option must be read by the subcommand that takes it.
+Every command-line option must be read by the subcommand that takes it,
+and README's option table must list exactly the options each one takes.
 """
 
 import argparse
 import importlib
 import importlib.util
 import io
+import re
 from pathlib import Path
 
 import gdiff.cli as cli_module
 from gdiff.codecs import write_graph6
 from gdiff.families import wheel
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_traced_names_exist():
@@ -25,6 +28,13 @@ def test_traced_names_exist():
     for module_name, fn_name in tracer.TRACED:
         module = importlib.import_module(f"gdiff.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"gdiff.{module_name}.{fn_name}"
+
+
+def _subparsers():
+    (action,) = [
+        a for a in cli_module.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
 
 
 # census --input is never read by gdiff: the benchmark's set-up probe
@@ -65,10 +75,10 @@ def test_every_option_is_read_by_its_subcommand(capsys, monkeypatch):
         "verify": [["--kind", "wheel", "--n", "5"], []],
         "census": [["--nmax", "3"]],
     }
-    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(subparsers.choices) == set(runs)
+    subparsers = _subparsers()
+    assert set(subparsers) == set(runs)
     unread = set()
-    for command, sub in subparsers.choices.items():
+    for command, sub in subparsers.items():
         seen = set()
         for argv in runs[command]:
             monkeypatch.setattr("sys.stdin", io.StringIO(g6))
@@ -78,3 +88,23 @@ def test_every_option_is_read_by_its_subcommand(capsys, monkeypatch):
         options = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
         unread |= {(command, dest) for dest in options - seen}
     assert unread == UNREAD_ALLOWED
+
+
+def test_readme_option_table_matches_the_parser():
+    # Rows look like "| `compute`  | `--input`, `--format`, `--json` / `--csv`, ... |".
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        row = re.fullmatch(r"\| `(\w+)` *\| (.*) \|", line.strip())
+        if row:
+            table[row[1]] = re.findall(r"`(--[\w-]+)`", row[2])
+    registered = {
+        command: [
+            option
+            for action in sub._actions
+            if action.help != argparse.SUPPRESS
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        ]
+        for command, sub in _subparsers().items()
+    }
+    assert table == registered
