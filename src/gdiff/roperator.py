@@ -15,7 +15,7 @@ from .core import Graph
 def r_v_rows(g: Graph) -> tuple[int, ...]:
     """R(g)'s rows for V: N_G(v) plus bit n + i for each edge i of ``g.edges()`` at v.
 
-    Plain integers, so a scan of V can use them without building R(g).
+    Plain integers, so a search over V can use them without building R(g).
     """
     rows = list(g.adj)
     for i, (a, b) in enumerate(g.edges()):

@@ -3,11 +3,11 @@
 Every solver is an exhaustive search; no heuristics, no approximation.
 For a graph of order n:
 
-* differential: the kernel ``_subsets`` yields each k-subset of a universe
-  together with the union of its members' adjacency rows and spends one
-  node on it; a k-set has differential at most n - 2k, so one pass over
-  cardinalities stops once that bound drops below the incumbent (or meets
-  it, when only the value is wanted), collecting maximizers as it goes;
+* differential: by gamma_R = n - diff, a minimum of the Roman weight
+  2|T| + |V - N[T]| (``_max_differential``): set-cover branch and bound on
+  an uncovered vertex with the fewest dominators, where the last branch
+  leaves it uncovered, pruned by a coverage lower bound; one search finds
+  the value and, when asked, every maximizer;
 * domination: set-cover branch and bound (``_DominatingSets``) on an
   undominated vertex with the fewest dominators, pruned by a coverage and a
   packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
@@ -26,9 +26,10 @@ MK-systems", 1977) and lambda = m - n + 2 alpha. The witnesses of the first
 three are the Roman labeling of the differential witness (see
 ``roman_labeling``), the complement of the independence witness and the
 minimum dominating set witness. The oracles in tests/ check the identities
-against the definitions. The differential of R(G) comes from a scan of V
-with R(G)'s rows, built from G; its differential sets over the full subset
-space follow from the sets inside V (see ``InstanceContext.diff_r_sizes``).
+against the definitions. The differential of R(G) comes from a search
+over subsets of V with R(G)'s rows, built from G; its differential sets over
+the full subset space follow from the sets inside V (see
+``InstanceContext.diff_r_sizes``).
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple among minimum-cardinality optima, which keeps
@@ -38,8 +39,8 @@ BudgetExceededError rather than returning a partial answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import BudgetExceededError, Graph, VertexSet, _union, bits
@@ -54,7 +55,8 @@ class DifferentialResult:
 
     ``all_sets``, ``min_card`` and ``max_card`` are filled only when
     enumeration of every maximizer was requested. ``search_space_size``
-    counts candidate sets examined, for instrumentation.
+    counts the nodes the search spent, each the work of one unit (see
+    ``_max_differential``), for instrumentation.
     """
 
     value: int
@@ -80,70 +82,121 @@ class _NodeCounter:
             )
 
 
-def _subsets(
-    universe: tuple[int, ...], rows: tuple[int, ...], k: int, counter: _NodeCounter
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(mask, union of rows over mask)`` for every k-subset of ``universe``.
-
-    Subsets come in itertools.combinations order. The mask and union of the
-    first k - 1 members are built once and shared by every choice of the
-    last member; those subsets are charged together, one node each, before
-    the first of them is yielded.
-    """
-    if k == 0:
-        counter.spend()
-        yield 0, 0
-        return
-    members = [(1 << v, rows[v]) for v in universe]
-    for head in combinations(range(len(members) - 1), k - 1):
-        head_mask = head_union = 0
-        for i in head:
-            head_mask |= members[i][0]
-            head_union |= members[i][1]
-        tail = members[head[-1] + 1 if head else 0 :]
-        counter.spend(len(tail))
-        for bit, row in tail:
-            yield head_mask | bit, head_union | row
-
-
 def _max_differential(
-    n: int,
-    universe: tuple[int, ...],
-    rows: tuple[int, ...],
-    order: int,
-    enumerate_all: bool,
-    counter: _NodeCounter,
+    rows: tuple[int, ...], order: int, enumerate_all: bool, budget: int
 ) -> DifferentialResult:
-    """Maximize |N(S) - S| - |S| over subsets S of ``universe``, a part of 0..n-1.
+    """Maximize |N[S]| - 2|S| over subsets S of 0..n-1, where n = len(rows).
 
-    ``rows`` are adjacency rows of a graph on ``order`` vertices, where a
-    k-set scores at most order - 2k.
+    ``rows`` are the adjacency rows of vertices 0..n-1 in a graph on
+    ``order`` vertices, where |N[S]| - 2|S| is the differential of S. The
+    search minimizes the Roman weight 2|S| + |uncovered|, the vertices
+    outside N[S], by set-cover branch and bound like ``_DominatingSets``:
+    branch on an uncovered vertex with the fewest allowed dominators,
+    taking each of them in turn and excluding the earlier ones from the
+    later branches; the last branch leaves the vertex uncovered, paying 1,
+    and forbids all of them. So every S is reached in exactly one branch.
+    A dominator that reaches at most one uncovered vertex is dropped, since
+    no optimum contains it, and a vertex with no allowed dominator pays 1.
+    The bound adds to the cost so far the minimum over t of
+    2t + max(0, uncovered - the sum of the t largest reaches).
+
+    With ``enumerate_all`` the search prunes when the bound exceeds the
+    incumbent, so it finds every maximizer; they are sorted by cardinality,
+    then member tuple. Without it, the weight, |S| and the member tuple are
+    packed into one integer (see below) whose minimum is the first
+    maximizer in that order, a reach of two drops a dominator too, and the
+    search prunes when the bound meets the incumbent. Each call spends one
+    node plus one per allowed and per uncovered vertex, the work it does.
     """
-    best = None
-    maximizers: list[int] = []
-    for k in range(len(universe) + 1):
-        # Reaching only a tie adds maximizers, which only enumeration wants.
-        bound = order - 2 * k
-        if best is not None and (bound < best or (bound == best and not enumerate_all)):
-            break
-        for smask, union in _subsets(universe, rows, k, counter):
-            d = (union & ~smask).bit_count() - k
-            if best is None or d > best:
-                best, maximizers = d, [smask]
-            elif d == best and enumerate_all:
-                maximizers.append(smask)
-    assert best is not None
+    n = len(rows)
+    closed = [rows[v] | 1 << v for v in range(n)]
+    dominators = [0] * order
+    for v in range(n):
+        for u in bits(closed[v]):
+            dominators[u] |= 1 << v
+    # A member reaching fewer than `need` uncovered vertices is dropped.
+    if enumerate_all:
+        unit, need, price = 1, 2, [2] * n
+    else:
+        # An uncovered vertex costs `unit` and a member v costs 2 units plus
+        # 2^n less 2^(n - 1 - v). The parts past the units, n * 2^n at most,
+        # order equal-weight sets by cardinality and then by member tuple: of
+        # two k-sets, the one holding the least vertex they do not share
+        # comes first, and has the larger sum of 2^(n - 1 - v). Dropping a
+        # member that reaches two keeps the weight and shrinks the set.
+        card = 1 << n
+        unit, need = (n + 1) * card, 3
+        price = [2 * unit + card - (1 << n - 1 - v) for v in range(n)]
+    counter = _NodeCounter(budget)
+    best = math.inf
+    found: list[int] = []
 
-    witness = VertexSet(n, maximizers[0])
+    def search(uncovered: int, allowed: int, chosen: int, cost: int) -> None:
+        nonlocal best, found
+        counter.spend(1 + allowed.bit_count() + uncovered.bit_count())
+        reach = {}
+        prices = []
+        useful = reached = 0
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            k = (closed[v] & uncovered).bit_count()
+            if k >= need:
+                reach[v] = k
+                prices.append(price[v])
+                useful |= low
+                reached |= closed[v]
+        cost += unit * (uncovered & ~reached).bit_count()
+        uncovered &= reached
+        if not uncovered:
+            if cost < best:
+                best, found = cost, [chosen]
+            elif cost == best:
+                found.append(chosen)
+            return
+        # Prices come cheapest first and reaches largest first, so each
+        # further member gains no more than the one before; a member that
+        # newly reaches two or fewer gains nothing.
+        left = uncovered.bit_count()
+        bound = cost
+        for p, k in zip(prices, sorted(reach.values(), reverse=True)):
+            if k > left:
+                k = left
+            if k <= 2:
+                break
+            bound += p
+            left -= k
+        bound += unit * left
+        if bound > best or (bound == best and not enumerate_all):
+            return
+        fewest = n + 1
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            options = dominators[low.bit_length() - 1] & useful
+            k = options.bit_count()
+            if k < fewest:
+                branch, candidates, fewest = low, options, k
+        for d in sorted(bits(candidates), key=reach.__getitem__, reverse=True):
+            useful &= ~(1 << d)
+            search(uncovered & ~closed[d], useful, chosen | 1 << d, cost + price[d])
+        search(uncovered ^ branch, useful, chosen, cost + unit)
+
+    search((1 << order) - 1, (1 << n) - 1, 0, 0)
+    found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
+    witness = VertexSet(n, found[0])
     if not enumerate_all:
-        return DifferentialResult(best, witness, counter.nodes)
+        return DifferentialResult(order - best // unit, witness, counter.nodes)
     return DifferentialResult(
-        best,
+        order - best,
         witness,
         counter.nodes,
-        all_sets=tuple(VertexSet(n, m) for m in maximizers),
-        min_card=maximizers[0].bit_count(),
-        max_card=maximizers[-1].bit_count(),
+        all_sets=tuple(VertexSet(n, m) for m in found),
+        min_card=found[0].bit_count(),
+        max_card=found[-1].bit_count(),
     )
 
 
@@ -159,9 +212,7 @@ def differential_exact(
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    return _max_differential(
-        g.n, tuple(range(g.n)), g.adj, g.n, enumerate_all, _NodeCounter(budget)
-    )
+    return _max_differential(g.adj, g.n, enumerate_all, budget)
 
 
 def _require_r_base(g: Graph) -> None:
@@ -178,13 +229,11 @@ def differential_of_r(
 ) -> DifferentialResult:
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
-    A 2^n scan of V with R(g)'s rows, built from g, so R(g) itself is never
-    built. It requires a connected g of order at least 3.
+    A search over subsets of V with R(g)'s rows, built from g, so R(g)
+    itself is never built. It requires a connected g of order at least 3.
     """
     _require_r_base(g)
-    return _max_differential(
-        g.n, tuple(range(g.n)), r_v_rows(g), g.n + g.m, enumerate_all, _NodeCounter(budget)
-    )
+    return _max_differential(r_v_rows(g), g.n + g.m, enumerate_all, budget)
 
 
 def is_dominating(g: Graph, s: VertexSet | Iterable[int]) -> bool:
@@ -624,7 +673,7 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
     Each field is read from one ``InstanceContext``, so four searches run:
-    diff, gamma, alpha and one scan of V for both diff_r and mu; R(g) is
+    diff, gamma, alpha and one search over V for both diff_r and mu; R(g) is
     never built.
     A field derived from a search that failed is skipped with its reason.
     """

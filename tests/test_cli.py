@@ -62,6 +62,22 @@ def test_compute_on_large_sparse_graphs_ends_within_budget(capsys, monkeypatch):
     assert all(reason.startswith("search exceeded its node budget") for reason in reasons)
 
 
+def test_compute_answers_sparse_graphs_of_order_32_at_the_default_budget(capsys, monkeypatch):
+    # The differential searches branch and bound, so diff_r and mu answer
+    # here instead of running out of the default budget, and the answers
+    # obey lambda <= diff_r <= lambda + floor((n - mu) / 2).
+    graphs = sparse_connected_graphs(109, (24, 32))
+    stdin = "".join(write_graph6(g) + "\n" for g in graphs)
+    code, out, _ = run_cli(capsys, monkeypatch, ["compute", "--json"], stdin=stdin)
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == len(graphs)
+    fields = ("diff", "diff_r", "gamma", "tau", "alpha", "roman", "psi", "lambda", "mu")
+    for r in records:
+        assert r["skipped"] == {} and all(r[f] is not None for f in fields), r
+        assert r["lambda"] <= r["diff_r"] <= r["lambda"] + (r["n"] - r["mu"]) // 2, r
+
+
 def test_verify_answers_on_r_graphs_beyond_input_capacity(capsys, monkeypatch):
     # R orders 66, 78, 69 and 96: CAPACITY bounds input, not R(G).
     for spec in (

@@ -73,8 +73,8 @@ def test_p09_on_bipartite_families():
 
 
 def test_p09_skipped_beyond_budget_size():
-    # R(K_{4,5}) has order 29; the scan of V answers it, and only a budget
-    # too small for that scan skips it.
+    # R(K_{4,5}) has order 29; the search over V answers it, and only a
+    # budget too small for that search skips it.
     report = run_proposition("P09", complete_bipartite(4, 5))
     assert (report.status, report.witness_sets) == ("pass", ((0, 1, 2, 3),))
     report = run_proposition("P09", complete_bipartite(4, 5), budget=20)
@@ -84,7 +84,7 @@ def test_p09_skipped_beyond_budget_size():
 
 def test_full_space_checks_answer_beyond_the_exhaustive_search():
     # R(C_16) has 32 vertices; the exhaustive search over it runs past this
-    # budget, the scan of V does not.
+    # budget, the search over V does not.
     for pid in ("P03", "P06"):
         assert run_proposition(pid, cycle(16), budget=2_000_000).status == "pass"
 

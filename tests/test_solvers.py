@@ -133,7 +133,7 @@ def test_differential_of_r_known_values():
 
 
 def test_differential_of_r_modes_agree():
-    # the scan of V with R(G)'s rows built from G against the differential
+    # the search over V with R(G)'s rows built from G against the differential
     # in R(G) of every subset of V, computed from G by the oracle: same
     # value, witness and maximizers in cardinality-then-lexicographic order
     graphs = [g for n in range(3, 7) for g in connected_census(n)]
@@ -147,6 +147,38 @@ def test_differential_of_r_modes_agree():
         assert vres.value == value, write_graph6(g)
         assert vres.witness.mask == expected[0]
         assert [s.mask for s in vres.all_sets] == expected
+
+
+def test_differential_searches_match_the_oracles_beyond_order_10():
+    # Both searches against the full scans on sparse and dense connected
+    # graphs of order 11-13: value, witness, every maximizer in
+    # cardinality-then-lexicographic order, the cardinality range, and the
+    # value-only witness, which must be the first maximizer.
+    rng = Random(113)
+    graphs = []
+    while len(graphs) < 6:
+        g = random_graph(rng, rng.randint(11, 13), rng.uniform(0.2, 0.5))
+        if g.is_connected:
+            graphs.append(g)
+    for g in graphs:
+        in_r = naive_r_differentials(g)
+        value_r = max(in_r)
+        cases = (
+            (differential_exact, naive_differential(g), naive_differential_sets(g)),
+            (differential_of_r, value_r, [m for m, d in enumerate(in_r) if d == value_r]),
+        )
+        for search, value, maximizers in cases:
+            expected = card_lex_order(maximizers)
+            res = search(g, enumerate_all=True)
+            assert res.value == value, (search.__name__, write_graph6(g))
+            assert res.witness.mask == expected[0]
+            assert [s.mask for s in res.all_sets] == expected
+            assert (res.min_card, res.max_card) == (
+                expected[0].bit_count(),
+                expected[-1].bit_count(),
+            )
+            lone = search(g)
+            assert (lone.value, lone.witness) == (value, res.witness)
 
 
 def test_r_differential_sets_match_the_exhaustive_search():
@@ -179,6 +211,18 @@ def test_r_differential_sets_match_the_exhaustive_search():
         if unique:
             assert brute.all_sets[0].mask == vres.witness.mask
     assert checked > 950
+
+
+def test_differential_of_r_budget_bounds_the_work():
+    # Each node is charged the vertices it examines, not 1, so a budget
+    # bounds the time: diff(R(K'_21)) runs out of 10^6 nodes in well under a
+    # second instead of running for minutes. The first node alone examines
+    # the 4 vertices of K4 and the 10 of R(K4), where the whole value
+    # search takes 4 nodes.
+    with pytest.raises(BudgetExceededError):
+        differential_of_r(kprime(21), enumerate_all=True, budget=10**6)
+    with pytest.raises(BudgetExceededError):
+        differential_of_r(complete(4), budget=14)
 
 
 def test_differential_of_r_guards():
@@ -629,7 +673,7 @@ def test_full_record_skips():
 
 
 def test_full_record_builds_no_r_graph(monkeypatch):
-    # diff_r and mu come from a scan of V, so full_record never builds R(G)
+    # diff_r and mu come from a search over V, so full_record never builds R(G)
     # (order 66 and 78 here); P10's closed form for K_n is
     # n(n-1)/2 - n + 3, attained at n - 3 and n - 2 vertices.
     for n, diff_r in ((11, 47), (12, 57)):
