@@ -37,7 +37,6 @@ P18  audit: does some set attain the differential of both P_7 and R(P_7)?
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -407,7 +406,7 @@ def _p14(ctx):
 @_register("P15", "two-sided bound on the differential of R(G)", _connected3)
 def _p15(ctx):
     lam = ctx.lam
-    diff_r = ctx.diff_r_v.value
+    diff_r, _ = ctx.diff_r
     upper = lam + (ctx.g.n - ctx.mu) // 2
     if lam <= diff_r <= upper:
         return PASS, (), f"{lam} <= {diff_r} <= {upper}"
@@ -425,7 +424,7 @@ def _p16_applies(ctx):
 
 @_register("P16", "both bounds are attained on the matched bipartite families", _p16_applies)
 def _p16(ctx):
-    diff_r = ctx.diff_r_v.value
+    diff_r, _ = ctx.diff_r
     lam = ctx.lam
     parts = complete_bipartite_parts(ctx.g)
     if parts is not None:
@@ -562,6 +561,8 @@ def run_census(
     instances = [g for n in range(3, n_max + 1) for g in connected_census(n)]
     reports: list[CheckReport] = []
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         payload = [(write_graph6(g), ids, budget) for g in instances]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_census_worker, payload, chunksize=8):

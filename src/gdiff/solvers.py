@@ -7,7 +7,8 @@ For a graph of order n:
   2|T| + |V - N[T]| (``_max_differential``): set-cover branch and bound on
   an uncovered vertex with the fewest dominators, where the last branch
   leaves it uncovered, pruned by a coverage lower bound; one search finds
-  the value and, when asked, every maximizer;
+  the value and, when asked, every maximizer, or else one witness: the
+  first maximizer or the first of the largest cardinality;
 * domination: set-cover branch and bound (``_DominatingSets``) on an
   undominated vertex with the fewest dominators, pruned by a coverage and a
   packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
@@ -83,7 +84,7 @@ class _NodeCounter:
 
 
 def _max_differential(
-    rows: tuple[int, ...], order: int, enumerate_all: bool, budget: int
+    rows: tuple[int, ...], order: int, key: str, budget: int
 ) -> DifferentialResult:
     """Maximize |N[S]| - 2|S| over subsets S of 0..n-1, where n = len(rows).
 
@@ -95,18 +96,26 @@ def _max_differential(
     taking each of them in turn and excluding the earlier ones from the
     later branches; the last branch leaves the vertex uncovered, paying 1,
     and forbids all of them. So every S is reached in exactly one branch.
-    A dominator that reaches at most one uncovered vertex is dropped, since
-    no optimum contains it, and a vertex with no allowed dominator pays 1.
-    The bound adds to the cost so far the minimum over t of
-    2t + max(0, uncovered - the sum of the t largest reaches).
+    A dominator that reaches fewer than ``need`` uncovered vertices is
+    dropped, and a vertex with no allowed dominator pays 1. The bound adds
+    to the cost so far the cheapest member prices paired with the largest
+    reaches, stopping at the first member that pays at least the uncovered
+    vertices it covers, and 1 for every uncovered vertex left.
 
-    With ``enumerate_all`` the search prunes when the bound exceeds the
-    incumbent, so it finds every maximizer; they are sorted by cardinality,
-    then member tuple. Without it, the weight, |S| and the member tuple are
-    packed into one integer (see below) whose minimum is the first
-    maximizer in that order, a reach of two drops a dominator too, and the
-    search prunes when the bound meets the incumbent. Each call spends one
-    node plus one per allowed and per uncovered vertex, the work it does.
+    ``key`` says what the search finds:
+
+    * ``"all"``: every maximizer, sorted by cardinality, then member tuple.
+      A member costs 2 and ``need`` is 2, since no optimum holds a member
+      that reaches one. It prunes when the bound exceeds the incumbent.
+    * ``"first"``: the first maximizer in that order.
+    * ``"largest"``: the first maximizer of the largest cardinality.
+
+    For ``"first"`` and ``"largest"`` the weight, |S| and the member tuple
+    are packed into one integer (see below) whose minimum is the set
+    sought, and the search prunes when the bound meets the incumbent. The
+    weight is that minimum in whole units, rounded down for ``"first"`` and
+    up for ``"largest"``. Each call spends one node plus one per allowed
+    and per uncovered vertex, the work it does.
     """
     n = len(rows)
     closed = [rows[v] | 1 << v for v in range(n)]
@@ -114,19 +123,26 @@ def _max_differential(
     for v in range(n):
         for u in bits(closed[v]):
             dominators[u] |= 1 << v
-    # A member reaching fewer than `need` uncovered vertices is dropped.
-    if enumerate_all:
+    if key == "all":
         unit, need, price = 1, 2, [2] * n
     else:
-        # An uncovered vertex costs `unit` and a member v costs 2 units plus
-        # 2^n less 2^(n - 1 - v). The parts past the units, n * 2^n at most,
-        # order equal-weight sets by cardinality and then by member tuple: of
-        # two k-sets, the one holding the least vertex they do not share
-        # comes first, and has the larger sum of 2^(n - 1 - v). Dropping a
-        # member that reaches two keeps the weight and shrinks the set.
+        # An uncovered vertex costs `unit`. A member v costs 2 units plus
+        # 2^n - 2^(n - 1 - v) for "first" and less 2^n + 2^(n - 1 - v) for
+        # "largest"; over a set these parts stay under one unit. Of two sets
+        # of one weight, "first" keeps the smaller and "largest" the larger;
+        # of two k-sets, both keep the one holding the least vertex they do
+        # not share, which has the larger sum of 2^(n - 1 - v). A member
+        # that reaches two keeps the weight and grows the set, so "first"
+        # drops it and "largest" keeps it.
         card = 1 << n
-        unit, need = (n + 1) * card, 3
-        price = [2 * unit + card - (1 << n - 1 - v) for v in range(n)]
+        unit = (n + 1) * card
+        if key == "first":
+            need = 3
+            price = [2 * unit + card - (1 << n - 1 - v) for v in range(n)]
+        else:
+            need = 2
+            price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
+    enumerate_all = key == "all"
     counter = _NodeCounter(budget)
     best = math.inf
     found: list[int] = []
@@ -157,14 +173,14 @@ def _max_differential(
                 found.append(chosen)
             return
         # Prices come cheapest first and reaches largest first, so each
-        # further member gains no more than the one before; a member that
-        # newly reaches two or fewer gains nothing.
+        # further member gains no more than the one before; stop at the
+        # first that pays at least what it covers.
         left = uncovered.bit_count()
         bound = cost
         for p, k in zip(prices, sorted(reach.values(), reverse=True)):
             if k > left:
                 k = left
-            if k <= 2:
+            if p >= unit * k:
                 break
             bound += p
             left -= k
@@ -188,8 +204,10 @@ def _max_differential(
     search((1 << order) - 1, (1 << n) - 1, 0, 0)
     found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
     witness = VertexSet(n, found[0])
-    if not enumerate_all:
+    if key == "first":
         return DifferentialResult(order - best // unit, witness, counter.nodes)
+    if key == "largest":
+        return DifferentialResult(order - -(-best // unit), witness, counter.nodes)
     return DifferentialResult(
         order - best,
         witness,
@@ -212,7 +230,7 @@ def differential_exact(
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    return _max_differential(g.adj, g.n, enumerate_all, budget)
+    return _max_differential(g.adj, g.n, "all" if enumerate_all else "first", budget)
 
 
 def _require_r_base(g: Graph) -> None:
@@ -226,14 +244,22 @@ def differential_of_r(
     g: Graph,
     enumerate_all: bool = False,
     budget: int = DEFAULT_BUDGET,
+    *,
+    largest: bool = False,
 ) -> DifferentialResult:
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
     A search over subsets of V with R(g)'s rows, built from g, so R(g)
     itself is never built. It requires a connected g of order at least 3.
+    With ``largest`` the value search's witness is the first maximizer of
+    the largest cardinality instead of the first maximizer (see
+    ``_max_differential``); it excludes ``enumerate_all``.
     """
     _require_r_base(g)
-    return _max_differential(r_v_rows(g), g.n + g.m, enumerate_all, budget)
+    if enumerate_all and largest:
+        raise ValueError("enumerate_all and largest exclude each other")
+    key = "all" if enumerate_all else "largest" if largest else "first"
+    return _max_differential(r_v_rows(g), g.n + g.m, key, budget)
 
 
 def is_dominating(g: Graph, s: VertexSet | Iterable[int]) -> bool:
@@ -490,20 +516,24 @@ def mu_invariant(
 ) -> tuple[int, VertexSet]:
     """Largest cardinality of a differential set of R(g) inside the V part.
 
-    Requires a connected base of order at least 3.
+    The witness is the first such set of that cardinality. Requires a
+    connected base of order at least 3.
     """
-    result = InstanceContext(g, budget).diff_r_v
-    top = next(s for s in result.all_sets if len(s) == result.max_card)
-    return result.max_card, top
+    _, top = InstanceContext(g, budget).diff_r
+    return len(top), top
 
 
 class InstanceContext:
     """One graph plus lazily computed, shared solver results.
 
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
-    only when a check inspects it), the enumerated differential sets and
-    the domination and independence numbers instead of re-solving. A search that runs out of budget is not run again: its
-    error is cached and raised to every later reader.
+    only when a check inspects it), the differential searches and the
+    domination and independence numbers instead of re-solving. Beside the
+    enumerations ``diff_g`` and ``diff_r_v``, ``diff`` and ``diff_r`` read
+    the value and one witness from a search that enumerates nothing;
+    ``diff_r`` takes both from ``diff_r_v`` when that has already run. A
+    search that runs out of budget is not run again: its error is cached
+    and raised to every later reader.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -542,6 +572,35 @@ class InstanceContext:
             "diff_r_v",
             lambda: differential_of_r(self.g, enumerate_all=True, budget=self.budget),
         )
+
+    @property
+    def diff(self) -> tuple[int, VertexSet]:
+        """Differential of the instance and its first maximizer."""
+
+        def search():
+            res = differential_exact(self.g, budget=self.budget)
+            return res.value, res.witness
+
+        return self._get("diff", search)
+
+    @property
+    def diff_r(self) -> tuple[int, VertexSet]:
+        """Differential of the R-graph over V and its first largest maximizer.
+
+        Taken from the enumeration over V when that has already run, also
+        when it ran out of budget, so no second search over V runs.
+        """
+
+        def search():
+            res = self._cache.get("diff_r_v")
+            if res is None:
+                res = differential_of_r(self.g, budget=self.budget, largest=True)
+                return res.value, res.witness
+            if isinstance(res, Exception):
+                raise res
+            return res.value, next(s for s in res.all_sets if len(s) == res.max_card)
+
+        return self._get("diff_r", search)
 
     @property
     def diff_r_sizes(self) -> set[int]:
@@ -613,8 +672,8 @@ class InstanceContext:
 
         The witness is the Roman labeling of the differential witness.
         """
-        res = self.diff_g
-        return self.g.n - res.value, roman_labeling(self.g, res.witness)
+        value, witness = self.diff
+        return self.g.n - value, roman_labeling(self.g, witness)
 
     @property
     def lam(self) -> int:
@@ -624,7 +683,7 @@ class InstanceContext:
     @property
     def mu(self) -> int:
         """Largest cardinality of a differential set of R(G) inside V."""
-        return self.diff_r_v.max_card
+        return len(self.diff_r[1])
 
 
 @dataclass(frozen=True)
@@ -673,9 +732,10 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
     Each field is read from one ``InstanceContext``, so four searches run:
-    diff, gamma, alpha and one search over V for both diff_r and mu; R(g) is
-    never built.
-    A field derived from a search that failed is skipped with its reason.
+    diff, gamma, alpha and one search over V for both diff_r and mu. None
+    enumerates maximizers: diff needs only the first one, and diff_r and
+    mu the first of the largest cardinality. R(g) is never built. A field
+    derived from a search that failed is skipped with its reason.
     """
     ctx = InstanceContext(g, budget)
     skipped: dict[str, str] = {}
@@ -693,8 +753,8 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
         m=g.m,
         delta_min=stats.minimum,
         delta_max=stats.maximum,
-        diff=read("diff", lambda: ctx.diff_g.value),
-        diff_r=read("diff_r", lambda: ctx.diff_r_v.value),
+        diff=read("diff", lambda: ctx.diff[0]),
+        diff_r=read("diff_r", lambda: ctx.diff_r[0]),
         gamma=read("gamma", lambda: ctx.gamma[0]),
         tau=read("tau", lambda: ctx.tau[0]),
         alpha=read("alpha", lambda: ctx.alpha[0]),

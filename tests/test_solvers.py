@@ -14,9 +14,11 @@ from gdiff.families import (
     star,
     wheel,
 )
-from gdiff.roperator import build_r
+from gdiff.roperator import build_r, r_v_rows
 from gdiff.solvers import (
+    DEFAULT_BUDGET,
     InstanceContext,
+    _max_differential,
     differential_exact,
     differential_of_r,
     domination_number,
@@ -181,6 +183,59 @@ def test_differential_searches_match_the_oracles_beyond_order_10():
             assert (lone.value, lone.witness) == (value, res.witness)
 
 
+def test_search_keys_agree_with_the_enumeration():
+    # On the rows of G and of R(G) over V: "first" gives the enumeration's
+    # value and witness, the first maximizer in cardinality-then-lexicographic
+    # order; "largest" gives its value and the first maximizer of max_card.
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    rng = Random(127)
+    graphs += [random_connected_graph(rng, rng.randint(3, 12)) for _ in range(200)]
+    for g in graphs:
+        for rows, order in ((g.adj, g.n), (r_v_rows(g), g.n + g.m)):
+            res = _max_differential(rows, order, "all", DEFAULT_BUDGET)
+            first = _max_differential(rows, order, "first", DEFAULT_BUDGET)
+            largest = _max_differential(rows, order, "largest", DEFAULT_BUDGET)
+            top = next(s for s in res.all_sets if len(s) == res.max_card)
+            assert (first.value, first.witness) == (res.value, res.witness), write_graph6(g)
+            assert (largest.value, largest.witness) == (res.value, top), write_graph6(g)
+
+
+def test_mu_matches_the_oracle():
+    # mu and its witness, from the largest-maximizer search alone, against
+    # the differential in R(G) of every subset of V
+    rng = Random(131)
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randint(3, 10))
+        in_r = naive_r_differentials(g)
+        value = max(in_r)
+        mu = max(m.bit_count() for m, d in enumerate(in_r) if d == value)
+        first = card_lex_order(m for m, d in enumerate(in_r) if d == value and m.bit_count() == mu)
+        assert InstanceContext(g).diff_r == (value, VertexSet(g.n, first[0])), write_graph6(g)
+        assert mu_invariant(g) == (mu, VertexSet(g.n, first[0]))
+
+
+def test_diff_r_reuses_the_enumeration(monkeypatch):
+    # Once the enumeration over V has run, diff_r takes its answer, or its
+    # budget error, from it and starts no search of its own.
+    import gdiff.solvers as solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second search over V ran")
+
+    g = wheel(7)
+    expected = InstanceContext(g).diff_r
+    ctx = InstanceContext(g)
+    assert ctx.diff_r_v.all_sets
+    failed = InstanceContext(cycle(16), budget=50)
+    with pytest.raises(BudgetExceededError):
+        failed.diff_r_v
+    monkeypatch.setattr(solvers, "differential_of_r", refuse)
+    assert ctx.diff_r == expected
+    assert ctx.mu == ctx.diff_r_v.max_card
+    with pytest.raises(BudgetExceededError):
+        failed.diff_r
+
+
 def test_r_differential_sets_match_the_exhaustive_search():
     # The differential sets of R(G) over all its subsets, derived from those
     # inside V, against every subset of R(G): the value, each set A inside V
@@ -231,6 +286,8 @@ def test_differential_of_r_guards():
     disconnected = complete(3).disjoint_union(complete(3))
     with pytest.raises(ValueError, match="require a connected graph"):
         differential_of_r(disconnected)
+    with pytest.raises(ValueError, match="exclude each other"):
+        differential_of_r(path(3), enumerate_all=True, largest=True)
     # the full-space search still works on the same instance
     assert differential_exact(build_r(disconnected)).value > 0
 
@@ -654,6 +711,19 @@ def test_full_record_matches_separate_solvers():
         assert record.diff_r == max(in_r)
         assert record.mu == max(m.bit_count() for m, d in enumerate(in_r) if d == record.diff_r)
         assert record.skipped == {}
+
+
+def test_full_record_answers_c32_and_w64_at_the_default_budget():
+    # Enumerating the maximizers of R(C_32) or R(W_64) runs out of the
+    # default budget; the largest-maximizer search does not. W_64 takes
+    # P10's wheel form 2n - 3. The witness is rechecked on R(G) itself.
+    for g, diff_r, mu in ((cycle(32), 32, 16), (wheel(64), 2 * 64 - 3, 32)):
+        record = full_record(g)
+        assert (record.diff_r, record.mu, record.skipped) == (diff_r, mu, {})
+        value, top = InstanceContext(g).diff_r
+        r = build_r(g)
+        assert (value, len(top)) == (diff_r, mu)
+        assert r.set_differential(VertexSet(r.n, top.mask)) == diff_r
 
 
 def test_full_record_skips():

@@ -3,13 +3,17 @@
 The benchmark's tracer looks gdiff's public names up by name; keep them.
 Every command-line option must be read by the subcommand that takes it,
 and README's option table must list exactly the options each one takes.
+Importing the CLI leaves the process pool out.
 """
 
 import argparse
 import importlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gdiff.cli as cli_module
@@ -108,3 +112,17 @@ def test_readme_option_table_matches_the_parser():
         for command, sub in _subparsers().items()
     }
     assert table == registered
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # Only census --jobs > 1 needs a process pool; every other run would pay
+    # for importing it at start-up.
+    probe = (
+        "import sys, gdiff.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
