@@ -15,7 +15,7 @@ P03, P06 or P09 does the exhaustive search over R(G) decide and list them.
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
 P01  structural identities of the R-graph construction
-P02  some minimum dominating set of R(G) lies inside V
+P02  some minimum dominating set of R(G) lies inside V, certified by a vertex cover
 P03  V contains a differential set of R(G) of every realized cardinality
 P04  some differential set of R(G) inside V dominates G
 P05  min degree >= 2 forces every differential set inside V to dominate G
@@ -147,12 +147,15 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
-    r, budget = ctx.rg, ctx.budget
+    # A set inside V dominates R(G) iff it covers every edge of G (G connected, n >= 3).
     gamma, _, _ = ctx.gamma_r
-    gamma_v, inside, _ = domination_number(r, restrict=range(ctx.g.n), budget=budget)
-    if gamma_v == gamma:
-        return PASS, (inside.members,), ""
-    _, _, all_min = domination_number(r, enumerate_min=True, budget=budget)
+    tau, cover = ctx.tau
+    if tau == gamma and is_dominating(ctx.rg, cover.members):
+        return PASS, (cover.members,), ""
+    _, _, all_min = domination_number(ctx.rg, enumerate_min=True, budget=ctx.budget)
+    for d in all_min:
+        if d.mask < 1 << ctx.g.n:
+            return PASS, (d.members,), ""
     return (
         FAIL,
         tuple(w.members for w in all_min),
@@ -239,7 +242,7 @@ def _p07(ctx):
 def _p08(ctx):
     g = ctx.g
     m_r = g.n + g.m
-    diff_r = ctx.diff_r_v.value
+    diff_r = ctx.diff_r[0]
     is_star = star_center(g) is not None
     is_spe = star_plus_edge_center(g) is not None
     problems = []
@@ -292,7 +295,7 @@ def _p10(ctx):
     g = ctx.g
     n = g.n
     r = ctx.rg
-    diff_r = ctx.diff_r_v.value
+    diff_r = ctx.diff_r[0]
     problems = []
     if is_complete(g):
         expected = n * (n - 1) // 2 - n + 3
@@ -342,7 +345,7 @@ def _p12(ctx):
     # differential sets of G are the only candidates.
     g = ctx.g
     res = ctx.diff_g
-    diff_r = ctx.diff_r_v.value
+    diff_r = ctx.diff_r[0]
     r = ctx.rg
     qualifying = 0
     for s in res.all_sets:
@@ -459,7 +462,7 @@ def _p18(ctx):
     g = ctx.g
     r = ctx.rg
     diff_g = ctx.diff_g.value
-    diff_r = ctx.diff_r_v.value
+    diff_r = ctx.diff_r[0]
     common = [
         s.members
         for s in ctx.diff_g.all_sets

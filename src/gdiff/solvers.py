@@ -277,14 +277,12 @@ def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
 class _DominatingSets:
     """Set-cover branch and bound over the dominating sets of one graph.
 
-    Only members of ``universe`` may be chosen. Every search spends from one
-    node budget.
+    Every search spends from one node budget.
     """
 
-    def __init__(self, g: Graph, universe: int, budget: int):
+    def __init__(self, g: Graph, budget: int):
         self.full = g.full_mask
         self.rows = g.closed_adj
-        self.universe = universe
         self.counter = _NodeCounter(budget)
 
     def covers(self, undominated: int, allowed: int, chosen: int, limit: int) -> Iterator[int]:
@@ -343,32 +341,32 @@ class _DominatingSets:
         best = 0
         undominated = self.full
         while undominated:
-            v = max(bits(self.universe), key=lambda v: (rows[v] & undominated).bit_count())
+            v = max(bits(self.full), key=lambda v: (rows[v] & undominated).bit_count())
             best |= 1 << v
             undominated &= ~rows[v]
         while True:
-            smaller = next(self.covers(self.full, self.universe, 0, best.bit_count() - 1), None)
+            smaller = next(self.covers(self.full, self.full, 0, best.bit_count() - 1), None)
             if smaller is None:
                 return best
             best = smaller
 
     def all_minima(self, gamma: int) -> list[int]:
         """Every dominating set of ``gamma`` members, the minimum, in lex order."""
-        minima = self.covers(self.full, self.universe, 0, gamma)
+        minima = self.covers(self.full, self.full, 0, gamma)
         return sorted(minima, key=lambda m: tuple(bits(m)))
 
     def first_minimum(self, best: int) -> int:
         """The first minimum in itertools.combinations order, given the minimum ``best``.
 
-        Walk the universe in index order and keep a vertex when some minimum
+        Walk the vertices in index order and keep a vertex when some minimum
         set agrees with every decision so far and contains it. ``best``, kept
         agreeing, answers when it contains the vertex; else a search over the
         later vertices does, and its set becomes ``best``.
         """
         gamma = best.bit_count()
         kept = 0
-        later = self.universe
-        for v in bits(self.universe):
+        later = self.full
+        for v in bits(self.full):
             if kept.bit_count() == gamma:
                 break
             later &= ~(1 << v)
@@ -386,29 +384,19 @@ class _DominatingSets:
 
 def domination_number(
     g: Graph,
-    restrict: VertexSet | Iterable[int] | None = None,
     enumerate_min: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, VertexSet, tuple[VertexSet, ...] | None]:
     """Minimum dominating set size, one witness, optionally all minima.
 
-    With ``restrict`` only dominating sets inside that universe count; it
-    must dominate ``g`` itself. The witness is the first minimum in
-    itertools.combinations order. So when the restricted minimum equals
-    the unrestricted one, the witness is the first unrestricted minimum
-    that lies inside ``restrict``. A value pass finds some minimum set;
-    then either a witness pass finds the first one, or one search bounded
-    at the value collects them all (see ``_DominatingSets``).
+    The witness is the first minimum in itertools.combinations order. A
+    value pass finds some minimum set; then either a witness pass finds the
+    first one, or one search bounded at the value collects them all (see
+    ``_DominatingSets``).
     """
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    if restrict is None:
-        universe = g.full_mask
-    else:
-        universe = g._coerce(restrict)
-        if _union(g.closed_adj, universe) != g.full_mask:
-            raise ValueError("the restricted universe does not dominate the graph")
-    search = _DominatingSets(g, universe, budget)
+    search = _DominatingSets(g, budget)
     best = search.minimum()
     gamma = best.bit_count()
     if enumerate_min:

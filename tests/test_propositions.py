@@ -26,6 +26,7 @@ from gdiff.solvers import (
     differential_of_r,
     domination_number,
     mu_invariant,
+    vertex_cover_number,
 )
 
 from oracles import naive_p12, random_graph, random_graphs
@@ -209,16 +210,42 @@ def test_p17_certifies_the_roman_labeling(monkeypatch):
 
 
 def test_p02_p11_witnesses_on_census():
-    # P02's witness is the first minimum dominating set of R(G), in
-    # cardinality-then-lexicographic order, that lies inside V; P11 passes
-    # with the shared value in its note.
+    # P02's witness is the minimum vertex cover of G, one of the minimum
+    # dominating sets of R(G) that lie inside V; P11 passes with the shared
+    # value in its note.
     for n in range(3, 7):
         for g in connected_census(n):
             gamma, _, all_min = domination_number(build_r(g), enumerate_min=True)
-            inside = [w for w in all_min if w.mask < 1 << g.n]
+            inside = [w.members for w in all_min if w.mask < 1 << g.n]
+            cover = vertex_cover_number(g)[1].members
             p02, p11 = run_all(g, ["P02", "P11"])
-            assert (p02.status, p02.witness_sets, p02.note) == ("pass", (inside[0].members,), "")
+            assert (p02.status, p02.witness_sets, p02.note) == ("pass", (cover,), "")
+            assert cover in inside
             assert (p11.status, p11.witness_sets, p11.note) == ("pass", (), f"tau = gamma(R) = {gamma}")
+
+
+def test_p02_p11_run_one_domination_search(monkeypatch):
+    # P02 reads the domination number of R(G) that P11 needs and certifies
+    # it with the vertex cover: one domination search per graph.
+    import gdiff.propositions as props
+    import gdiff.solvers as solvers
+
+    calls = []
+    search = solvers.domination_number
+
+    def counting(g, *args, **kwargs):
+        calls.append(write_graph6(g))
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "domination_number", counting)
+    monkeypatch.setattr(props, "domination_number", counting)
+    graphs = [g for n in range(3, 6) for g in connected_census(n)]
+    graphs += [cycle(9), wheel(8), kprime(3), complete_bipartite(2, 5)]
+    for g in graphs:
+        calls.clear()
+        p02, p11 = run_all(g, ["P02", "P11"])
+        assert (p02.status, p11.status) == ("pass", "pass")
+        assert calls == [write_graph6(build_r(g))]
 
 
 def test_p02_p11_pass_beyond_the_census():

@@ -3,7 +3,7 @@ from random import Random
 
 from gdiff.census import connected_census
 from gdiff.codecs import write_graph6
-from gdiff.core import BudgetExceededError, VertexSet, bits
+from gdiff.core import BudgetExceededError, VertexSet
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -326,51 +326,23 @@ def test_domination_matches_naive():
         assert domination_number(g)[1] == witness
 
 
-def test_domination_restricted_matches_naive():
-    rng = Random(79)
-    graphs = random_graphs(seed=83, count=60, nmin=1)
-    graphs += random_graphs(seed=73, count=20, nmin=11, nmax=14)
-    for g in graphs:
-        within = rng.getrandbits(g.n)
-        covered = within
-        for v in bits(within):
-            covered |= g.adj[v]
-        within |= g.full_mask & ~covered  # the undominated vertices dominate themselves
-        gamma, witness, all_min = domination_number(
-            g, restrict=VertexSet(g.n, within), enumerate_min=True
-        )
-        expected = card_lex_order(naive_minimum_dominating_sets(g, within))
-        assert gamma == expected[0].bit_count()
-        assert [s.mask for s in all_min] == expected
-        assert witness.mask == expected[0]
-        assert domination_number(g, restrict=bits(within))[:2] == (gamma, witness)
-
-
-def test_domination_restricted_to_v_part_of_r():
+def test_minimum_dominating_sets_of_r_inside_v_are_minimum_covers():
+    # A set inside V dominates R(G) iff it covers every edge of G, so the
+    # minimum dominating sets of R(G) inside V have tau(G) members and the
+    # vertex cover witness is one of them: the certificate P02 checks.
     rng = Random(89)
-    for _ in range(40):
-        g = random_connected_graph(rng, rng.randint(3, 7))
-        r = build_r(g)
-        v_mask = g.full_mask
-        gamma_v, witness, _ = domination_number(r, restrict=range(g.n))
-        expected = card_lex_order(naive_minimum_dominating_sets(r, v_mask))
-        assert (gamma_v, witness.mask) == (expected[0].bit_count(), expected[0])
-        # the first V-inside minimum of the full search, when gamma is reached inside V
-        gamma, _, all_min = domination_number(r, enumerate_min=True)
-        inside = [s for s in all_min if not s.mask & ~v_mask]
-        assert gamma_v >= gamma
-        if inside:
-            assert gamma_v == gamma and witness == inside[0]
+    graphs = [g for n in range(3, 7) for g in connected_census(n)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 10)) for _ in range(60)]
+    for g in graphs:
+        inside = naive_minimum_dominating_sets(build_r(g), g.full_mask)
+        tau, cover = vertex_cover_number(g)
+        assert {m.bit_count() for m in inside} == {tau}
+        assert cover.mask in inside
 
 
-def test_domination_restrict_guards():
-    with pytest.raises(ValueError):
-        domination_number(path(3), restrict=[0])
-    with pytest.raises(ValueError):
-        domination_number(path(3), restrict=[])
+def test_domination_budget_guard():
     with pytest.raises(BudgetExceededError):
-        domination_number(cycle(16), restrict=range(15), budget=5)
-    assert domination_number(path(3), restrict=[0, 2])[0] == 2
+        domination_number(cycle(16), budget=5)
 
 
 def test_domination_of_cycles_and_paths():
