@@ -53,7 +53,6 @@ from .solvers import (
     independence_number,
     is_dominating,
     is_vertex_cover,
-    lambda_invariant,
     mu_invariant,
     roman_domination_number,
     vertex_cover_number,
@@ -94,7 +93,6 @@ __all__ = [
     "is_dominating",
     "is_vertex_cover",
     "kprime",
-    "lambda_invariant",
     "mu_invariant",
     "parse_edgelist",
     "parse_graph6",

@@ -10,7 +10,8 @@ The checks on one instance read every solver result from one
 ``solvers.InstanceContext``, so each search runs at most once per instance.
 The differential sets of R(G) over its full subset space follow from those
 inside V (``InstanceContext.diff_r_sizes``); only when they do not confirm
-P03, P06 or P09 does the exhaustive search over R(G) decide and list them.
+P03, P06 or P09 does the exhaustive search over R(G) (``InstanceContext.diff_rg``,
+run at most once per instance) decide and list them.
 
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
@@ -55,9 +56,7 @@ from .families import (
 from .roperator import validate_r
 from .solvers import (
     DEFAULT_BUDGET,
-    DifferentialResult,
     InstanceContext,
-    differential_exact,
     domination_number,
     is_dominating,
     is_vertex_cover,
@@ -100,15 +99,10 @@ class PropositionCheck:
     run: Callable[["InstanceContext"], tuple[str, tuple, str]]
 
 
-def _full_space_sets(ctx: InstanceContext) -> DifferentialResult:
-    """Every differential set of R(G), by the exhaustive search over R(G)."""
-    return differential_exact(ctx.rg, enumerate_all=True, budget=ctx.budget)
-
-
 def _single_vertex_maximal(ctx: InstanceContext, s: VertexSet) -> bool:
     """No single added vertex keeps the differential of the R-graph."""
     r = ctx.rg
-    value = ctx.diff_r_v.value
+    value = ctx.diff_r("all").value
     for w in range(r.n):
         if w in s:
             continue
@@ -165,11 +159,11 @@ def _p02(ctx):
 
 @_register("P03", "differential set of R(G) inside V of every realized size", _connected3)
 def _p03(ctx):
-    vres = ctx.diff_r_v
+    vres = ctx.diff_r("all")
     v_sizes = {len(s) for s in vres.all_sets}
     if ctx.diff_r_sizes <= v_sizes:
         return PASS, (), ""
-    full = _full_space_sets(ctx)
+    full = ctx.diff_rg
     if full.value != vres.value:
         return (
             FAIL,
@@ -188,19 +182,20 @@ def _p03(ctx):
 
 @_register("P04", "some differential set of R(G) inside V dominates G", _connected3)
 def _p04(ctx):
-    for s in ctx.diff_r_v.all_sets:
+    sets = ctx.diff_r("all").all_sets
+    for s in sets:
         if is_dominating(ctx.g, s):
             return PASS, (s.members,), ""
     return (
         FAIL,
-        tuple(s.members for s in ctx.diff_r_v.all_sets),
+        tuple(s.members for s in sets),
         "no differential set inside V dominates the base graph",
     )
 
 
 @_register("P05", "min degree >= 2 forces differential sets inside V to dominate", _min_degree2)
 def _p05(ctx):
-    for s in ctx.diff_r_v.all_sets:
+    for s in ctx.diff_r("all").all_sets:
         if not is_dominating(ctx.g, s):
             return FAIL, (s.members,), "differential set inside V does not dominate"
     return PASS, (), ""
@@ -208,10 +203,11 @@ def _p05(ctx):
 
 @_register("P06", "min degree >= 2 forces |Y| >= |X| across differential sets", _min_degree2)
 def _p06(ctx):
-    biggest_x = max(ctx.diff_g.all_sets, key=len)
-    if min(ctx.diff_r_sizes) >= len(biggest_x):
+    biggest_x = max(ctx.diff("all").all_sets, key=len)
+    # min_card is the least size of a differential set of R(G) (see diff_r_sizes).
+    if ctx.diff_r("all").min_card >= len(biggest_x):
         return PASS, (), ""
-    smallest_y = min(_full_space_sets(ctx).all_sets, key=len)
+    smallest_y = min(ctx.diff_rg.all_sets, key=len)
     if len(smallest_y) >= len(biggest_x):
         return PASS, (), ""
     return (
@@ -225,7 +221,7 @@ def _p06(ctx):
 def _p07(ctx):
     n = ctx.g.n
     delta_max = ctx.g.degree_stats().maximum
-    diff = ctx.diff_g.value
+    diff = ctx.diff("all").value
     clauses = []
     if (delta_max == n - 1) != (diff == n - 2):
         clauses.append("(a)")
@@ -242,7 +238,7 @@ def _p07(ctx):
 def _p08(ctx):
     g = ctx.g
     m_r = g.n + g.m
-    diff_r = ctx.diff_r[0]
+    diff_r = ctx.diff_r().value
     is_star = star_center(g) is not None
     is_spe = star_plus_edge_center(g) is not None
     problems = []
@@ -268,9 +264,9 @@ def _p09(ctx):
     p_set = parts[0]
     # A differential set of R(G) is one inside V, A, plus up to |C(A)|
     # edge-vertices, so it is unique iff A is and C(A) is empty.
-    if ctx.diff_r_v.all_sets == (p_set,) and ctx.diff_r_sizes == {len(p_set)}:
+    if ctx.diff_r("all").all_sets == (p_set,) and ctx.diff_r_sizes == {len(p_set)}:
         return PASS, (p_set.members,), ""
-    full = _full_space_sets(ctx)
+    full = ctx.diff_rg
     if len(full.all_sets) == 1 and full.all_sets[0].mask == p_set.mask:
         return PASS, (p_set.members,), ""
     return (
@@ -295,7 +291,7 @@ def _p10(ctx):
     g = ctx.g
     n = g.n
     r = ctx.rg
-    diff_r = ctx.diff_r[0]
+    diff_r = ctx.diff_r().value
     problems = []
     if is_complete(g):
         expected = n * (n - 1) // 2 - n + 3
@@ -344,8 +340,8 @@ def _p12(ctx):
     # A cover that attains diff(G) is a maximizer, so the enumerated
     # differential sets of G are the only candidates.
     g = ctx.g
-    res = ctx.diff_g
-    diff_r = ctx.diff_r[0]
+    res = ctx.diff("all")
+    diff_r = ctx.diff_r().value
     r = ctx.rg
     qualifying = 0
     for s in res.all_sets:
@@ -367,7 +363,7 @@ def _p12(ctx):
 @_register("P13", "boundaries of differential sets inside V are 2-dependent", _connected3)
 def _p13(ctx):
     g = ctx.g
-    res = ctx.diff_r_v
+    res = ctx.diff_r("all")
     for s in res.all_sets:
         bound = g.boundary(s)
         if not g.is_k_dependent(bound, 2):
@@ -390,7 +386,7 @@ def _p13(ctx):
 
 @_register("P14", "exterior bound for maximum differential sets inside V", _connected3)
 def _p14(ctx):
-    res = ctx.diff_r_v
+    res = ctx.diff_r("all")
     r = ctx.rg
     mu = res.max_card
     for s in res.all_sets:
@@ -409,7 +405,7 @@ def _p14(ctx):
 @_register("P15", "two-sided bound on the differential of R(G)", _connected3)
 def _p15(ctx):
     lam = ctx.lam
-    diff_r, _ = ctx.diff_r
+    diff_r = ctx.diff_r().value
     upper = lam + (ctx.g.n - ctx.mu) // 2
     if lam <= diff_r <= upper:
         return PASS, (), f"{lam} <= {diff_r} <= {upper}"
@@ -427,7 +423,7 @@ def _p16_applies(ctx):
 
 @_register("P16", "both bounds are attained on the matched bipartite families", _p16_applies)
 def _p16(ctx):
-    diff_r, _ = ctx.diff_r
+    diff_r = ctx.diff_r().value
     lam = ctx.lam
     parts = complete_bipartite_parts(ctx.g)
     if parts is not None:
@@ -445,7 +441,7 @@ def _p16(ctx):
 def _p17(ctx):
     # gamma_R = n - diff (Bermudo, Fernau and Sigarreta): check the certificate
     # it rests on, the Roman labeling of a differential set.
-    g, res = ctx.g, ctx.diff_g
+    g, res = ctx.g, ctx.diff("all")
     labels = roman_labeling(g, res.witness)
     roman = sum(labels)
     twos = sum(1 << v for v, lab in enumerate(labels) if lab == 2)
@@ -461,11 +457,12 @@ def _p17(ctx):
 def _p18(ctx):
     g = ctx.g
     r = ctx.rg
-    diff_g = ctx.diff_g.value
-    diff_r = ctx.diff_r[0]
+    res = ctx.diff("all")
+    diff_g = res.value
+    diff_r = ctx.diff_r().value
     common = [
         s.members
-        for s in ctx.diff_g.all_sets
+        for s in res.all_sets
         if r.set_differential(VertexSet(r.n, s.mask)) == diff_r
     ]
     searched = f"searched all {1 << g.n} subsets of V(P_7)"
@@ -477,7 +474,7 @@ def _p18(ctx):
         )
     return (
         FAIL,
-        tuple(s.members for s in ctx.diff_g.all_sets),
+        tuple(s.members for s in res.all_sets),
         f"no common differential set: diff(P_7)={diff_g}, diff(R(P_7))={diff_r}; "
         f"{searched}; every differential set of P_7 listed as witness",
     )
@@ -486,12 +483,12 @@ def _p18(ctx):
 def run_proposition(prop_id: str, g: Graph, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Evaluate one registered proposition on one graph."""
     ctx = InstanceContext(g, budget)
-    return _run_with_ctx(PROPOSITIONS[prop_id], ctx)
+    return _run_with_ctx(PROPOSITIONS[prop_id], ctx, write_graph6(g))
 
 
-def _run_with_ctx(check: PropositionCheck, ctx: InstanceContext) -> CheckReport:
+def _run_with_ctx(check: PropositionCheck, ctx: InstanceContext, instance: str) -> CheckReport:
+    """Run one check on ``ctx``, whose graph has the graph6 ``instance``."""
     start = time.perf_counter()
-    instance = write_graph6(ctx.g)
     try:
         if not check.applies(ctx):
             status, witnesses, note = VACUOUS, (), "hypothesis not satisfied"
@@ -514,8 +511,9 @@ def run_all(
 ) -> list[CheckReport]:
     """Evaluate several propositions on one graph, sharing solver results."""
     ctx = InstanceContext(g, budget)
+    instance = write_graph6(g)
     ids = prop_ids or list(PROPOSITIONS)
-    return [_run_with_ctx(PROPOSITIONS[pid], ctx) for pid in ids]
+    return [_run_with_ctx(PROPOSITIONS[pid], ctx, instance) for pid in ids]
 
 
 @dataclass(frozen=True)

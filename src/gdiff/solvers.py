@@ -7,8 +7,9 @@ For a graph of order n:
   2|T| + |V - N[T]| (``_max_differential``): set-cover branch and bound on
   an uncovered vertex with the fewest dominators, where the last branch
   leaves it uncovered, pruned by a coverage lower bound; one search finds
-  the value and, when asked, every maximizer, or else one witness: the
-  first maximizer or the first of the largest cardinality;
+  the value and what its ``key`` names: every maximizer (``"all"``), the
+  first maximizer (``"first"``) or the first of the largest cardinality
+  (``"largest"``);
 * domination: set-cover branch and bound (``_DominatingSets``) on an
   undominated vertex with the fewest dominators, pruned by a coverage and a
   packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
@@ -17,9 +18,10 @@ For a graph of order n:
   branching, else branch on a highest-degree vertex; memoized.
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
-on one graph at most once, and ``full_record``, the proposition checks and
-the public one-quantity solvers all read from it. The identities live on it
-and nowhere else. Four quantities are derived instead of searched: the
+on one graph at most once and answers a one-witness differential read from
+the enumeration when that has run. ``full_record``, the proposition checks
+and the public one-quantity solvers all read from it. The identities live
+on it and nowhere else. Four quantities are derived instead of searched: the
 Roman domination number gamma_R = n - diff (Bermudo, Fernau and
 Sigarreta, 2014), the vertex cover number tau = n - alpha (Gallai), the
 enclaveless number psi = n - gamma (Slater, "Enclaveless sets and
@@ -117,6 +119,8 @@ def _max_differential(
     up for ``"largest"``. Each call spends one node plus one per allowed
     and per uncovered vertex, the work it does.
     """
+    if key not in ("all", "first", "largest"):
+        raise ValueError(f"unknown differential search key {key!r}")
     n = len(rows)
     closed = [rows[v] | 1 << v for v in range(n)]
     dominators = [0] * order
@@ -219,18 +223,18 @@ def _max_differential(
 
 
 def differential_exact(
-    g: Graph,
-    enumerate_all: bool = False,
-    budget: int = DEFAULT_BUDGET,
+    g: Graph, key: str = "first", budget: int = DEFAULT_BUDGET
 ) -> DifferentialResult:
     """Maximize |B(S)| - |S| over all subsets S of V.
 
-    With ``enumerate_all`` every maximizer is collected, in the same single
-    pass that finds the value.
+    ``key`` selects the search (see ``_max_differential``): ``"first"``
+    finds the value and the first maximizer, ``"largest"`` the first
+    maximizer of the largest cardinality, and ``"all"`` every maximizer,
+    in the same single pass that finds the value.
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    return _max_differential(g.adj, g.n, "all" if enumerate_all else "first", budget)
+    return _max_differential(g.adj, g.n, key, budget)
 
 
 def _require_r_base(g: Graph) -> None:
@@ -241,24 +245,15 @@ def _require_r_base(g: Graph) -> None:
 
 
 def differential_of_r(
-    g: Graph,
-    enumerate_all: bool = False,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    largest: bool = False,
+    g: Graph, key: str = "first", budget: int = DEFAULT_BUDGET
 ) -> DifferentialResult:
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
     A search over subsets of V with R(g)'s rows, built from g, so R(g)
     itself is never built. It requires a connected g of order at least 3.
-    With ``largest`` the value search's witness is the first maximizer of
-    the largest cardinality instead of the first maximizer (see
-    ``_max_differential``); it excludes ``enumerate_all``.
+    ``key`` selects the search as in ``differential_exact``.
     """
     _require_r_base(g)
-    if enumerate_all and largest:
-        raise ValueError("enumerate_all and largest exclude each other")
-    key = "all" if enumerate_all else "largest" if largest else "first"
     return _max_differential(r_v_rows(g), g.n + g.m, key, budget)
 
 
@@ -494,11 +489,6 @@ def enclaveless_number(
     return InstanceContext(g, budget).psi
 
 
-def lambda_invariant(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """m - n + 2 * (independence number)."""
-    return InstanceContext(g, budget).lam
-
-
 def mu_invariant(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
@@ -507,7 +497,7 @@ def mu_invariant(
     The witness is the first such set of that cardinality. Requires a
     connected base of order at least 3.
     """
-    _, top = InstanceContext(g, budget).diff_r
+    top = InstanceContext(g, budget).diff_r().witness
     return len(top), top
 
 
@@ -516,20 +506,21 @@ class InstanceContext:
 
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
     only when a check inspects it), the differential searches and the
-    domination and independence numbers instead of re-solving. Beside the
-    enumerations ``diff_g`` and ``diff_r_v``, ``diff`` and ``diff_r`` read
-    the value and one witness from a search that enumerates nothing;
-    ``diff_r`` takes both from ``diff_r_v`` when that has already run. A
+    domination and independence numbers instead of re-solving. ``diff`` (on
+    G) and ``diff_r`` (on R(G) over V) take the search's ``key`` (see
+    ``_max_differential``) and run each search at most once; a ``"first"``
+    or ``"largest"`` read is answered from the enumeration (``"all"``) when
+    that has already run. ``diff_rg`` is the exhaustive search over R(G). A
     search that runs out of budget is not run again: its error is cached
-    and raised to every later reader.
+    and raised to every later reader, also to one answered from it.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
         self.g = g
         self.budget = budget
-        self._cache: dict[str, object] = {}
+        self._cache: dict[object, object] = {}
 
-    def _get(self, key: str, fn):
+    def _get(self, key, fn):
         if key not in self._cache:
             try:
                 self._cache[key] = fn()
@@ -539,56 +530,40 @@ class InstanceContext:
             raise self._cache[key]
         return self._cache[key]
 
+    def _differential(self, name: str, search, key: str) -> DifferentialResult:
+        def read():
+            res = self._cache.get((name, "all"))
+            if res is None or key not in ("first", "largest"):
+                return search(self.g, key, self.budget)
+            if isinstance(res, Exception):
+                raise res
+            if key == "first":
+                return res
+            top = next(s for s in res.all_sets if len(s) == res.max_card)
+            return DifferentialResult(res.value, top, res.search_space_size)
+
+        return self._get((name, key), read)
+
     @property
     def rg(self) -> Graph:
         return self._get("rg", lambda: build_r(self.g))
 
-    @property
-    def diff_g(self) -> DifferentialResult:
-        """Differential of the instance, all maximizers enumerated."""
-        return self._get(
-            "diff_g",
-            lambda: differential_exact(
-                self.g, enumerate_all=True, budget=self.budget
-            ),
-        )
+    def diff(self, key: str = "first") -> DifferentialResult:
+        """Differential of the instance by the search ``key``."""
+        return self._differential("diff", differential_exact, key)
 
-    @property
-    def diff_r_v(self) -> DifferentialResult:
-        """Differential of the R-graph over subsets of V, all maximizers."""
-        return self._get(
-            "diff_r_v",
-            lambda: differential_of_r(self.g, enumerate_all=True, budget=self.budget),
-        )
+    def diff_r(self, key: str = "largest") -> DifferentialResult:
+        """Differential of the R-graph over subsets of V by the search ``key``.
 
-    @property
-    def diff(self) -> tuple[int, VertexSet]:
-        """Differential of the instance and its first maximizer."""
-
-        def search():
-            res = differential_exact(self.g, budget=self.budget)
-            return res.value, res.witness
-
-        return self._get("diff", search)
-
-    @property
-    def diff_r(self) -> tuple[int, VertexSet]:
-        """Differential of the R-graph over V and its first largest maximizer.
-
-        Taken from the enumeration over V when that has already run, also
-        when it ran out of budget, so no second search over V runs.
+        The default is the largest-maximizer search, so the value and mu
+        share it.
         """
+        return self._differential("diff_r", differential_of_r, key)
 
-        def search():
-            res = self._cache.get("diff_r_v")
-            if res is None:
-                res = differential_of_r(self.g, budget=self.budget, largest=True)
-                return res.value, res.witness
-            if isinstance(res, Exception):
-                raise res
-            return res.value, next(s for s in res.all_sets if len(s) == res.max_card)
-
-        return self._get("diff_r", search)
+    @property
+    def diff_rg(self) -> DifferentialResult:
+        """Every differential set of the R-graph, by the search over all its subsets."""
+        return self._get("diff_rg", lambda: differential_exact(self.rg, "all", self.budget))
 
     @property
     def diff_r_sizes(self) -> set[int]:
@@ -599,13 +574,13 @@ class InstanceContext:
         N[A], minus 1, so the best E' gains the matching number of G - N[A].
         That is 0 at an optimum: for an edge uv there, adding u or v to A (one
         has degree >= 2, G being connected of order >= 3) gains more than the
-        matching loses. So the value is diff_r_v's, and the differential sets
-        are A + E' with A among diff_r_v's sets and E' one edge-vertex at each
+        matching loses. So the value is diff_r's, and the differential sets
+        are A + E' with A among diff_r's sets and E' one edge-vertex at each
         of any vertices of the exterior C(A): |A| to |A| + |C(A)| members.
         """
         return {
             k
-            for a in self.diff_r_v.all_sets
+            for a in self.diff_r("all").all_sets
             for k in range(len(a), len(a) + len(self.g.exterior(a)) + 1)
         }
 
@@ -660,8 +635,8 @@ class InstanceContext:
 
         The witness is the Roman labeling of the differential witness.
         """
-        value, witness = self.diff
-        return self.g.n - value, roman_labeling(self.g, witness)
+        res = self.diff()
+        return self.g.n - res.value, roman_labeling(self.g, res.witness)
 
     @property
     def lam(self) -> int:
@@ -671,7 +646,7 @@ class InstanceContext:
     @property
     def mu(self) -> int:
         """Largest cardinality of a differential set of R(G) inside V."""
-        return len(self.diff_r[1])
+        return len(self.diff_r().witness)
 
 
 @dataclass(frozen=True)
@@ -741,8 +716,8 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
         m=g.m,
         delta_min=stats.minimum,
         delta_max=stats.maximum,
-        diff=read("diff", lambda: ctx.diff[0]),
-        diff_r=read("diff_r", lambda: ctx.diff_r[0]),
+        diff=read("diff", lambda: ctx.diff().value),
+        diff_r=read("diff_r", lambda: ctx.diff_r().value),
         gamma=read("gamma", lambda: ctx.gamma[0]),
         tau=read("tau", lambda: ctx.tau[0]),
         alpha=read("alpha", lambda: ctx.alpha[0]),

@@ -18,10 +18,10 @@ from gdiff.families import complete, complete_bipartite, kprime, path, star, sta
 from gdiff.propositions import run_census, run_proposition
 from gdiff.roperator import build_r
 from gdiff.solvers import (
+    InstanceContext,
     differential_exact,
     differential_of_r,
     domination_number,
-    lambda_invariant,
     mu_invariant,
     vertex_cover_number,
 )
@@ -77,7 +77,7 @@ def test_criterion_04_uniqueness():
     with criterion("04 unique differential set of R(K_pq) is P", limit=120):
         for p, q in ((1, 3), (2, 3), (2, 4), (3, 4), (2, 5)):
             r = build_r(complete_bipartite(p, q))
-            res = differential_exact(r, enumerate_all=True)
+            res = differential_exact(r, "all")
             assert len(res.all_sets) == 1, (p, q, res.all_sets)
             assert res.all_sets[0] == VertexSet(r.n, (1 << p) - 1)
 
@@ -101,8 +101,8 @@ def test_criterion_05_cover_domination_duality():
 def test_criterion_06_main_bounds():
     with criterion("06 lambda <= diff(R) <= lambda + floor((n - mu)/2)", limit=600):
         for g in census_3_to_6():
-            res = differential_of_r(g, enumerate_all=True)
-            lam = lambda_invariant(g)
+            res = differential_of_r(g, "all")
+            lam = InstanceContext(g).lam
             mu = res.max_card
             assert lam <= res.value <= lam + (g.n - mu) // 2, write_graph6(g)
 
@@ -111,16 +111,16 @@ def test_criterion_07_tightness():
     with criterion("07 tight families K_{r,2r} and K'_{r,2r}", limit=300):
         # r = 2
         assert differential_of_r(complete_bipartite(2, 4)).value == 10
-        assert lambda_invariant(complete_bipartite(2, 4)) == 10
+        assert InstanceContext(complete_bipartite(2, 4)).lam == 10
         assert differential_of_r(kprime(2)).value == 10
-        assert lambda_invariant(kprime(2)) == 8
+        assert InstanceContext(kprime(2)).lam == 8
         assert mu_invariant(kprime(2))[0] == 2
         assert 8 + (6 - 2) // 2 == 10
         # r = 3
         assert differential_of_r(complete_bipartite(3, 6)).value == 21
-        assert lambda_invariant(complete_bipartite(3, 6)) == 21
+        assert InstanceContext(complete_bipartite(3, 6)).lam == 21
         assert differential_of_r(kprime(3)).value == 21
-        assert lambda_invariant(kprime(3)) == 18
+        assert InstanceContext(kprime(3)).lam == 18
         assert mu_invariant(kprime(3))[0] == 3
         assert 18 + (9 - 3) // 2 == 21
 

@@ -92,26 +92,27 @@ def test_full_space_checks_answer_beyond_the_exhaustive_search():
 
 def test_full_space_fail_paths_run_the_exhaustive_search(monkeypatch):
     # When the sets inside V do not confirm P03, P06 or P09, the exhaustive
-    # search over R(G) decides and lists the sets. Here a stand-in V search
-    # finds only the empty set, with differential 0 instead of 7.
-    import gdiff.propositions as props
+    # search over R(G) decides and lists the sets; it runs once and the
+    # three checks share it. Here a stand-in V search finds only the empty
+    # set, with differential 0 instead of 7.
     import gdiff.solvers as solvers
 
+    g = complete_bipartite(2, 3)
     empty = VertexSet(5, 0)
     low = solvers.DifferentialResult(0, empty, 0, (empty,), 0, 0)
-    monkeypatch.setattr(solvers, "differential_of_r", lambda g, enumerate_all, budget: low)
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: low)
     runs = []
-    exhaustive = props.differential_exact
+    search = solvers.differential_exact
     monkeypatch.setattr(
-        props, "differential_exact", lambda *a, **k: runs.append(a) or exhaustive(*a, **k)
+        solvers, "differential_exact", lambda h, *a: runs.append(h.n) or search(h, *a)
     )
-    reports = run_all(complete_bipartite(2, 3), ["P03", "P06", "P09"])
+    reports = run_all(g, ["P03", "P06", "P09"])
     assert [(r.status, r.witness_sets, r.note) for r in reports] == [
         ("fail", ((0, 1), ()), "full value 7 != V-restricted value 0"),
         ("pass", (), ""),
         ("pass", ((0, 1),), ""),
     ]
-    assert len(runs) == 3
+    assert runs.count(g.n + g.m) == 1
 
 
 def test_p18_verdict_is_definitive():
@@ -351,7 +352,7 @@ def test_bipartite_differential_set_shapes_recorded():
     # cross-part pairs always; for p = 3 the singletons of the small part tie.
     for p, q in ((3, 4), (3, 5), (4, 5)):
         g = complete_bipartite(p, q)
-        res = differential_exact(g, enumerate_all=True)
+        res = differential_exact(g, "all")
         shapes = set()
         for s in res.all_sets:
             in_p = sum(1 for v in s if v < p)

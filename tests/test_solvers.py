@@ -27,7 +27,6 @@ from gdiff.solvers import (
     independence_number,
     is_dominating,
     is_vertex_cover,
-    lambda_invariant,
     mu_invariant,
     roman_domination_number,
     vertex_cover_number,
@@ -82,7 +81,7 @@ def test_differential_pruned_equals_naive_random():
 
 def test_differential_enumeration_complete():
     g = path(7)
-    res = differential_exact(g, enumerate_all=True)
+    res = differential_exact(g, "all")
     expected = {VertexSet(7, m) for m in naive_differential_sets(g)}
     assert set(res.all_sets) == expected
     assert res.min_card == min(len(s) for s in expected)
@@ -93,7 +92,7 @@ def test_differential_enumeration_complete():
 def test_differential_enumeration_matches_naive_random():
     # one pass finds the value and every maximizer, in (cardinality, lex) order
     for g in random_graphs(seed=61, count=60, nmin=1):
-        res = differential_exact(g, enumerate_all=True)
+        res = differential_exact(g, "all")
         expected = card_lex_order(naive_differential_sets(g))
         assert res.value == naive_differential(g)
         assert [s.mask for s in res.all_sets] == expected
@@ -145,7 +144,7 @@ def test_differential_of_r_modes_agree():
         in_r = naive_r_differentials(g)
         value = max(in_r)
         expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
-        vres = differential_of_r(g, enumerate_all=True)
+        vres = differential_of_r(g, "all")
         assert vres.value == value, write_graph6(g)
         assert vres.witness.mask == expected[0]
         assert [s.mask for s in vres.all_sets] == expected
@@ -171,7 +170,7 @@ def test_differential_searches_match_the_oracles_beyond_order_10():
         )
         for search, value, maximizers in cases:
             expected = card_lex_order(maximizers)
-            res = search(g, enumerate_all=True)
+            res = search(g, "all")
             assert res.value == value, (search.__name__, write_graph6(g))
             assert res.witness.mask == expected[0]
             assert [s.mask for s in res.all_sets] == expected
@@ -210,30 +209,42 @@ def test_mu_matches_the_oracle():
         value = max(in_r)
         mu = max(m.bit_count() for m, d in enumerate(in_r) if d == value)
         first = card_lex_order(m for m, d in enumerate(in_r) if d == value and m.bit_count() == mu)
-        assert InstanceContext(g).diff_r == (value, VertexSet(g.n, first[0])), write_graph6(g)
+        res = InstanceContext(g).diff_r()
+        assert (res.value, res.witness) == (value, VertexSet(g.n, first[0])), write_graph6(g)
         assert mu_invariant(g) == (mu, VertexSet(g.n, first[0]))
 
 
 def test_diff_r_reuses_the_enumeration(monkeypatch):
-    # Once the enumeration over V has run, diff_r takes its answer, or its
-    # budget error, from it and starts no search of its own.
+    # Once the enumeration ("all") over V, or over G, has run, a "first" or
+    # "largest" read takes its answer, or its budget error, from it and
+    # starts no search of its own.
     import gdiff.solvers as solvers
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a second search over V ran")
+        raise AssertionError("a second search ran")
 
     g = wheel(7)
-    expected = InstanceContext(g).diff_r
+    reads = (("diff", "differential_exact"), ("diff_r", "differential_of_r"))
+    expected = {}
+    for read, _ in reads:
+        for key in ("first", "largest"):
+            res = getattr(InstanceContext(g), read)(key)
+            expected[read, key] = (res.value, res.witness)
     ctx = InstanceContext(g)
-    assert ctx.diff_r_v.all_sets
     failed = InstanceContext(cycle(16), budget=50)
-    with pytest.raises(BudgetExceededError):
-        failed.diff_r_v
-    monkeypatch.setattr(solvers, "differential_of_r", refuse)
-    assert ctx.diff_r == expected
-    assert ctx.mu == ctx.diff_r_v.max_card
-    with pytest.raises(BudgetExceededError):
-        failed.diff_r
+    for read, _ in reads:
+        assert getattr(ctx, read)("all").all_sets
+        with pytest.raises(BudgetExceededError):
+            getattr(failed, read)("all")
+    for _, search in reads:
+        monkeypatch.setattr(solvers, search, refuse)
+    for (read, key), want in expected.items():
+        res = getattr(ctx, read)(key)
+        assert (res.value, res.witness) == want, (read, key)
+        with pytest.raises(BudgetExceededError):
+            getattr(failed, read)(key)
+    assert ctx.diff() == ctx.diff("all")
+    assert ctx.mu == ctx.diff_r("all").max_card
 
 
 def test_r_differential_sets_match_the_exhaustive_search():
@@ -250,8 +261,8 @@ def test_r_differential_sets_match_the_exhaustive_search():
             continue
         checked += 1
         ctx = InstanceContext(g)
-        vres = ctx.diff_r_v
-        brute = differential_exact(build_r(g), enumerate_all=True)
+        vres = ctx.diff_r("all")
+        brute = differential_exact(build_r(g), "all")
         assert vres.value == brute.value, write_graph6(g)
         by_a = {}
         for s in brute.all_sets:
@@ -275,7 +286,7 @@ def test_differential_of_r_budget_bounds_the_work():
     # the 4 vertices of K4 and the 10 of R(K4), where the whole value
     # search takes 4 nodes.
     with pytest.raises(BudgetExceededError):
-        differential_of_r(kprime(21), enumerate_all=True, budget=10**6)
+        differential_of_r(kprime(21), "all", budget=10**6)
     with pytest.raises(BudgetExceededError):
         differential_of_r(complete(4), budget=14)
 
@@ -286,8 +297,16 @@ def test_differential_of_r_guards():
     disconnected = complete(3).disjoint_union(complete(3))
     with pytest.raises(ValueError, match="require a connected graph"):
         differential_of_r(disconnected)
-    with pytest.raises(ValueError, match="exclude each other"):
-        differential_of_r(path(3), enumerate_all=True, largest=True)
+    # an unknown key is refused, not searched with another key's prices
+    for search in (differential_exact, differential_of_r):
+        with pytest.raises(ValueError, match="unknown differential search key 'Largest'"):
+            search(cycle(5), "Largest")
+    ctx = InstanceContext(cycle(5))
+    assert (ctx.diff("all").value, ctx.diff_r("all").value) == (1, 5)
+    with pytest.raises(ValueError, match="unknown differential search key"):
+        ctx.diff("Largest")
+    with pytest.raises(ValueError, match="unknown differential search key"):
+        ctx.diff_r("every")
     # the full-space search still works on the same instance
     assert differential_exact(build_r(disconnected)).value > 0
 
@@ -584,9 +603,9 @@ def test_enclaveless_matches_naive_and_domination_bound():
 
 
 def test_lambda_known_values():
-    assert lambda_invariant(complete_bipartite(2, 4)) == 10
-    assert lambda_invariant(kprime(2)) == 8
-    assert lambda_invariant(path(7)) == 7
+    assert InstanceContext(complete_bipartite(2, 4)).lam == 10
+    assert InstanceContext(kprime(2)).lam == 8
+    assert InstanceContext(path(7)).lam == 7
 
 
 def test_mu_known_values():
@@ -662,7 +681,7 @@ def test_full_record_matches_separate_solvers():
         assert record.mu == mu_invariant(g)[0]
         assert record.tau == naive_vertex_cover(g)
         assert record.psi == naive_enclaveless(g)
-        assert record.lam == lambda_invariant(g)
+        assert record.lam == InstanceContext(g).lam
     # every field of the shared-cache record against the oracles
     rng = Random(89)
     for _ in range(40):
@@ -692,7 +711,8 @@ def test_full_record_answers_c32_and_w64_at_the_default_budget():
     for g, diff_r, mu in ((cycle(32), 32, 16), (wheel(64), 2 * 64 - 3, 32)):
         record = full_record(g)
         assert (record.diff_r, record.mu, record.skipped) == (diff_r, mu, {})
-        value, top = InstanceContext(g).diff_r
+        res = InstanceContext(g).diff_r()
+        value, top = res.value, res.witness
         r = build_r(g)
         assert (value, len(top)) == (diff_r, mu)
         assert r.set_differential(VertexSet(r.n, top.mask)) == diff_r
