@@ -39,6 +39,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gdiff",
@@ -62,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in ("json", "csv"):
             fmt.add_argument(f"--{name}", dest="report_format", action="store_const", const=name)
         p.set_defaults(report_format="json")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search node budget")
 
     p_family = sub.add_parser("family", help="emit a family graph")
     add_family(p_family, required=True)
@@ -84,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="run proposition checks over the census")
     p_census.add_argument("--nmax", type=int, default=5, help=f"largest order, up to {CANONICAL_MAX}")
     p_census.add_argument("--props", default="all")
-    p_census.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_census.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     # The census reads no graphs. --input is accepted and ignored because the
     # benchmark's set-up probe (bench/run.py) reads args.input on every command.
     p_census.add_argument("--input", default="-", help=argparse.SUPPRESS)
@@ -141,6 +151,8 @@ def _parse_props(value: str) -> list[str]:
     if value == "all":
         return list(PROPOSITIONS)
     ids = [token.strip().upper() for token in value.split(",") if token.strip()]
+    if not ids:
+        raise FormatError(f"no proposition ids in {value!r}")
     for pid in ids:
         if pid not in PROPOSITIONS:
             raise FormatError(f"unknown proposition id {pid!r}")

@@ -16,7 +16,7 @@ run at most once per instance) decide and list them.
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
 P01  structural identities of the R-graph construction
-P02  some minimum dominating set of R(G) lies inside V, certified by a vertex cover
+P02  some minimum dominating set of R(G) lies inside V: the colex-first one does
 P03  V contains a differential set of R(G) of every realized cardinality
 P04  some differential set of R(G) inside V dominates G
 P05  min degree >= 2 forces every differential set inside V to dominate G
@@ -57,7 +57,6 @@ from .roperator import validate_r
 from .solvers import (
     DEFAULT_BUDGET,
     InstanceContext,
-    domination_number,
     is_dominating,
     is_vertex_cover,
     roman_labeling,
@@ -141,20 +140,11 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
-    # A set inside V dominates R(G) iff it covers every edge of G (G connected, n >= 3).
-    gamma, _, _ = ctx.gamma_r
-    tau, cover = ctx.tau
-    if tau == gamma and is_dominating(ctx.rg, cover.members):
-        return PASS, (cover.members,), ""
-    _, _, all_min = domination_number(ctx.rg, enumerate_min=True, budget=ctx.budget)
-    for d in all_min:
-        if d.mask < 1 << ctx.g.n:
-            return PASS, (d.members,), ""
-    return (
-        FAIL,
-        tuple(w.members for w in all_min),
-        "no minimum dominating set lies inside V",
-    )
+    # V comes first in colex order, so the witness lies inside V iff some minimum does.
+    _, dom = ctx.gamma_r
+    if dom.mask < 1 << ctx.g.n:
+        return PASS, (dom.members,), ""
+    return FAIL, (dom.members,), "no minimum dominating set lies inside V"
 
 
 @_register("P03", "differential set of R(G) inside V of every realized size", _connected3)
@@ -325,7 +315,7 @@ def _p10(ctx):
 @_register("P11", "vertex cover of G equals domination of R(G)", _connected3)
 def _p11(ctx):
     tau, cover = ctx.tau
-    gamma, dom, _ = ctx.gamma_r
+    gamma, dom = ctx.gamma_r
     if tau == gamma:
         return PASS, (), f"tau = gamma(R) = {tau}"
     return (

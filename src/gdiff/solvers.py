@@ -36,8 +36,14 @@ the full subset space follow from the sets inside V (see
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple among minimum-cardinality optima, which keeps
-reports reproducible. Searches that would exceed their node budget raise
-BudgetExceededError rather than returning a partial answer.
+reports reproducible. Domination witnesses are the exception: they are the
+first minimum in colex order, which compares two sets of one size by the
+largest vertex in which they differ and puts first the one without it.
+R(G) numbers V below every edge-vertex, so the colex-first minimum
+dominating set of R(G) lies inside V exactly when some minimum does, and
+one search answers both the domination number and that question. Searches
+that would exceed their node budget raise BudgetExceededError rather than
+returning a partial answer.
 """
 
 from __future__ import annotations
@@ -345,59 +351,44 @@ class _DominatingSets:
                 return best
             best = smaller
 
-    def all_minima(self, gamma: int) -> list[int]:
-        """Every dominating set of ``gamma`` members, the minimum, in lex order."""
-        minima = self.covers(self.full, self.full, 0, gamma)
-        return sorted(minima, key=lambda m: tuple(bits(m)))
-
     def first_minimum(self, best: int) -> int:
-        """The first minimum in itertools.combinations order, given the minimum ``best``.
+        """The first minimum in colex order, given the minimum ``best``.
 
-        Walk the vertices in index order and keep a vertex when some minimum
-        set agrees with every decision so far and contains it. ``best``, kept
-        agreeing, answers when it contains the vertex; else a search over the
-        later vertices does, and its set becomes ``best``.
+        Walk the vertices from the highest index down and leave a vertex out
+        when some minimum set agrees with every decision so far and avoids
+        it. ``best``, kept agreeing, answers when it avoids the vertex; else
+        a search over the lower vertices does, and its set becomes ``best``.
         """
         gamma = best.bit_count()
         kept = 0
-        later = self.full
-        for v in bits(self.full):
-            if kept.bit_count() == gamma:
-                break
-            later &= ~(1 << v)
-            trial = kept | 1 << v
-            if not best >> v & 1:
-                undominated = self.full & ~_union(self.rows, trial)
-                limit = gamma - trial.bit_count()
-                agreeing = next(self.covers(undominated, later, trial, limit), None)
-                if agreeing is None:
-                    continue
+        below = best
+        while below:
+            v = below.bit_length() - 1
+            lower = (1 << v) - 1
+            undominated = self.full & ~_union(self.rows, kept)
+            limit = gamma - kept.bit_count()
+            agreeing = next(self.covers(undominated, lower, kept, limit), None)
+            if agreeing is None:
+                kept |= 1 << v
+            else:
                 best = agreeing
-            kept = trial
+            below = best & lower
         return best
 
 
 def domination_number(
-    g: Graph,
-    enumerate_min: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[int, VertexSet, tuple[VertexSet, ...] | None]:
-    """Minimum dominating set size, one witness, optionally all minima.
+    g: Graph, budget: int = DEFAULT_BUDGET
+) -> tuple[int, VertexSet]:
+    """Minimum dominating set size and its first minimum set in colex order.
 
-    The witness is the first minimum in itertools.combinations order. A
-    value pass finds some minimum set; then either a witness pass finds the
-    first one, or one search bounded at the value collects them all (see
-    ``_DominatingSets``).
+    A value pass finds some minimum set; a witness pass then finds the
+    first one (see ``_DominatingSets``). Both spend from one budget.
     """
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
     search = _DominatingSets(g, budget)
     best = search.minimum()
-    gamma = best.bit_count()
-    if enumerate_min:
-        found = tuple(VertexSet(g.n, m) for m in search.all_minima(gamma))
-        return gamma, found[0], found
-    return gamma, VertexSet(g.n, search.first_minimum(best)), None
+    return best.bit_count(), VertexSet(g.n, search.first_minimum(best))
 
 
 def vertex_cover_number(
@@ -506,7 +497,9 @@ class InstanceContext:
 
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
     only when a check inspects it), the differential searches and the
-    domination and independence numbers instead of re-solving. ``diff`` (on
+    domination and independence numbers instead of re-solving. One
+    domination search on R(G) (``gamma_r``) serves both its value and the
+    question whether a minimum set lies inside V. ``diff`` (on
     G) and ``diff_r`` (on R(G) over V) take the search's ``key`` (see
     ``_max_differential``) and run each search at most once; a ``"first"``
     or ``"largest"`` read is answered from the enumeration (``"all"``) when
@@ -585,15 +578,18 @@ class InstanceContext:
         }
 
     @property
-    def gamma(self) -> tuple[int, VertexSet, None]:
-        """Domination number of the instance and its first minimum set."""
+    def gamma(self) -> tuple[int, VertexSet]:
+        """Domination number of the instance and its colex-first minimum set."""
         return self._get(
             "gamma", lambda: domination_number(self.g, budget=self.budget)
         )
 
     @property
-    def gamma_r(self) -> tuple[int, VertexSet, None]:
-        """Domination number of the R-graph and its first minimum set."""
+    def gamma_r(self) -> tuple[int, VertexSet]:
+        """Domination number of the R-graph and its colex-first minimum set.
+
+        The set lies inside V exactly when some minimum set does.
+        """
         return self._get(
             "gamma_r",
             lambda: domination_number(self.rg, budget=self.budget),
@@ -626,7 +622,7 @@ class InstanceContext:
         """
         if self.g.n == 0:
             return 0, VertexSet(0)
-        gamma, dominating, _ = self.gamma
+        gamma, dominating = self.gamma
         return self.g.n - gamma, dominating
 
     @property

@@ -205,6 +205,33 @@ def test_verify_unknown_prop(capsys, monkeypatch):
     assert code == 2
 
 
+def test_props_without_ids_is_a_usage_error(capsys, monkeypatch):
+    # an empty id list names no check; it must not run all of them
+    for args in (
+        ["verify", "--props", ",", "--kind", "wheel", "--n", "5"],
+        ["census", "--props", " ", "--nmax", "3"],
+    ):
+        code, out, err = run_cli(capsys, monkeypatch, args)
+        assert (code, out) == (2, ""), args
+        assert "no proposition ids" in err
+
+
+def test_budget_and_jobs_below_one_are_usage_errors(capsys, monkeypatch):
+    g6 = write_graph6(complete_bipartite(2, 3)) + "\n"
+    for args in (
+        ["verify", "--props", "P01", "--kind", "wheel", "--n", "5", "--budget", "-3"],
+        ["compute", "--budget", "0"],
+        ["census", "--nmax", "3", "--jobs", "-2"],
+        ["census", "--nmax", "3", "--jobs", "0"],
+        ["census", "--nmax", "3", "--jobs", "two"],
+    ):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin=g6)
+        assert (code, out) == (2, ""), args
+        assert "expected an integer of at least 1" in err
+    args = ["census", "--nmax", "3", "--props", "P01", "--jobs", "1", "--budget", "1000"]
+    assert run_cli(capsys, monkeypatch, args)[0] == 0
+
+
 def test_census_csv_summary(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["census", "--nmax", "5", "--props", "all", "--csv"]

@@ -3,7 +3,7 @@ from random import Random
 
 from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6, write_graph6
-from gdiff.core import Graph, VertexSet
+from gdiff.core import Graph, VertexSet, bits
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -26,10 +26,15 @@ from gdiff.solvers import (
     differential_of_r,
     domination_number,
     mu_invariant,
-    vertex_cover_number,
 )
 
-from oracles import naive_p12, random_graph, random_graphs
+from oracles import (
+    card_colex_order,
+    naive_minimum_dominating_sets,
+    naive_p12,
+    random_graph,
+    random_graphs,
+)
 
 
 def test_registry_is_complete():
@@ -211,42 +216,51 @@ def test_p17_certifies_the_roman_labeling(monkeypatch):
 
 
 def test_p02_p11_witnesses_on_census():
-    # P02's witness is the minimum vertex cover of G, one of the minimum
-    # dominating sets of R(G) that lie inside V; P11 passes with the shared
-    # value in its note.
+    # P02's witness is the colex-first minimum dominating set of R(G), which
+    # lies inside V; P11 passes with the shared value in its note. The scan
+    # of all 2^(n+m) sets of R(G) is fast up to order 5; at order 6 it scans
+    # the sets inside V, whose minima are minimum overall when P11 passes.
     for n in range(3, 7):
         for g in connected_census(n):
-            gamma, _, all_min = domination_number(build_r(g), enumerate_min=True)
-            inside = [w.members for w in all_min if w.mask < 1 << g.n]
-            cover = vertex_cover_number(g)[1].members
+            within = None if n <= 5 else g.full_mask
+            first = card_colex_order(naive_minimum_dominating_sets(build_r(g), within))[0]
             p02, p11 = run_all(g, ["P02", "P11"])
-            assert (p02.status, p02.witness_sets, p02.note) == ("pass", (cover,), "")
-            assert cover in inside
+            assert (p02.status, p02.witness_sets, p02.note) == ("pass", (tuple(bits(first)),), "")
+            assert first < 1 << g.n
+            gamma = first.bit_count()
             assert (p11.status, p11.witness_sets, p11.note) == ("pass", (), f"tau = gamma(R) = {gamma}")
 
 
 def test_p02_p11_run_one_domination_search(monkeypatch):
-    # P02 reads the domination number of R(G) that P11 needs and certifies
-    # it with the vertex cover: one domination search per graph.
-    import gdiff.propositions as props
+    # P02 reads the witness of the domination search on R(G) that P11 needs
+    # for its value: one domination search per graph, and P02 alone needs
+    # no independence search.
     import gdiff.solvers as solvers
 
     calls = []
-    search = solvers.domination_number
 
-    def counting(g, *args, **kwargs):
-        calls.append(write_graph6(g))
-        return search(g, *args, **kwargs)
+    def counting(fn):
+        def wrapper(g, *args, **kwargs):
+            calls.append((fn.__name__, write_graph6(g)))
+            return fn(g, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "domination_number", counting)
-    monkeypatch.setattr(props, "domination_number", counting)
+        return wrapper
+
+    for name in ("domination_number", "independence_number"):
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     graphs = [g for n in range(3, 6) for g in connected_census(n)]
     graphs += [cycle(9), wheel(8), kprime(3), complete_bipartite(2, 5)]
     for g in graphs:
         calls.clear()
+        assert run_proposition("P02", g).status == "pass"
+        assert calls == [("domination_number", write_graph6(build_r(g)))]
+        calls.clear()
         p02, p11 = run_all(g, ["P02", "P11"])
         assert (p02.status, p11.status) == ("pass", "pass")
-        assert calls == [write_graph6(build_r(g))]
+        assert sorted(calls) == [
+            ("domination_number", write_graph6(build_r(g))),
+            ("independence_number", write_graph6(g)),
+        ]
 
 
 def test_p02_p11_pass_beyond_the_census():
@@ -266,24 +280,25 @@ def test_p02_p11_pass_beyond_the_census():
 
 
 def test_p02_on_hand_built_operator_graphs(monkeypatch):
-    # On a real R(G) P02 always passes, and the first minimum overall has so
-    # far always lain inside V; hand-built stand-ins reach the other
-    # branches. V = {0, 1, 2}, U = {3, 4}.
+    # On a real R(G) P02 always passes; hand-built stand-ins reach the other
+    # cases. V = {0, 1, 2}, U = {3, 4}.
     import gdiff.solvers as solvers
 
     def stand_in(edges):
         return lambda g: Graph.from_edges(5, edges)
 
-    # minima {0, 3} and {1, 2}: the witness is the first one inside V
+    # minima {0, 3} and {1, 2}: the lex-first {0, 3} lies outside V, but
+    # the colex-first {1, 2}, the witness, lies inside
     monkeypatch.setattr(solvers, "build_r", stand_in([(0, 1), (1, 4), (2, 3), (3, 4)]))
     report = run_proposition("P02", path(3))
     assert (report.status, report.witness_sets) == ("pass", ((1, 2),))
-    # minima {0, 3} and {3, 4}; V needs 3 vertices: every minimum is the witness
+    # minima {0, 3} and {3, 4}; V needs 3 vertices: the colex-first minimum,
+    # outside V, is the witness that none lies inside
     monkeypatch.setattr(solvers, "build_r", stand_in([(0, 4), (1, 3), (2, 3)]))
     report = run_proposition("P02", path(3))
     assert (report.status, report.witness_sets, report.note) == (
         "fail",
-        ((0, 3), (3, 4)),
+        ((0, 3),),
         "no minimum dominating set lies inside V",
     )
 

@@ -33,6 +33,7 @@ from gdiff.solvers import (
 )
 
 from oracles import (
+    card_colex_order,
     card_lex_order,
     naive_differential,
     naive_differential_sets,
@@ -315,40 +316,27 @@ def test_differential_of_r_guards():
 
 
 def test_domination_known_values():
-    gamma, witness, _ = domination_number(star(5))
+    gamma, witness = domination_number(star(5))
     assert gamma == 1 and witness.members == (0,)
     assert domination_number(cycle(6))[0] == 2
     assert domination_number(build_r(kprime(2)))[0] == 4
 
 
-def test_domination_enumerate_min():
-    gamma, witness, all_min = domination_number(cycle(4), enumerate_min=True)
-    assert gamma == 2
-    assert witness == all_min[0]
-    assert all(is_dominating(cycle(4), s) for s in all_min)
-    assert {s.members for s in all_min} == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-
-
 def test_domination_matches_naive():
-    for n in range(1, 6):
-        for g in connected_census(n):
-            assert domination_number(g)[0] == naive_domination(g)
+    graphs = [g for n in range(1, 6) for g in connected_census(n)]
     # orders 11-14 go past the census, where the 2^n oracle still answers fast
-    graphs = random_graphs(seed=67, count=60, nmin=1)
+    graphs += random_graphs(seed=67, count=60, nmin=1)
     graphs += random_graphs(seed=71, count=20, nmin=11, nmax=14)
     for g in graphs:
-        gamma, witness, all_min = domination_number(g, enumerate_min=True)
-        expected = card_lex_order(naive_minimum_dominating_sets(g))
+        gamma, witness = domination_number(g)
         assert gamma == naive_domination(g)
-        assert [s.mask for s in all_min] == expected
-        assert witness.mask == expected[0]
-        assert domination_number(g)[1] == witness
+        assert witness.mask == card_colex_order(naive_minimum_dominating_sets(g))[0]
 
 
 def test_minimum_dominating_sets_of_r_inside_v_are_minimum_covers():
     # A set inside V dominates R(G) iff it covers every edge of G, so the
     # minimum dominating sets of R(G) inside V have tau(G) members and the
-    # vertex cover witness is one of them: the certificate P02 checks.
+    # vertex cover witness is one of them: why P11's tau = gamma(R) holds.
     rng = Random(89)
     graphs = [g for n in range(3, 7) for g in connected_census(n)]
     graphs += [random_connected_graph(rng, rng.randint(3, 10)) for _ in range(60)]
@@ -370,7 +358,7 @@ def test_domination_of_cycles_and_paths():
     for n in range(1, 65):
         graphs = (path(n), cycle(n)) if n >= 3 else (path(n),)
         for g in graphs:
-            gamma, witness, _ = domination_number(g, budget=2_000_000)
+            gamma, witness = domination_number(g, budget=2_000_000)
             assert gamma == len(witness) == -(-n // 3)
             assert is_dominating(g, witness)
 
@@ -379,7 +367,7 @@ def test_domination_spends_one_budget_on_every_pass(monkeypatch):
     # On cycle(10) the value pass ends on a minimum set that is not the
     # first one, so the witness pass searches too. A budget the value pass
     # uses up exactly runs out in the witness pass; one node less runs out
-    # before it starts. The enumeration pass spends from the same budget.
+    # before it starts.
     import gdiff.solvers as solvers
 
     entered = []
@@ -399,26 +387,19 @@ def test_domination_spends_one_budget_on_every_pass(monkeypatch):
     with pytest.raises(BudgetExceededError):
         domination_number(g, budget=value_nodes)
     assert entered == [value_nodes]
-    with pytest.raises(BudgetExceededError):
-        domination_number(g, enumerate_min=True, budget=value_nodes)
 
 
 def test_domination_on_large_sparse_graphs():
     # The graphs of test_compute_on_large_sparse_graphs_ends_within_budget:
     # orders 32-56 answer at a budget of 2e6 nodes, where the k-subset scan
-    # ran out, and order 64 answers or runs out of budget. Up to order 48
-    # the witness is the first set of the enumeration.
+    # ran out, and order 64 answers or runs out of budget.
     for g in sparse_connected_graphs(109, (24, 32, 40, 48, 56, 64))[1:]:
         try:
-            gamma, witness, _ = domination_number(g, budget=2_000_000)
+            gamma, witness = domination_number(g, budget=2_000_000)
         except BudgetExceededError:
             assert g.n == 64
             continue
         assert len(witness) == gamma and is_dominating(g, witness)
-        if g.n <= 48:
-            _, first, all_min = domination_number(g, enumerate_min=True, budget=2_000_000)
-            assert first == witness == all_min[0]
-            assert all(len(s) == gamma and is_dominating(g, s) for s in all_min)
 
 
 def test_vertex_cover_known_values():
@@ -758,7 +739,7 @@ def test_witnesses_recheck_on_random_graphs():
         g = random_connected_graph(rng, rng.randint(3, 6))
         res = differential_exact(g)
         assert g.set_differential(res.witness) == res.value
-        gamma, dom, _ = domination_number(g)
+        gamma, dom = domination_number(g)
         assert is_dominating(g, dom) and len(dom) == gamma
         tau, cover = vertex_cover_number(g)
         assert is_vertex_cover(g, cover) and len(cover) == tau
