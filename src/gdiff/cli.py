@@ -109,10 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(args) -> str:
     if args.input == "-":
         return sys.stdin.read()
-    path = Path(args.input)
-    if not path.exists():
-        raise FormatError(f"input file not found: {path}")
-    return path.read_text()
+    return Path(args.input).read_text()
 
 
 def _read_graphs(args) -> list[Graph]:
@@ -176,7 +173,7 @@ def cli(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (FormatError, CapacityError, ValueError) as exc:
+    except (FormatError, CapacityError, ValueError, OSError) as exc:
         print(f"gdiff: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

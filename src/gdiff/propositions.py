@@ -193,9 +193,10 @@ def _p05(ctx):
 
 @_register("P06", "min degree >= 2 forces |Y| >= |X| across differential sets", _min_degree2)
 def _p06(ctx):
-    biggest_x = max(ctx.diff("all").all_sets, key=len)
-    # min_card is the least size of a differential set of R(G) (see diff_r_sizes).
-    if ctx.diff_r("all").min_card >= len(biggest_x):
+    biggest_x = ctx.diff("all").witness
+    # The least size of a differential set of R(G) is that of the first
+    # set inside V (see diff_r_sizes).
+    if len(ctx.diff_r("all").all_sets[0]) >= len(biggest_x):
         return PASS, (), ""
     smallest_y = min(ctx.diff_rg.all_sets, key=len)
     if len(smallest_y) >= len(biggest_x):
@@ -365,7 +366,7 @@ def _p13(ctx):
                 (s.members, bound.members),
                 "maximal differential set with boundary not 1-dependent",
             )
-        if len(s) == res.max_card and not maximal:
+        if len(s) == len(res.witness) and not maximal:
             return (
                 FAIL,
                 (s.members,),
@@ -378,7 +379,7 @@ def _p13(ctx):
 def _p14(ctx):
     res = ctx.diff_r("all")
     r = ctx.rg
-    mu = res.max_card
+    mu = len(res.witness)
     for s in res.all_sets:
         if len(s) != mu:
             continue

@@ -7,9 +7,9 @@ For a graph of order n:
   2|T| + |V - N[T]| (``_max_differential``): set-cover branch and bound on
   an uncovered vertex with the fewest dominators, where the last branch
   leaves it uncovered, pruned by a coverage lower bound; one search finds
-  the value and what its ``key`` names: every maximizer (``"all"``), the
-  first maximizer (``"first"``) or the first of the largest cardinality
-  (``"largest"``);
+  the value and the first maximizer of the largest cardinality, and its
+  ``key`` says whether it also enumerates every maximizer (``"all"``) or
+  not (``"largest"``);
 * domination: set-cover branch and bound (``_DominatingSets``) on an
   undominated vertex with the fewest dominators, pruned by a coverage and a
   packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
@@ -35,9 +35,10 @@ the full subset space follow from the sets inside V (see
 ``InstanceContext.diff_r_sizes``).
 
 Ties among searched witnesses are broken toward the lexicographically
-smallest member tuple among minimum-cardinality optima, which keeps
-reports reproducible. Domination witnesses are the exception: they are the
-first minimum in colex order, which compares two sets of one size by the
+smallest member tuple, which keeps reports reproducible. A differential
+witness has the largest cardinality among the maximizers, an independence
+witness is a maximum set. Domination witnesses are the exception: they are
+the first minimum in colex order, which compares two sets of one size by the
 largest vertex in which they differ and puts first the one without it.
 R(G) numbers V below every edge-vertex, so the colex-first minimum
 dominating set of R(G) lies inside V exactly when some minimum does, and
@@ -62,9 +63,10 @@ DEFAULT_BUDGET = 10_000_000
 class DifferentialResult:
     """Outcome of an exact differential search.
 
-    ``all_sets``, ``min_card`` and ``max_card`` are filled only when
-    enumeration of every maximizer was requested. ``search_space_size``
-    counts the nodes the search spent, each the work of one unit (see
+    ``witness`` is the first maximizer of the largest cardinality.
+    ``all_sets``, every maximizer sorted by cardinality, then member tuple,
+    is filled only by the ``"all"`` search. ``search_space_size`` counts
+    the nodes the search spent, each the work of one unit (see
     ``_max_differential``), for instrumentation.
     """
 
@@ -72,8 +74,6 @@ class DifferentialResult:
     witness: VertexSet
     search_space_size: int
     all_sets: tuple[VertexSet, ...] | None = None
-    min_card: int | None = None
-    max_card: int | None = None
 
 
 class _NodeCounter:
@@ -104,28 +104,26 @@ def _max_differential(
     taking each of them in turn and excluding the earlier ones from the
     later branches; the last branch leaves the vertex uncovered, paying 1,
     and forbids all of them. So every S is reached in exactly one branch.
-    A dominator that reaches fewer than ``need`` uncovered vertices is
-    dropped, and a vertex with no allowed dominator pays 1. The bound adds
-    to the cost so far the cheapest member prices paired with the largest
-    reaches, stopping at the first member that pays at least the uncovered
-    vertices it covers, and 1 for every uncovered vertex left.
+    A dominator that reaches fewer than two uncovered vertices is dropped,
+    since it costs more than it covers, and a vertex with no allowed
+    dominator pays 1. The bound adds to the cost so far the cheapest member
+    prices paired with the largest reaches, stopping at the first member
+    that pays at least the uncovered vertices it covers, and 1 for every
+    uncovered vertex left.
 
-    ``key`` says what the search finds:
+    ``key`` says what the search finds beside the value: ``"largest"``,
+    the witness only, or ``"all"``, also every maximizer, sorted by
+    cardinality, then member tuple. Either way the witness is the first
+    maximizer of the largest cardinality in that order.
 
-    * ``"all"``: every maximizer, sorted by cardinality, then member tuple.
-      A member costs 2 and ``need`` is 2, since no optimum holds a member
-      that reaches one. It prunes when the bound exceeds the incumbent.
-    * ``"first"``: the first maximizer in that order.
-    * ``"largest"``: the first maximizer of the largest cardinality.
-
-    For ``"first"`` and ``"largest"`` the weight, |S| and the member tuple
-    are packed into one integer (see below) whose minimum is the set
-    sought, and the search prunes when the bound meets the incumbent. The
-    weight is that minimum in whole units, rounded down for ``"first"`` and
-    up for ``"largest"``. Each call spends one node plus one per allowed
-    and per uncovered vertex, the work it does.
+    For ``"all"`` a member costs 2 and the search prunes when the bound
+    exceeds the incumbent. For ``"largest"`` the weight, |S| and the member
+    tuple are packed into one integer (see below) whose minimum is the set
+    sought, the search prunes when the bound meets the incumbent, and the
+    weight is that minimum in whole units, rounded up. Each call spends one
+    node plus one per allowed and per uncovered vertex, the work it does.
     """
-    if key not in ("all", "first", "largest"):
+    if key not in ("all", "largest"):
         raise ValueError(f"unknown differential search key {key!r}")
     n = len(rows)
     closed = [rows[v] | 1 << v for v in range(n)]
@@ -133,26 +131,18 @@ def _max_differential(
     for v in range(n):
         for u in bits(closed[v]):
             dominators[u] |= 1 << v
-    if key == "all":
-        unit, need, price = 1, 2, [2] * n
+    enumerate_all = key == "all"
+    if enumerate_all:
+        unit, price = 1, [2] * n
     else:
-        # An uncovered vertex costs `unit`. A member v costs 2 units plus
-        # 2^n - 2^(n - 1 - v) for "first" and less 2^n + 2^(n - 1 - v) for
-        # "largest"; over a set these parts stay under one unit. Of two sets
-        # of one weight, "first" keeps the smaller and "largest" the larger;
-        # of two k-sets, both keep the one holding the least vertex they do
-        # not share, which has the larger sum of 2^(n - 1 - v). A member
-        # that reaches two keeps the weight and grows the set, so "first"
-        # drops it and "largest" keeps it.
+        # An uncovered vertex costs `unit` and a member v 2 units less
+        # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
+        # Of two sets of one weight the larger is kept; of two k-sets, the
+        # one holding the least vertex they do not share, which has the
+        # larger sum of 2^(n - 1 - v).
         card = 1 << n
         unit = (n + 1) * card
-        if key == "first":
-            need = 3
-            price = [2 * unit + card - (1 << n - 1 - v) for v in range(n)]
-        else:
-            need = 2
-            price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
-    enumerate_all = key == "all"
+        price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
     counter = _NodeCounter(budget)
     best = math.inf
     found: list[int] = []
@@ -169,7 +159,7 @@ def _max_differential(
             rest ^= low
             v = low.bit_length() - 1
             k = (closed[v] & uncovered).bit_count()
-            if k >= need:
+            if k >= 2:
                 reach[v] = k
                 prices.append(price[v])
                 useful |= low
@@ -213,30 +203,22 @@ def _max_differential(
 
     search((1 << order) - 1, (1 << n) - 1, 0, 0)
     found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
-    witness = VertexSet(n, found[0])
-    if key == "first":
-        return DifferentialResult(order - best // unit, witness, counter.nodes)
-    if key == "largest":
-        return DifferentialResult(order - -(-best // unit), witness, counter.nodes)
     return DifferentialResult(
-        order - best,
-        witness,
+        order - -(-best // unit),
+        VertexSet(n, max(found, key=int.bit_count)),
         counter.nodes,
-        all_sets=tuple(VertexSet(n, m) for m in found),
-        min_card=found[0].bit_count(),
-        max_card=found[-1].bit_count(),
+        all_sets=tuple(VertexSet(n, m) for m in found) if enumerate_all else None,
     )
 
 
 def differential_exact(
-    g: Graph, key: str = "first", budget: int = DEFAULT_BUDGET
+    g: Graph, key: str = "largest", budget: int = DEFAULT_BUDGET
 ) -> DifferentialResult:
     """Maximize |B(S)| - |S| over all subsets S of V.
 
-    ``key`` selects the search (see ``_max_differential``): ``"first"``
-    finds the value and the first maximizer, ``"largest"`` the first
-    maximizer of the largest cardinality, and ``"all"`` every maximizer,
-    in the same single pass that finds the value.
+    One pass finds the value and the first maximizer of the largest
+    cardinality; ``key`` ``"all"`` also enumerates every maximizer (see
+    ``_max_differential``).
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
@@ -251,7 +233,7 @@ def _require_r_base(g: Graph) -> None:
 
 
 def differential_of_r(
-    g: Graph, key: str = "first", budget: int = DEFAULT_BUDGET
+    g: Graph, key: str = "largest", budget: int = DEFAULT_BUDGET
 ) -> DifferentialResult:
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
@@ -362,7 +344,9 @@ class _DominatingSets:
         gamma = best.bit_count()
         kept = 0
         below = best
-        while below:
+        # Once the members at or below v are exactly 0..v, every agreeing
+        # minimum holds all of them, so none comes earlier.
+        while below & (below + 1):
             v = below.bit_length() - 1
             lower = (1 << v) - 1
             undominated = self.full & ~_union(self.rows, kept)
@@ -501,11 +485,12 @@ class InstanceContext:
     domination search on R(G) (``gamma_r``) serves both its value and the
     question whether a minimum set lies inside V. ``diff`` (on
     G) and ``diff_r`` (on R(G) over V) take the search's ``key`` (see
-    ``_max_differential``) and run each search at most once; a ``"first"``
-    or ``"largest"`` read is answered from the enumeration (``"all"``) when
-    that has already run. ``diff_rg`` is the exhaustive search over R(G). A
-    search that runs out of budget is not run again: its error is cached
-    and raised to every later reader, also to one answered from it.
+    ``_max_differential``) and run each search at most once; a
+    ``"largest"`` read is answered by the enumeration (``"all"``) when that
+    has already run, since both give the same value and witness.
+    ``diff_rg`` is the exhaustive search over R(G). A search that runs out
+    of budget is not run again: its error is cached and raised to every
+    later reader, also to one answered from it.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -524,33 +509,20 @@ class InstanceContext:
         return self._cache[key]
 
     def _differential(self, name: str, search, key: str) -> DifferentialResult:
-        def read():
-            res = self._cache.get((name, "all"))
-            if res is None or key not in ("first", "largest"):
-                return search(self.g, key, self.budget)
-            if isinstance(res, Exception):
-                raise res
-            if key == "first":
-                return res
-            top = next(s for s in res.all_sets if len(s) == res.max_card)
-            return DifferentialResult(res.value, top, res.search_space_size)
-
-        return self._get((name, key), read)
+        if key == "largest" and (name, "all") in self._cache:
+            key = "all"
+        return self._get((name, key), lambda: search(self.g, key, self.budget))
 
     @property
     def rg(self) -> Graph:
         return self._get("rg", lambda: build_r(self.g))
 
-    def diff(self, key: str = "first") -> DifferentialResult:
+    def diff(self, key: str = "largest") -> DifferentialResult:
         """Differential of the instance by the search ``key``."""
         return self._differential("diff", differential_exact, key)
 
     def diff_r(self, key: str = "largest") -> DifferentialResult:
-        """Differential of the R-graph over subsets of V by the search ``key``.
-
-        The default is the largest-maximizer search, so the value and mu
-        share it.
-        """
+        """Differential of the R-graph over subsets of V by the search ``key``."""
         return self._differential("diff_r", differential_of_r, key)
 
     @property
@@ -691,9 +663,8 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
     Each field is read from one ``InstanceContext``, so four searches run:
-    diff, gamma, alpha and one search over V for both diff_r and mu. None
-    enumerates maximizers: diff needs only the first one, and diff_r and
-    mu the first of the largest cardinality. R(g) is never built. A field
+    diff (which roman shares), gamma, alpha and one search over V for both
+    diff_r and mu. None enumerates maximizers. R(g) is never built. A field
     derived from a search that failed is skipped with its reason.
     """
     ctx = InstanceContext(g, budget)

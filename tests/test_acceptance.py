@@ -103,7 +103,7 @@ def test_criterion_06_main_bounds():
         for g in census_3_to_6():
             res = differential_of_r(g, "all")
             lam = InstanceContext(g).lam
-            mu = res.max_card
+            mu = len(res.witness)
             assert lam <= res.value <= lam + (g.n - mu) // 2, write_graph6(g)
 
 

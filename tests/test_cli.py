@@ -138,6 +138,19 @@ def test_compute_rejects_malformed_file(tmp_path, capsys, monkeypatch):
 def test_compute_missing_file(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["compute", "--input", "/nonexistent.g6"])
     assert code == 2
+    assert err.startswith("gdiff: error: ")
+
+
+def test_unreadable_and_unwritable_paths_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # A path the CLI cannot read or write is a usage error (exit 2), not a
+    # failed check (exit 1) ending in a traceback.
+    code, _, err = run_cli(capsys, monkeypatch, ["compute", "--input", str(tmp_path)])
+    assert code == 2 and err.startswith("gdiff: error: ")
+    missing = tmp_path / "missing" / "x"
+    family = ["family", "--kind", "wheel", "--n", "5", "--out", str(missing)]
+    code, out, err = run_cli(capsys, monkeypatch, family)
+    assert (code, out) == (2, "") and err.startswith("gdiff: error: ")
+    assert not missing.parent.exists()
 
 
 def test_usage_error(capsys, monkeypatch):

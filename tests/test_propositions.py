@@ -104,7 +104,7 @@ def test_full_space_fail_paths_run_the_exhaustive_search(monkeypatch):
 
     g = complete_bipartite(2, 3)
     empty = VertexSet(5, 0)
-    low = solvers.DifferentialResult(0, empty, 0, (empty,), 0, 0)
+    low = solvers.DifferentialResult(0, empty, 0, (empty,))
     monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: low)
     runs = []
     search = solvers.differential_exact

@@ -55,6 +55,11 @@ from oracles import (
 # -- differential -------------------------------------------------------------
 
 
+def first_of_largest(ordered):
+    """The first mask of the largest cardinality in a card_lex_order list."""
+    return next(m for m in ordered if m.bit_count() == ordered[-1].bit_count())
+
+
 def test_differential_known_values():
     assert differential_exact(complete(5)).value == 3
     assert differential_exact(star(5)).value == 3  # K_{1,4}
@@ -85,9 +90,9 @@ def test_differential_enumeration_complete():
     res = differential_exact(g, "all")
     expected = {VertexSet(7, m) for m in naive_differential_sets(g)}
     assert set(res.all_sets) == expected
-    assert res.min_card == min(len(s) for s in expected)
-    assert res.max_card == max(len(s) for s in expected)
-    assert res.witness == res.all_sets[0]
+    assert len(res.all_sets[0]) == min(len(s) for s in expected)
+    assert len(res.witness) == max(len(s) for s in expected)
+    assert res.witness == next(s for s in res.all_sets if len(s) == len(res.witness))
 
 
 def test_differential_enumeration_matches_naive_random():
@@ -97,10 +102,8 @@ def test_differential_enumeration_matches_naive_random():
         expected = card_lex_order(naive_differential_sets(g))
         assert res.value == naive_differential(g)
         assert [s.mask for s in res.all_sets] == expected
-        assert res.witness.mask == expected[0]
+        assert res.witness.mask == first_of_largest(expected)
         assert differential_exact(g).witness == res.witness
-        assert res.min_card == expected[0].bit_count()
-        assert res.max_card == expected[-1].bit_count()
 
 
 def test_differential_rejects_empty_graph():
@@ -147,15 +150,15 @@ def test_differential_of_r_modes_agree():
         expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
         vres = differential_of_r(g, "all")
         assert vres.value == value, write_graph6(g)
-        assert vres.witness.mask == expected[0]
+        assert vres.witness.mask == first_of_largest(expected)
         assert [s.mask for s in vres.all_sets] == expected
 
 
 def test_differential_searches_match_the_oracles_beyond_order_10():
     # Both searches against the full scans on sparse and dense connected
     # graphs of order 11-13: value, witness, every maximizer in
-    # cardinality-then-lexicographic order, the cardinality range, and the
-    # value-only witness, which must be the first maximizer.
+    # cardinality-then-lexicographic order, and the witness of both keys,
+    # which must be the first maximizer of the largest cardinality.
     rng = Random(113)
     graphs = []
     while len(graphs) < 6:
@@ -173,31 +176,31 @@ def test_differential_searches_match_the_oracles_beyond_order_10():
             expected = card_lex_order(maximizers)
             res = search(g, "all")
             assert res.value == value, (search.__name__, write_graph6(g))
-            assert res.witness.mask == expected[0]
+            assert res.witness.mask == first_of_largest(expected)
             assert [s.mask for s in res.all_sets] == expected
-            assert (res.min_card, res.max_card) == (
-                expected[0].bit_count(),
-                expected[-1].bit_count(),
-            )
             lone = search(g)
             assert (lone.value, lone.witness) == (value, res.witness)
 
 
-def test_search_keys_agree_with_the_enumeration():
-    # On the rows of G and of R(G) over V: "first" gives the enumeration's
-    # value and witness, the first maximizer in cardinality-then-lexicographic
-    # order; "largest" gives its value and the first maximizer of max_card.
+def test_both_keys_give_the_first_largest_maximizer():
+    # On the rows of G and of R(G) over V, against the full scans: "largest"
+    # and "all" give the value and the same witness, the first maximizer of
+    # the largest cardinality in cardinality-then-lexicographic order.
     graphs = [g for n in range(3, 8) for g in connected_census(n)]
     rng = Random(127)
     graphs += [random_connected_graph(rng, rng.randint(3, 12)) for _ in range(200)]
     for g in graphs:
-        for rows, order in ((g.adj, g.n), (r_v_rows(g), g.n + g.m)):
-            res = _max_differential(rows, order, "all", DEFAULT_BUDGET)
-            first = _max_differential(rows, order, "first", DEFAULT_BUDGET)
-            largest = _max_differential(rows, order, "largest", DEFAULT_BUDGET)
-            top = next(s for s in res.all_sets if len(s) == res.max_card)
-            assert (first.value, first.witness) == (res.value, res.witness), write_graph6(g)
-            assert (largest.value, largest.witness) == (res.value, top), write_graph6(g)
+        in_r = naive_r_differentials(g)
+        value_r = max(in_r)
+        cases = (
+            (g.adj, g.n, naive_differential(g), naive_differential_sets(g)),
+            (r_v_rows(g), g.n + g.m, value_r, [m for m, d in enumerate(in_r) if d == value_r]),
+        )
+        for rows, order, value, maximizers in cases:
+            top = first_of_largest(card_lex_order(maximizers))
+            for key in ("largest", "all"):
+                res = _max_differential(rows, order, key, DEFAULT_BUDGET)
+                assert (res.value, res.witness.mask) == (value, top), (key, write_graph6(g))
 
 
 def test_mu_matches_the_oracle():
@@ -216,9 +219,9 @@ def test_mu_matches_the_oracle():
 
 
 def test_diff_r_reuses_the_enumeration(monkeypatch):
-    # Once the enumeration ("all") over V, or over G, has run, a "first" or
-    # "largest" read takes its answer, or its budget error, from it and
-    # starts no search of its own.
+    # Once the enumeration ("all") over V, or over G, has run, a "largest"
+    # read takes its answer, or its budget error, from it and starts no
+    # search of its own.
     import gdiff.solvers as solvers
 
     def refuse(*args, **kwargs):
@@ -228,9 +231,8 @@ def test_diff_r_reuses_the_enumeration(monkeypatch):
     reads = (("diff", "differential_exact"), ("diff_r", "differential_of_r"))
     expected = {}
     for read, _ in reads:
-        for key in ("first", "largest"):
-            res = getattr(InstanceContext(g), read)(key)
-            expected[read, key] = (res.value, res.witness)
+        res = getattr(InstanceContext(g), read)("largest")
+        expected[read] = (res.value, res.witness)
     ctx = InstanceContext(g)
     failed = InstanceContext(cycle(16), budget=50)
     for read, _ in reads:
@@ -239,13 +241,13 @@ def test_diff_r_reuses_the_enumeration(monkeypatch):
             getattr(failed, read)("all")
     for _, search in reads:
         monkeypatch.setattr(solvers, search, refuse)
-    for (read, key), want in expected.items():
-        res = getattr(ctx, read)(key)
-        assert (res.value, res.witness) == want, (read, key)
+    for read, want in expected.items():
+        res = getattr(ctx, read)()
+        assert (res.value, res.witness) == want, read
+        assert res is getattr(ctx, read)("all")
         with pytest.raises(BudgetExceededError):
-            getattr(failed, read)(key)
-    assert ctx.diff() == ctx.diff("all")
-    assert ctx.mu == ctx.diff_r("all").max_card
+            getattr(failed, read)()
+    assert ctx.mu == len(ctx.diff_r("all").all_sets[-1])
 
 
 def test_r_differential_sets_match_the_exhaustive_search():
@@ -273,7 +275,7 @@ def test_r_differential_sets_match_the_exhaustive_search():
             sizes[a.mask] = set(range(len(a), len(a) + len(g.exterior(a)) + 1))
         assert sizes == by_a, write_graph6(g)
         assert ctx.diff_r_sizes == {len(s) for s in brute.all_sets}
-        unique = len(vres.all_sets) == 1 and ctx.diff_r_sizes == {vres.min_card}
+        unique = len(vres.all_sets) == 1 and ctx.diff_r_sizes == {len(vres.witness)}
         assert unique == (len(brute.all_sets) == 1), write_graph6(g)
         if unique:
             assert brute.all_sets[0].mask == vres.witness.mask
@@ -298,16 +300,18 @@ def test_differential_of_r_guards():
     disconnected = complete(3).disjoint_union(complete(3))
     with pytest.raises(ValueError, match="require a connected graph"):
         differential_of_r(disconnected)
-    # an unknown key is refused, not searched with another key's prices
+    # an unknown key, "first" among them, is refused, not searched with
+    # another key's prices
     for search in (differential_exact, differential_of_r):
-        with pytest.raises(ValueError, match="unknown differential search key 'Largest'"):
-            search(cycle(5), "Largest")
+        for key in ("Largest", "first"):
+            with pytest.raises(ValueError, match=f"unknown differential search key '{key}'"):
+                search(cycle(5), key)
     ctx = InstanceContext(cycle(5))
     assert (ctx.diff("all").value, ctx.diff_r("all").value) == (1, 5)
-    with pytest.raises(ValueError, match="unknown differential search key"):
-        ctx.diff("Largest")
-    with pytest.raises(ValueError, match="unknown differential search key"):
-        ctx.diff_r("every")
+    for read in (ctx.diff, ctx.diff_r):
+        for key in ("Largest", "every", "first"):
+            with pytest.raises(ValueError, match="unknown differential search key"):
+                read(key)
     # the full-space search still works on the same instance
     assert differential_exact(build_r(disconnected)).value > 0
 
@@ -387,6 +391,22 @@ def test_domination_spends_one_budget_on_every_pass(monkeypatch):
     with pytest.raises(BudgetExceededError):
         domination_number(g, budget=value_nodes)
     assert entered == [value_nodes]
+
+
+def test_witness_pass_ends_once_the_low_members_are_fixed():
+    # gamma(R(K_n)) = tau(K_n) = n - 1, and the value pass ends on 0..n-2.
+    # Members at or below a vertex v that are exactly 0..v leave no agreeing
+    # minimum that comes earlier in colex order, so the witness pass runs no
+    # search, where a walk over every member ran n - 1 of them. Each search
+    # spends at least one node.
+    import gdiff.solvers as solvers
+
+    for n in (4, 8, 16, 32):
+        search = solvers._DominatingSets(build_r(complete(n)), DEFAULT_BUDGET)
+        best = search.minimum()
+        spent = search.counter.nodes
+        assert search.first_minimum(best) == best == (1 << n - 1) - 1
+        assert search.counter.nodes == spent
 
 
 def test_domination_on_large_sparse_graphs():
