@@ -9,13 +9,41 @@ For a graph of order n:
   leaves it uncovered, pruned by a coverage lower bound; one search finds
   the value and the first maximizer of the largest cardinality, and its
   ``key`` says whether it also enumerates every maximizer (``"all"``) or
-  not (``"largest"``);
+  not (``"largest"``). It serves G, and every enumeration over V for R(G);
+* the differential of R(G), key ``"largest"``: a maximum-weight choice of
+  G's vertices and non-pendant edges (the lemma below), by the memoized
+  weighted search ``_ChoiceSearch``;
 * domination: set-cover branch and bound (``_DominatingSets``) on an
   undominated vertex with the fewest dominators, pruned by a coverage and a
   packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
   and van Rooij and Bodlaender, Discrete Appl. Math. 159, 2011);
-* independence: take a vertex with at most one candidate neighbour without
-  branching, else branch on a highest-degree vertex; memoized.
+* independence: ``_ChoiceSearch`` with every vertex an item of weight 1.
+
+The lemma. Let G be connected of order n >= 3 with m edges, S a subset of
+V and T = V - S. In R(G) the boundary of S is its boundary in G plus one
+edge-vertex per edge with an end in S, so
+
+    diff_R(S) = m - n + 2|T| - e(G[T]) - |{v in T : N[v] inside T}|.
+
+Moving a vertex v with d_T(v) >= 2 from T into S never lowers diff_R: 2|T|
+drops by 2, e(G[T]) by d_T(v) >= 2, and no vertex becomes closed (N[x]
+inside T) while v and its neighbours in T may stop being closed. So every
+maximizer of the largest cardinality leaves T 1-dependent: G[T] is an
+induced matching M plus vertices I with no neighbour in T. No edge uv of M
+is pendant either: for d(u) = 1, moving u into S costs 2, frees one edge
+of G[T] and ends u being closed, so the value stays and S grows. A vertex
+of I has a neighbour in S, as does an end of a non-pendant M-edge, so none
+is closed and diff_R(S) = m - n + 2|I| + 3|M|. Hence diff(R(G)) is m - n
+plus the largest 2|I| + 3|M|, with I alone worth 2 and an edge of M
+worth 3, and the first maximizer of the largest cardinality is the choice
+of largest weight, then smallest |T|, then whose S has the smallest member
+tuple (``differential_of_r``).
+
+P15 follows. I alone, with M empty, gives diff(R(G)) >= m - n + 2 alpha =
+lambda. I plus one end of each M-edge is independent, so 2|I| + 3|M| <=
+2 alpha + |M|, and |M| <= |T| / 2 = (n - mu) / 2 for the witness, whose S
+has the largest cardinality mu. So lambda <= diff(R(G)) <= lambda +
+floor((n - mu) / 2).
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
 on one graph at most once and answers a one-witness differential read from
@@ -58,6 +86,10 @@ from .roperator import build_r, r_v_rows
 
 DEFAULT_BUDGET = 10_000_000
 
+#: Largest set of undecided vertices that ``_ChoiceSearch`` searches
+#: without its bound and component split.
+SMALL_PART = 12
+
 
 @dataclass(frozen=True)
 class DifferentialResult:
@@ -66,8 +98,8 @@ class DifferentialResult:
     ``witness`` is the first maximizer of the largest cardinality.
     ``all_sets``, every maximizer sorted by cardinality, then member tuple,
     is filled only by the ``"all"`` search. ``search_space_size`` counts
-    the nodes the search spent, each the work of one unit (see
-    ``_max_differential``), for instrumentation.
+    the units the search spent, the work its nodes did (see
+    ``_max_differential`` and ``_ChoiceSearch``), for instrumentation.
     """
 
     value: int
@@ -211,6 +243,206 @@ def _max_differential(
     )
 
 
+class _ChoiceSearch:
+    """A memoized search for the largest key of a choice of items.
+
+    A choice, in the graph with rows ``adj``, puts every vertex in S or in
+    T, and T is made of items: a vertex alone, with no neighbour in T, of
+    weight ``alone``, or an edge of two ``pairable`` vertices, with no other
+    neighbour of either in T, of weight ``pair``, where ``alone`` < ``pair``
+    < 2 ``alone`` when any vertex is pairable. Its key is
+    ``unit`` times its weight plus ``tie[v]`` for each v in T, where the
+    ties all have one sign and total less than ``unit`` over any T, so keys
+    order choices by weight, then by the ties. ``best`` maps a set U of
+    undecided vertices to the largest key of a choice on G[U]; its memo
+    serves every later call.
+
+    Putting a vertex in T sends its undecided neighbours, but its partner,
+    to S. In each node:
+
+    * a vertex with no neighbour in U goes to T alone;
+    * a vertex v with one neighbour u in U, tie[v] >= tie[u] and no pair uv
+      goes to T alone: where v is in S, u is in T (else v could join it),
+      and v alone in place of u alone, or of u's pair with w beside w
+      alone, has a key at least as large;
+    * G[U] in several components is solved one component at a time;
+    * otherwise a vertex v with the most neighbours in U goes to T alone,
+      to T paired with each pairable neighbour, and to S. If that is one
+      neighbour u, every vertex has one and none went to T by the rule
+      above, so u and v are pairable and their pair beats v in S.
+
+    Each call below the top gets a threshold and answers exactly when it
+    can beat it; otherwise it returns an upper bound no higher than the
+    threshold, which the memo keeps as a bound. The bound: an edge of G[U]
+    touches at most one item of a choice, a vertex alone touches its d(v)
+    edges and a pair uv d(u) + d(v) - 1, so the weight is at most a
+    fractional knapsack of capacity |E(G[U])| in which v, alone, costs
+    d(v), or, as an end of a pair, has half the pair's weight for
+    d(v) - 1/2. A U of at most ``SMALL_PART`` vertices is neither bounded
+    nor split: there the memo over its subsets costs less than either. Each
+    node spends one unit, and ``examined`` per vertex for each pass it makes
+    over U: the scan, the bound and the split.
+    """
+
+    __slots__ = ("adj", "alone", "pair", "tie", "unit", "pairable", "counter",
+                 "examined", "gain", "pair_cost", "memo", "bounded")
+
+    def __init__(
+        self, adj: tuple[int, ...], alone: int, pair: int, tie: list[int],
+        unit: int, pairable: int, counter: _NodeCounter, examined: int,
+    ):
+        self.adj = adj
+        self.alone = alone
+        self.pair = pair
+        self.tie = tie
+        self.unit = unit
+        self.pairable = pairable
+        self.counter = counter
+        self.examined = examined
+        self.gain = [alone * unit + t for t in tie]
+        self.pair_cost = (2 * alone - pair) * unit
+        # Every key of a nonempty U is positive: the memo holds a key as it
+        # is and an upper bound b as ~b, which is negative.
+        self.memo: dict[int, int] = {}
+        self.bounded = 0  # how often a bound stood in for a search
+
+    def best(self, undecided: int, need: int = -1) -> int:
+        """The largest key on G[``undecided``] when it beats ``need``, else
+        an upper bound no higher than ``need``."""
+        if not undecided:
+            return 0
+        memo = self.memo
+        known = memo.get(undecided)
+        if known is not None:
+            if known >= 0:
+                return known
+            if ~known <= need:
+                self.bounded += 1
+                return ~known
+        adj, gain, tie, pairable = self.adj, self.gain, self.tie, self.pairable
+        size = undecided.bit_count()
+        self.counter.spend(1 + self.examined * size)
+        mark = self.bounded
+        taken = most = 0
+        left = rest = undecided
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            around = adj[x] & undecided
+            d = around.bit_count()
+            if d == 0:
+                taken += gain[x]
+                left ^= low
+            elif d == 1 and tie[x] >= tie[around.bit_length() - 1] and not (
+                low & pairable and around & pairable
+            ):
+                taken += gain[x]
+                result = taken + self.best(left & ~(around | low), need - taken)
+                break
+            elif d > most:
+                v, most = x, d
+        else:
+            result = taken
+            need -= taken
+            if not left:
+                pass
+            elif size > SMALL_PART and need >= 0 and (top := self._bound(left)) <= need:
+                self.bounded += 1
+                result += top
+            elif size > SMALL_PART and (part := self._component(left, v)) != left:
+                result += self._both(part, left ^ part, need)
+            else:
+                # v alone, v with each pairable neighbour, and v in S; the
+                # best option when one beats ``need``, else the largest
+                # bound.
+                low = 1 << v
+                around = adj[v] & left
+                best, top = need, -1
+                value = gain[v]
+                value += self.best(left & ~(around | low), best - value)
+                if value > best:
+                    best = value
+                else:
+                    top = value
+                if low & pairable:
+                    for u in bits(around & pairable):
+                        value = gain[v] + gain[u] - self.pair_cost
+                        value += self.best(left & ~(around | adj[u] | low), best - value)
+                        if value > best:
+                            best = value
+                        elif value > top:
+                            top = value
+                if most > 1:
+                    value = self.best(left ^ low, best)
+                    if value > best:
+                        best = value
+                    elif value > top:
+                        top = value
+                result += best if best > need else top
+            need += taken
+        memo[undecided] = result if result > need or self.bounded == mark else ~result
+        return result
+
+    def _bound(self, part: int) -> int:
+        # In doubled units: capacity 2|E|, costs 2d and 2d - 1. A pair end
+        # that beats the vertex alone per unit of cost is the first segment
+        # of the vertex, and the rest of the vertex alone its second.
+        self.counter.spend(self.examined * part.bit_count())
+        adj, pairable, alone, pair = self.adj, self.pairable, self.alone, self.pair
+        segments = []
+        capacity = 0
+        rest = part
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            around = adj[low.bit_length() - 1] & part
+            d = around.bit_count()
+            capacity += d
+            if low & pairable and around & pairable and pair * d > alone * (2 * d - 1):
+                segments.append((-pair / (2 * d - 1), 2 * d - 1, pair))
+                segments.append((pair - 2 * alone, 1, 2 * alone - pair))
+            else:
+                segments.append((-alone / d, 2 * d, 2 * alone))
+        segments.sort()
+        doubled = 0
+        for _, cost, value in segments:
+            if cost > capacity:
+                doubled += capacity * value // cost
+                break
+            capacity -= cost
+            doubled += value
+        return (doubled // 2 + 1) * self.unit - 1
+
+    def _component(self, within: int, v: int) -> int:
+        # The vertices of ``within`` joined to v by a path inside it.
+        self.counter.spend(self.examined * within.bit_count())
+        adj = self.adj
+        part = adj[v] & within | 1 << v
+        frontier = part ^ 1 << v
+        while frontier and part != within:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & within & ~part
+            part |= frontier
+        return part
+
+    def _both(self, first: int, second: int, need: int) -> int:
+        # Two parts with no edge between them, the second bounded while
+        # the first is searched.
+        if need < 0:
+            return self.best(first, need) + self.best(second, need)
+        later = self._bound(second)
+        got = self.best(first, need - later)
+        if got <= need - later:
+            self.bounded += 1
+            return got + later
+        return got + self.best(second, need - got)
+
+
 def differential_exact(
     g: Graph, key: str = "largest", budget: int = DEFAULT_BUDGET
 ) -> DifferentialResult:
@@ -237,12 +469,34 @@ def differential_of_r(
 ) -> DifferentialResult:
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
-    A search over subsets of V with R(g)'s rows, built from g, so R(g)
-    itself is never built. It requires a connected g of order at least 3.
-    ``key`` selects the search as in ``differential_exact``.
+    It requires a connected g of order at least 3; R(g) itself is never
+    built. ``"all"`` runs ``_max_differential`` over V with R(g)'s rows.
+    ``"largest"`` runs ``_ChoiceSearch`` on g (see the lemma in the module
+    docstring): a vertex alone weighs 2 and a non-pendant edge 3. With
+    A = (n + 1) 2^n as the unit, each v in T ties at -(2^n + 2^(n - 1 - v)),
+    so the largest key has the largest weight, then the smallest |T|, then
+    the T whose complement has the smallest member tuple: it is the first
+    maximizer of the largest cardinality, and its ties, mod 2^n, spell T.
     """
     _require_r_base(g)
-    return _max_differential(r_v_rows(g), g.n + g.m, key, budget)
+    if key != "largest":
+        return _max_differential(r_v_rows(g), g.n + g.m, key, budget)
+    n = g.n
+    card = 1 << n
+    unit = (n + 1) * card
+    tie = [-card - (1 << n - 1 - v) for v in range(n)]
+    pairable = sum(1 << v for v, row in enumerate(g.adj) if row & row - 1)
+    counter = _NodeCounter(budget)
+    best = _ChoiceSearch(g.adj, 2, 3, tie, unit, pairable, counter, 1).best(g.full_mask)
+    chosen = _reversed_bits(-best % card, n)
+    return DifferentialResult(
+        g.m - n - (-best // unit), VertexSet(n, g.full_mask & ~chosen), counter.nodes
+    )
+
+
+def _reversed_bits(packed: int, n: int) -> int:
+    """The mask holding v exactly where ``packed`` holds bit n - 1 - v."""
+    return int(format(packed, f"0{n}b")[::-1], 2)
 
 
 def is_dominating(g: Graph, s: VertexSet | Iterable[int]) -> bool:
@@ -385,38 +639,17 @@ def vertex_cover_number(
 def independence_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Maximum independent set size and its lexicographically smallest witness."""
+    """Maximum independent set size and its lexicographically smallest witness.
+
+    The items of ``_ChoiceSearch`` are single vertices of weight 1, with
+    no ties, so a vertex with at most one undecided neighbour is taken
+    without branching. One search finds alpha, and its memo then answers,
+    vertex by vertex in order, whether a maximum set takes that vertex with
+    the ones already taken. Each node spends one unit.
+    """
     adj = g.adj
-    memo: dict[int, int] = {}
-    counter = _NodeCounter(budget)
-
-    def size(candidates: int) -> int:
-        if candidates == 0:
-            return 0
-        cached = memo.get(candidates)
-        if cached is not None:
-            return cached
-        counter.spend()
-        pivot = -1
-        pivot_deg = -1
-        for v in bits(candidates):
-            d = (adj[v] & candidates).bit_count()
-            if d <= 1:
-                # Swapping v for its neighbour keeps a maximum set maximum,
-                # so some maximum independent set contains v.
-                result = 1 + size(candidates & ~(adj[v] | 1 << v))
-                break
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        else:
-            with_pivot = 1 + size(candidates & ~(adj[pivot] | 1 << pivot))
-            without_pivot = size(candidates & ~(1 << pivot))
-            result = max(with_pivot, without_pivot)
-        memo[candidates] = result
-        return result
-
+    size = _ChoiceSearch(adj, 1, 0, [0] * g.n, 1, 0, _NodeCounter(budget), 0).best
     alpha = size(g.full_mask)
-    # Rebuild the lexicographically smallest maximum set greedily.
     chosen = 0
     candidates = g.full_mask
     for v in range(g.n):
@@ -490,7 +723,9 @@ class InstanceContext:
     has already run, since both give the same value and witness.
     ``diff_rg`` is the exhaustive search over R(G). A search that runs out
     of budget is not run again: its error is cached and raised to every
-    later reader, also to one answered from it.
+    later reader. A ``"largest"`` read of ``diff`` takes the enumeration's
+    error too, since its search is the same kernel; one of ``diff_r`` runs
+    its own search, ``_ChoiceSearch``, which answers far more often.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -508,9 +743,13 @@ class InstanceContext:
             raise self._cache[key]
         return self._cache[key]
 
-    def _differential(self, name: str, search, key: str) -> DifferentialResult:
-        if key == "largest" and (name, "all") in self._cache:
-            key = "all"
+    def _differential(self, name: str, search, key: str, one_kernel: bool) -> DifferentialResult:
+        # A "largest" read takes the enumeration's answer once that has run,
+        # and its budget error only where both keys run one kernel.
+        if key == "largest":
+            done = self._cache.get((name, "all"))
+            if done is not None and (one_kernel or not isinstance(done, Exception)):
+                key = "all"
         return self._get((name, key), lambda: search(self.g, key, self.budget))
 
     @property
@@ -519,11 +758,11 @@ class InstanceContext:
 
     def diff(self, key: str = "largest") -> DifferentialResult:
         """Differential of the instance by the search ``key``."""
-        return self._differential("diff", differential_exact, key)
+        return self._differential("diff", differential_exact, key, True)
 
     def diff_r(self, key: str = "largest") -> DifferentialResult:
         """Differential of the R-graph over subsets of V by the search ``key``."""
-        return self._differential("diff_r", differential_of_r, key)
+        return self._differential("diff_r", differential_of_r, key, False)
 
     @property
     def diff_rg(self) -> DifferentialResult:
@@ -663,8 +902,8 @@ def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:
     """Compute every invariant of ``g``, marking infeasible ones as skipped.
 
     Each field is read from one ``InstanceContext``, so four searches run:
-    diff (which roman shares), gamma, alpha and one search over V for both
-    diff_r and mu. None enumerates maximizers. R(g) is never built. A field
+    diff (which roman shares), gamma, alpha and one weighted choice over
+    V for both diff_r and mu. None enumerates maximizers. R(g) is never built. A field
     derived from a search that failed is skipped with its reason.
     """
     ctx = InstanceContext(g, budget)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 import pytest
 from random import Random
 
@@ -20,6 +24,7 @@ from gdiff.propositions import (
     run_census,
     run_proposition,
 )
+from gdiff.reports import reports_to_json
 from gdiff.roperator import build_r
 from gdiff.solvers import (
     differential_exact,
@@ -170,33 +175,113 @@ def test_p08_builds_no_r_graph(monkeypatch):
         assert run_proposition("P08", g).status == "pass"
 
 
+def census_body(n_max):
+    """Status counts and the sha256 of the JSON report body of run_census.
+
+    The body is the ``census --json`` output with its volatile header
+    removed: every report and the summary.
+    """
+    summary, reports = run_census(n_max)
+    payload = json.loads(reports_to_json(reports, "census", summary))
+    payload.pop("header")
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload["summary"]["counts"], hashlib.sha256(body.encode()).hexdigest()
+
+
+# A change that means to alter census report bodies updates these and says
+# so; any other change to a witness, status or note fails the tests below.
+CENSUS_ORDER7 = (
+    {
+        "P01": {"pass": 994},
+        "P02": {"pass": 994},
+        "P03": {"pass": 994},
+        "P04": {"pass": 994},
+        "P05": {"pass": 583, "vacuous": 411},
+        "P06": {"pass": 583, "vacuous": 411},
+        "P07": {"pass": 994},
+        "P08": {"pass": 994},
+        "P09": {"pass": 8, "vacuous": 986},
+        "P10": {"pass": 17, "vacuous": 977},
+        "P11": {"pass": 994},
+        "P12": {"pass": 15, "vacuous": 979},
+        "P13": {"pass": 994},
+        "P14": {"pass": 994},
+        "P15": {"pass": 994},
+        "P16": {"pass": 2, "vacuous": 992},
+        "P17": {"pass": 994},
+        "P18": {"fail": 1, "vacuous": 993},
+    },
+    "e2c1f223ba13eb78e77f36f6063b6127b9c64a4d31b7c2de7b9d1bd82cc05e69",
+)
+
+
+CENSUS_ORDER8 = (
+    {
+        "P01": {"pass": 12111},
+        "P02": {"pass": 12111},
+        "P03": {"pass": 12111},
+        "P04": {"pass": 12111},
+        "P05": {"pass": 8025, "vacuous": 4086},
+        "P06": {"pass": 8025, "vacuous": 4086},
+        "P07": {"pass": 12111},
+        "P08": {"pass": 12111},
+        "P09": {"pass": 11, "vacuous": 12100},
+        "P10": {"pass": 23, "vacuous": 12088},
+        "P11": {"pass": 12111},
+        "P12": {"pass": 30, "vacuous": 12081},
+        "P13": {"pass": 12111},
+        "P14": {"pass": 12111},
+        "P15": {"pass": 12111},
+        "P16": {"pass": 2, "vacuous": 12109},
+        "P17": {"pass": 12111},
+        "P18": {"fail": 1, "vacuous": 12110},
+    },
+    "ed77b8d0534b631877cdd35de72d2862ce4930a955c189b174fed0741ba7af7e",
+)
+
+
+def test_census_order7_is_pinned():
+    # All 18 checks on the 994 connected graphs of order 3-7. P18's one
+    # fail is its audit refuting the paper's Figure 2 claim on P_7.
+    assert census_body(7) == CENSUS_ORDER7
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 40 s")
+def test_census_order8_is_pinned():
+    # All 18 checks on the 12,111 connected graphs of order 3-8.
+    assert census_body(8) == CENSUS_ORDER8
+
+
 def test_failed_search_runs_once_per_instance(monkeypatch):
     # A search that runs out of budget is cached with its error: run_all
-    # starts each search at most once per graph, and every check that needs
-    # it gets the note it would get in a context of its own. Calls are
-    # counted per (search, graph): domination_number runs on R(K7), the
-    # differential searches and independence_number on K7 itself.
+    # starts each search at most once per graph and key, and every check
+    # that needs it gets the note it would get in a context of its own.
+    # Calls are counted per (search, graph, key): domination_number runs on
+    # R(K7), the differential searches and independence_number on K7
+    # itself. At 30 units both keys of differential_of_r run out on K7 (the
+    # "largest" one needs 33).
     import gdiff.solvers as solvers
 
     calls = {}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            key = (fn.__name__, write_graph6(args[0]))
+            key = (fn.__name__, write_graph6(args[0]), *args[1:2])
             calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     g = complete(7)
-    alone = [run_proposition(pid, g, budget=50).row() for pid in PROPOSITIONS]
+    alone = [run_proposition(pid, g, budget=30).row() for pid in PROPOSITIONS]
     searches = ("differential_exact", "differential_of_r", "domination_number", "independence_number")
     for name in searches:
         monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
-    shared = run_all(g, budget=50)
+    shared = run_all(g, budget=30)
     assert [r.row() for r in shared] == alone
     assert sum(r.status == "skipped" for r in shared) >= 5
-    assert {name for name, _ in calls} == set(searches)
+    assert {key[0] for key in calls} == set(searches)
+    assert ("differential_of_r", write_graph6(g), "largest") in calls
     assert set(calls.values()) == {1}
 
 

@@ -1,9 +1,10 @@
+import functools
 import pytest
 from random import Random
 
 from gdiff.census import connected_census
 from gdiff.codecs import write_graph6
-from gdiff.core import BudgetExceededError, VertexSet
+from gdiff.core import BudgetExceededError, VertexSet, bits
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -182,15 +183,21 @@ def test_differential_searches_match_the_oracles_beyond_order_10():
             assert (lone.value, lone.witness) == (value, res.witness)
 
 
+@functools.cache
+def r_oracle_cases():
+    """The census of orders 3-7 and 200 seeded random connected graphs of
+    order 3-12, each with the differential in R(G) of every subset of V."""
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    rng = Random(127)
+    graphs += [random_connected_graph(rng, rng.randint(3, 12)) for _ in range(200)]
+    return [(g, naive_r_differentials(g)) for g in graphs]
+
+
 def test_both_keys_give_the_first_largest_maximizer():
     # On the rows of G and of R(G) over V, against the full scans: "largest"
     # and "all" give the value and the same witness, the first maximizer of
     # the largest cardinality in cardinality-then-lexicographic order.
-    graphs = [g for n in range(3, 8) for g in connected_census(n)]
-    rng = Random(127)
-    graphs += [random_connected_graph(rng, rng.randint(3, 12)) for _ in range(200)]
-    for g in graphs:
-        in_r = naive_r_differentials(g)
+    for g, in_r in r_oracle_cases():
         value_r = max(in_r)
         cases = (
             (g.adj, g.n, naive_differential(g), naive_differential_sets(g)),
@@ -201,6 +208,39 @@ def test_both_keys_give_the_first_largest_maximizer():
             for key in ("largest", "all"):
                 res = _max_differential(rows, order, key, DEFAULT_BUDGET)
                 assert (res.value, res.witness.mask) == (value, top), (key, write_graph6(g))
+
+
+def test_largest_r_search_matches_the_oracle():
+    # The weighted choice search behind differential_of_r(g, "largest")
+    # against the scan of every subset of V: the value, the witness (the
+    # first maximizer of the largest cardinality) and mu. Its T = V - S is
+    # 1-dependent and holds no edge with an end of degree 1 (the lemma in
+    # the solvers docstring).
+    for g, in_r in r_oracle_cases():
+        value = max(in_r)
+        top = first_of_largest(card_lex_order(m for m, d in enumerate(in_r) if d == value))
+        res = differential_of_r(g)
+        assert (res.value, res.witness.mask) == (value, top), write_graph6(g)
+        assert InstanceContext(g).mu == top.bit_count()
+        t = g.full_mask & ~top
+        assert g.is_k_dependent(VertexSet(g.n, t), 1)
+        assert all(g.degree(v) > 1 for v in bits(t) if g.adj[v] & t), write_graph6(g)
+
+
+def test_largest_r_searches_agree_beyond_the_oracle():
+    # The weighted choice search against the Roman search over V with
+    # R(G)'s rows, which shares no code with it, on sparse and denser
+    # connected graphs of order 13-20: the same value and witness.
+    rng = Random(149)
+    graphs = sparse_connected_graphs(151, range(13, 21))
+    while len(graphs) < 16:
+        g = random_graph(rng, rng.randint(13, 16), rng.uniform(0.2, 0.4))
+        if g.is_connected:
+            graphs.append(g)
+    for g in graphs:
+        roman = _max_differential(r_v_rows(g), g.n + g.m, "largest", DEFAULT_BUDGET)
+        res = differential_of_r(g)
+        assert (res.value, res.witness) == (roman.value, roman.witness), write_graph6(g)
 
 
 def test_mu_matches_the_oracle():
@@ -220,8 +260,10 @@ def test_mu_matches_the_oracle():
 
 def test_diff_r_reuses_the_enumeration(monkeypatch):
     # Once the enumeration ("all") over V, or over G, has run, a "largest"
-    # read takes its answer, or its budget error, from it and starts no
-    # search of its own.
+    # read takes its answer from it and starts no search of its own. Where
+    # the enumeration ran out of budget, the read over G takes its error
+    # (both keys run one kernel there), but the read over V runs the
+    # largest-maximizer kernel once and answers.
     import gdiff.solvers as solvers
 
     def refuse(*args, **kwargs):
@@ -234,19 +276,24 @@ def test_diff_r_reuses_the_enumeration(monkeypatch):
         res = getattr(InstanceContext(g), read)("largest")
         expected[read] = (res.value, res.witness)
     ctx = InstanceContext(g)
-    failed = InstanceContext(cycle(16), budget=50)
+    failed = InstanceContext(cycle(16), budget=1000)
     for read, _ in reads:
         assert getattr(ctx, read)("all").all_sets
         with pytest.raises(BudgetExceededError):
             getattr(failed, read)("all")
+    answered = failed.diff_r()
+    assert (answered.value, len(answered.witness)) == (16, 8)
     for _, search in reads:
         monkeypatch.setattr(solvers, search, refuse)
     for read, want in expected.items():
         res = getattr(ctx, read)()
         assert (res.value, res.witness) == want, read
         assert res is getattr(ctx, read)("all")
-        with pytest.raises(BudgetExceededError):
-            getattr(failed, read)()
+    with pytest.raises(BudgetExceededError):
+        failed.diff()
+    assert failed.diff_r() is answered
+    with pytest.raises(BudgetExceededError):
+        failed.diff_r("all")
     assert ctx.mu == len(ctx.diff_r("all").all_sets[-1])
 
 
@@ -285,13 +332,15 @@ def test_r_differential_sets_match_the_exhaustive_search():
 def test_differential_of_r_budget_bounds_the_work():
     # Each node is charged the vertices it examines, not 1, so a budget
     # bounds the time: diff(R(K'_21)) runs out of 10^6 nodes in well under a
-    # second instead of running for minutes. The first node alone examines
-    # the 4 vertices of K4 and the 10 of R(K4), where the whole value
-    # search takes 4 nodes.
+    # second instead of running for minutes. The "largest" search over
+    # R(C64) visits about a thousand nodes, but each is charged for its
+    # passes over up to the 64 vertices of C64, so it runs out of 10^4
+    # units and answers in 10^6.
     with pytest.raises(BudgetExceededError):
         differential_of_r(kprime(21), "all", budget=10**6)
     with pytest.raises(BudgetExceededError):
-        differential_of_r(complete(4), budget=14)
+        differential_of_r(cycle(64), budget=10**4)
+    assert differential_of_r(cycle(64), budget=10**6).value == 64
 
 
 def test_differential_of_r_guards():
@@ -458,6 +507,19 @@ def test_independence_witness_and_oracle():
         assert alpha == naive_independence(g)
         assert len(witness) == alpha
         assert all(not g.adj[v] & witness.mask for v in witness)
+
+
+def test_independence_beyond_order_12():
+    # Parts of more than SMALL_PART (12) vertices are bounded and split:
+    # alpha and the lexicographically smallest maximum set against the full
+    # scan on random graphs of order 13-15.
+    rng = Random(139)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(13, 15), rng.uniform(0.15, 0.5))
+        sets = [m for m in range(1 << g.n) if all(not g.adj[v] & m for v in bits(m))]
+        alpha = max(m.bit_count() for m in sets)
+        first = min((m for m in sets if m.bit_count() == alpha), key=lambda m: tuple(bits(m)))
+        assert independence_number(g) == (alpha, VertexSet(g.n, first)), write_graph6(g)
 
 
 def test_gallai_identity_census():
@@ -673,6 +735,29 @@ def test_full_record_roman_beyond_order_12():
     record = full_record(g)
     assert record.roman == g.n - record.diff == naive_roman(g)
     assert "roman" not in record.skipped
+
+
+def test_full_record_answers_the_64_vertex_families():
+    # The largest-maximizer search over R(G) answers diff_r and mu at the
+    # default budget on the families where the Roman search over V ran out
+    # of 10^7 units. Each value is m - n plus the best weight: 2 per
+    # vertex of I and 3 per edge of M (32 vertices on C64; 31 vertices and
+    # one edge on P64; one edge on K64; 30 vertices and one edge on the rim
+    # of W64; the 42 large-side vertices of K_{21,42}; the 21 matching
+    # edges of K'_21).
+    families = (
+        (cycle(64), 64, 32),
+        (path(64), 64, 31),
+        (complete(64), 1955, 62),
+        (wheel(64), 125, 32),
+        (complete_bipartite(21, 42), 903, 21),
+        (kprime(21), 903, 21),
+    )
+    for g, diff_r, mu in families:
+        record = full_record(g)
+        assert "diff_r" not in record.skipped and "mu" not in record.skipped
+        assert (record.diff_r, record.mu) == (diff_r, mu), write_graph6(g)
+        assert record.lam <= diff_r <= record.lam + (g.n - mu) // 2
 
 
 def test_full_record_matches_separate_solvers():
