@@ -14,6 +14,7 @@ error, 3 a search budget was exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -22,14 +23,8 @@ from .census import CANONICAL_MAX
 from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
 from .core import BudgetExceededError, CapacityError, Graph
 from .families import FamilySpec
-from .propositions import PROPOSITIONS, run_all, run_census
-from .reports import (
-    records_to_csv,
-    records_to_json,
-    reports_to_csv,
-    reports_to_json,
-    summary_to_csv,
-)
+from .propositions import PROPOSITIONS, CensusSummary, census_runs, run_all
+from .reports import CsvWriter, JsonWriter, record_row
 from .roperator import build_r
 from .solvers import DEFAULT_BUDGET, full_record
 
@@ -126,18 +121,22 @@ def _read_graphs(args) -> list[Graph]:
     return graphs
 
 
-def _write_output(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(args):
+    """The ``--out`` file, opened before any search so a bad path fails at once; else stdout."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_graphs(args, graphs: list[Graph]) -> None:
     if args.format == "edgelist":
-        _write_output(args, "".join(write_edgelist(g) for g in graphs))
+        text = "".join(write_edgelist(g) for g in graphs)
     else:
-        _write_output(args, "".join(write_graph6(g) + "\n" for g in graphs))
+        text = "".join(write_graph6(g) + "\n" for g in graphs)
+    with _open_output(args) as out:
+        out.write(text)
+
+
+def _writer(args, out, member: str):
+    return JsonWriter(out, member) if args.report_format == "json" else CsvWriter(out)
 
 
 def _family_spec(args) -> FamilySpec:
@@ -156,10 +155,10 @@ def _parse_props(value: str) -> list[str]:
     return ids
 
 
-def _report_exit(reports) -> int:
-    if any(r.status == "fail" for r in reports):
+def _report_exit(statuses: set[str]) -> int:
+    if "fail" in statuses:
         return EXIT_FAIL
-    if any(r.status == "skipped" for r in reports):
+    if "skipped" in statuses:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -195,46 +194,38 @@ def _dispatch(args) -> int:
 
     if args.command == "compute":
         graphs = _read_graphs(args)
-        records = [(write_graph6(g), full_record(g, budget=args.budget)) for g in graphs]
-        runtime = time.perf_counter() - start
-        if args.report_format == "csv":
-            _write_output(args, records_to_csv(records))
-        else:
-            _write_output(args, records_to_json(records, "compute", runtime))
-        skipped_budget = any(
-            "budget" in reason
-            for _, record in records
-            for reason in record.skipped.values()
-        )
+        skipped_budget = False
+        with _open_output(args) as out:
+            writer = _writer(args, out, "records")
+            for g in graphs:
+                record = full_record(g, budget=args.budget)
+                skipped_budget |= any("budget" in reason for reason in record.skipped.values())
+                writer.rows([record_row(write_graph6(g), record)])
+            writer.close("compute", time.perf_counter() - start)
         return EXIT_BUDGET if skipped_budget else EXIT_OK
 
-    if args.command == "verify":
+    if args.command in ("verify", "census"):
         prop_ids = _parse_props(args.props)
-        if args.kind:
-            graphs = [_family_spec(args).build()]
+        summary = None
+        if args.command == "census":
+            runs = census_runs(args.nmax, prop_ids, jobs=args.jobs, budget=args.budget)
+            summary = CensusSummary(n_min=3, n_max=args.nmax)
         else:
-            graphs = _read_graphs(args)
-        reports = []
-        for g in graphs:
-            reports.extend(run_all(g, prop_ids, args.budget))
-        runtime = time.perf_counter() - start
-        if args.report_format == "csv":
-            _write_output(args, reports_to_csv(reports))
-        else:
-            _write_output(args, reports_to_json(reports, "verify", runtime=runtime))
-        return _report_exit(reports)
-
-    if args.command == "census":
-        prop_ids = _parse_props(args.props)
-        summary, reports = run_census(args.nmax, prop_ids, jobs=args.jobs, budget=args.budget)
-        if args.report_format == "csv":
-            _write_output(args, summary_to_csv(summary))
-        else:
-            _write_output(
-                args,
-                reports_to_json(reports, "census", summary, summary.total_runtime),
-            )
-        return _report_exit(reports)
+            graphs = [_family_spec(args).build()] if args.kind else _read_graphs(args)
+            runs = (run_all(g, prop_ids, args.budget) for g in graphs)
+        # census --csv writes its summary table alone
+        keep_rows = summary is None or args.report_format == "json"
+        statuses: set[str] = set()
+        with _open_output(args) as out:
+            writer = _writer(args, out, "reports")
+            for reports in runs:
+                statuses.update(r.status for r in reports)
+                if summary is not None:
+                    summary.add(reports)
+                if keep_rows:
+                    writer.rows([r.row() for r in reports])
+            writer.close(args.command, time.perf_counter() - start, summary)
+        return _report_exit(statuses)
 
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -38,8 +38,10 @@ P18  audit: does some set attain the differential of both P_7 and R(P_7)?
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Callable, Iterator
 
 from .census import CANONICAL_MAX, connected_census
 from .codecs import parse_graph6, write_graph6
@@ -507,15 +509,21 @@ def run_all(
     return [_run_with_ctx(PROPOSITIONS[pid], ctx, instance) for pid in ids]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CensusSummary:
-    """Per-proposition status counts over one census run."""
+    """Per-proposition status counts over one census run, one instance at a time."""
 
     n_min: int
     n_max: int
-    instances: int
-    counts: dict[str, dict[str, int]]
-    total_runtime: float
+    instances: int = 0
+    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    def add(self, reports: list[CheckReport]) -> None:
+        """Count the reports of one instance."""
+        self.instances += 1
+        for report in reports:
+            by_status = self.counts.setdefault(report.prop_id, {})
+            by_status[report.status] = by_status.get(report.status, 0) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -526,9 +534,54 @@ class CensusSummary:
         }
 
 
-def _census_worker(args: tuple[str, list[str], int]) -> list[CheckReport]:
-    g6, prop_ids, budget = args
-    return run_all(parse_graph6(g6), prop_ids, budget)
+# Instances per task of a census worker process, and tasks in flight per worker.
+CENSUS_BATCH = 8
+BATCHES_PER_WORKER = 4
+
+
+def _census_worker(g6s: list[str], prop_ids: list[str], budget: int) -> list[list[CheckReport]]:
+    return [run_all(parse_graph6(g6), prop_ids, budget) for g6 in g6s]
+
+
+def census_runs(
+    n_max: int,
+    prop_ids: list[str] | None = None,
+    jobs: int = 1,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[list[CheckReport]]:
+    """``run_all``'s reports on each connected census graph of order 3..n_max.
+
+    The arguments are checked at the call. The census is generated and
+    checked as the result is iterated, one instance's reports at a time,
+    in census order for every worker count; with ``jobs`` above 1 a
+    process pool checks batches of instances, a bounded number ahead.
+    """
+    if not 3 <= n_max <= CANONICAL_MAX:
+        raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
+    ids = list(prop_ids) if prop_ids else list(PROPOSITIONS)
+    for pid in ids:
+        if pid not in PROPOSITIONS:
+            raise ValueError(f"unknown proposition id {pid!r}")
+    instances = (g for n in range(3, n_max + 1) for g in connected_census(n))
+    if jobs > 1:
+        return _pooled_runs(instances, ids, jobs, budget)
+    return (run_all(g, ids, budget) for g in instances)
+
+
+def _pooled_runs(instances, ids: list[str], jobs: int, budget: int) -> Iterator[list[CheckReport]]:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    batches = iter(lambda: [write_graph6(g) for g in islice(instances, CENSUS_BATCH)], [])
+    pending: deque = deque()
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        for batch in batches:
+            pending.append(pool.submit(_census_worker, batch, ids, budget))
+            if len(pending) == BATCHES_PER_WORKER * jobs:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
 
 
 def run_census(
@@ -537,41 +590,10 @@ def run_census(
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[CensusSummary, list[CheckReport]]:
-    """Evaluate propositions over every connected census graph of order 3..n_max.
-
-    Reports come back in deterministic (instance, proposition) order
-    regardless of the worker count.
-    """
-    if not 3 <= n_max <= CANONICAL_MAX:
-        raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
-    ids = list(prop_ids) if prop_ids else list(PROPOSITIONS)
-    for pid in ids:
-        if pid not in PROPOSITIONS:
-            raise ValueError(f"unknown proposition id {pid!r}")
-
-    start = time.perf_counter()
-    instances = [g for n in range(3, n_max + 1) for g in connected_census(n)]
+    """Every report of ``census_runs`` in one list, with their counts."""
+    summary = CensusSummary(n_min=3, n_max=n_max)
     reports: list[CheckReport] = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = [(write_graph6(g), ids, budget) for g in instances]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_census_worker, payload, chunksize=8):
-                reports.extend(chunk)
-    else:
-        for g in instances:
-            reports.extend(run_all(g, ids, budget))
-
-    counts: dict[str, dict[str, int]] = {pid: {} for pid in ids}
-    for report in reports:
-        by_status = counts[report.prop_id]
-        by_status[report.status] = by_status.get(report.status, 0) + 1
-    summary = CensusSummary(
-        n_min=3,
-        n_max=n_max,
-        instances=len(instances),
-        counts=counts,
-        total_runtime=time.perf_counter() - start,
-    )
+    for chunk in census_runs(n_max, prop_ids, jobs, budget):
+        summary.add(chunk)
+        reports.extend(chunk)
     return summary, reports

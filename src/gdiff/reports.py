@@ -1,8 +1,14 @@
-"""JSON and CSV serialization for reports, summaries, and invariant records.
+"""JSON and CSV writers for reports, summaries, and invariant records.
 
-All volatile fields (timestamps, runtimes) live in a single header object;
-everything below the header is a pure function of the inputs and flags, so
-two runs with equal flags produce byte-identical bodies.
+Output is streamed. A command hands its writer the rows of one instance
+at a time, and the writer emits them with one ``write``, so no run holds
+all its rows or the whole document text. A JSON document's members come
+in the order ``reports`` (or ``records``), ``summary`` (census only),
+``header``. The header holds every volatile field (timestamp, runtime)
+and comes last, because the runtime is known only at the end. Each other
+member is written byte for byte as ``json.dumps(document, indent=2,
+sort_keys=True)`` writes it and is a pure function of the inputs and
+flags, so two runs with equal flags produce byte-identical bodies.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ import csv
 import io
 import json
 from datetime import datetime, timezone
+from typing import TextIO
 
 from .propositions import CensusSummary, CheckReport
 from .solvers import InvariantRecord
 
-REPORT_FIELDS = ("prop", "instance_g6", "status", "witness_sets", "note")
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _header(command: str, runtime: float | None) -> dict:
@@ -27,37 +34,75 @@ def _header(command: str, runtime: float | None) -> dict:
     }
 
 
-def reports_to_json(
-    reports: list[CheckReport],
-    command: str,
-    summary: CensusSummary | None = None,
-    runtime: float | None = None,
-) -> str:
-    payload: dict = {
-        "header": _header(command, runtime),
-        "reports": [r.row() for r in reports],
-    }
-    if summary is not None:
-        payload["summary"] = summary.to_dict()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _member(value) -> str:
+    """The JSON text of ``value`` as a member of the top-level object."""
+    return _ENCODER.encode(value).replace("\n", "\n  ")
 
 
-def reports_to_csv(reports: list[CheckReport]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for r in reports:
-        row = r.row()
-        writer.writerow(
-            [
-                row["prop"],
-                row["instance_g6"],
-                row["status"],
-                json.dumps(row["witness_sets"]),
-                row["note"],
-            ]
-        )
-    return out.getvalue()
+def record_row(g6: str, record: InvariantRecord) -> dict:
+    return {"instance_g6": g6, **record.to_dict()}
+
+
+class JsonWriter:
+    """One JSON object: the ``member`` array of rows, then summary and header."""
+
+    def __init__(self, out: TextIO, member: str):
+        self.out = out
+        self.head = f"{{\n  {json.dumps(member)}: ["
+        self.started = False
+
+    def rows(self, rows: list[dict]) -> None:
+        """Append rows to the array; the rows are encoded in one call."""
+        if not rows:
+            return
+        # "[\n    {...},\n    {...}\n  ]" as a member: keep the items.
+        items = _member(rows)[2:-4]
+        self.out.write((",\n" if self.started else self.head + "\n") + items)
+        self.started = True
+
+    def close(
+        self, command: str = "", runtime: float | None = None, summary: CensusSummary | None = None
+    ) -> None:
+        tail = "\n  ]" if self.started else self.head + "]"
+        if summary is not None:
+            tail += ',\n  "summary": ' + _member(summary.to_dict())
+        self.out.write(tail + ',\n  "header": ' + _member(_header(command, runtime)) + "\n}\n")
+
+
+def _cell(value):
+    if isinstance(value, list):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return ";".join(f"{k}:{v}" for k, v in value.items())
+    return value
+
+
+class CsvWriter:
+    """A header row named by the first row's keys, then one line per row.
+
+    A census passes no rows: its CSV output is the summary table alone.
+    """
+
+    def __init__(self, out: TextIO):
+        self.out = out
+        self.started = False
+
+    def rows(self, rows: list[dict]) -> None:
+        if not rows:
+            return
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        if not self.started:
+            writer.writerow(rows[0])
+            self.started = True
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+        self.out.write(text.getvalue())
+
+    def close(
+        self, command: str = "", runtime: float | None = None, summary: CensusSummary | None = None
+    ) -> None:
+        if summary is not None:
+            self.out.write(summary_to_csv(summary))
 
 
 def summary_to_csv(summary: CensusSummary) -> str:
@@ -75,26 +120,35 @@ def summary_to_csv(summary: CensusSummary) -> str:
     return out.getvalue()
 
 
+# Whole documents from rows already in memory, through the same writers.
+
+
+def _document(writer: JsonWriter | CsvWriter, rows: list[dict], *close_args) -> str:
+    writer.rows(rows)
+    writer.close(*close_args)
+    return writer.out.getvalue()
+
+
+def reports_to_json(
+    reports: list[CheckReport],
+    command: str,
+    summary: CensusSummary | None = None,
+    runtime: float | None = None,
+) -> str:
+    rows = [r.row() for r in reports]
+    return _document(JsonWriter(io.StringIO(), "reports"), rows, command, runtime, summary)
+
+
+def reports_to_csv(reports: list[CheckReport]) -> str:
+    return _document(CsvWriter(io.StringIO()), [r.row() for r in reports])
+
+
 def records_to_json(
     records: list[tuple[str, InvariantRecord]], command: str, runtime: float | None = None
 ) -> str:
-    payload = {
-        "header": _header(command, runtime),
-        "records": [
-            {"instance_g6": g6, **record.to_dict()} for g6, record in records
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows = [record_row(g6, record) for g6, record in records]
+    return _document(JsonWriter(io.StringIO(), "records"), rows, command, runtime)
 
 
 def records_to_csv(records: list[tuple[str, InvariantRecord]]) -> str:
-    """One row per record, columns as in ``InvariantRecord.to_dict``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for i, (g6, record) in enumerate(records):
-        row = {"instance_g6": g6, **record.to_dict()}
-        row["skipped"] = ";".join(f"{k}:{v}" for k, v in row["skipped"].items())
-        if i == 0:
-            writer.writerow(row)
-        writer.writerow(row.values())
-    return out.getvalue()
+    return _document(CsvWriter(io.StringIO()), [record_row(g6, record) for g6, record in records])

@@ -1,6 +1,8 @@
 import io
 import json
 
+import gdiff.cli as cli_module
+from gdiff import propositions
 from gdiff.cli import cli
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.families import complete_bipartite, wheel
@@ -152,6 +154,26 @@ def test_unreadable_and_unwritable_paths_are_usage_errors(tmp_path, capsys, monk
     assert (code, out) == (2, "") and err.startswith("gdiff: error: ")
     assert not missing.parent.exists()
 
+    # --out is opened before the census is generated or any graph searched.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before --out was opened")
+
+    monkeypatch.setattr(propositions, "connected_census", refuse)
+    for module in (cli_module, propositions):
+        monkeypatch.setattr(module, "run_all", refuse)
+    monkeypatch.setattr(cli_module, "full_record", refuse)
+    g6 = write_graph6(wheel(5)) + "\n"
+    for argv in (
+        ["census", "--nmax", "4"],
+        ["verify", "--kind", "wheel", "--n", "5"],
+        ["verify"],
+        ["compute"],
+        ["compute", "--csv"],
+    ):
+        code, out, err = run_cli(capsys, monkeypatch, [*argv, "--out", str(missing)], stdin=g6)
+        assert (code, out) == (2, "") and err.startswith("gdiff: error: "), argv
+    assert not missing.parent.exists()
+
 
 def test_usage_error(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, monkeypatch, ["family", "--kind"])
@@ -289,3 +311,30 @@ def test_out_flag_writes_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["summary"]["instances"] == 2
+
+
+def test_census_streams_one_write_per_instance(monkeypatch):
+    # The first instance's reports are written before the second is checked,
+    # and the 8 instances of orders 3-4 take one write each, plus the tail.
+    checked = []
+    run_all = propositions.run_all
+
+    def counting(*args, **kwargs):
+        checked.append(1)
+        return run_all(*args, **kwargs)
+
+    class Stream(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.checked_at_writes = []
+
+        def write(self, text):
+            self.checked_at_writes.append(len(checked))
+            return super().write(text)
+
+    stream = Stream()
+    monkeypatch.setattr(propositions, "run_all", counting)
+    monkeypatch.setattr("sys.stdout", stream)
+    assert cli(["census", "--nmax", "4", "--props", "P01,P11"]) == 0
+    assert stream.checked_at_writes == [1, 2, 3, 4, 5, 6, 7, 8, 8]
+    assert json.loads(stream.getvalue())["summary"]["instances"] == 8

@@ -1,10 +1,14 @@
+import csv
 import hashlib
+import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 from random import Random
 
+from gdiff import propositions
 from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.core import Graph, VertexSet, bits
@@ -20,11 +24,13 @@ from gdiff.families import (
 )
 from gdiff.propositions import (
     PROPOSITIONS,
+    CensusSummary,
+    census_runs,
     run_all,
     run_census,
     run_proposition,
 )
-from gdiff.reports import reports_to_json
+from gdiff.reports import JsonWriter
 from gdiff.roperator import build_r
 from gdiff.solvers import (
     differential_exact,
@@ -176,16 +182,22 @@ def test_p08_builds_no_r_graph(monkeypatch):
 
 
 def census_body(n_max):
-    """Status counts and the sha256 of the JSON report body of run_census.
+    """Status counts and the sha256 of the JSON report body of a census run.
 
-    The body is the ``census --json`` output with its volatile header
-    removed: every report and the summary.
+    The body is the ``census --json`` text as the writer streams it, with
+    its volatile header, the last member, cut off: every report and the
+    summary.
     """
-    summary, reports = run_census(n_max)
-    payload = json.loads(reports_to_json(reports, "census", summary))
-    payload.pop("header")
-    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return payload["summary"]["counts"], hashlib.sha256(body.encode()).hexdigest()
+    out = io.StringIO()
+    writer = JsonWriter(out, "reports")
+    summary = CensusSummary(n_min=3, n_max=n_max)
+    for reports in census_runs(n_max):
+        summary.add(reports)
+        writer.rows([r.row() for r in reports])
+    writer.close("census", None, summary)
+    text = out.getvalue()
+    body = text[: text.index(',\n  "header": ')] + "\n}\n"
+    return json.loads(body)["summary"]["counts"], hashlib.sha256(body.encode()).hexdigest()
 
 
 # A change that means to alter census report bodies updates these and says
@@ -244,6 +256,18 @@ def test_census_order7_is_pinned():
     # All 18 checks on the 994 connected graphs of order 3-7. P18's one
     # fail is its audit refuting the paper's Figure 2 claim on P_7.
     assert census_body(7) == CENSUS_ORDER7
+
+
+def test_census_order7_summary_fixture_matches_the_pin():
+    # CI diffs `gdiff census --nmax 7 --props all --csv` against this file.
+    path = Path(__file__).parent / "fixtures" / "census_order7_summary.csv"
+    header, *body = csv.reader(path.read_text().splitlines())
+    assert header == ["prop", "pass", "fail", "vacuous", "skipped", "total"]
+    counts = {}
+    for pid, *cells, total in body:
+        assert int(total) == 994
+        counts[pid] = {status: int(c) for status, c in zip(header[1:5], cells) if c != "0"}
+    assert counts == CENSUS_ORDER7[0]
 
 
 @pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 40 s")
@@ -425,9 +449,11 @@ def test_census_nmax5_no_failures():
     assert total == len(reports)
 
 
-def test_census_parallel_matches_serial():
-    serial_summary, serial = run_census(4, ["P01", "P11", "P17"], jobs=1)
-    parallel_summary, parallel = run_census(4, ["P01", "P11", "P17"], jobs=2)
+def test_census_parallel_matches_serial(monkeypatch):
+    # Batches of 3 make 10 batches at order 5, more than the 8 kept in flight.
+    monkeypatch.setattr(propositions, "CENSUS_BATCH", 3)
+    serial_summary, serial = run_census(5, ["P01", "P11", "P17"], jobs=1)
+    parallel_summary, parallel = run_census(5, ["P01", "P11", "P17"], jobs=2)
     assert [r.row() for r in serial] == [r.row() for r in parallel]
     assert serial_summary.counts == parallel_summary.counts
 
