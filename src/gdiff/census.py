@@ -1,66 +1,149 @@
 """Canonical forms and isomorph-free generation of small connected graphs.
 
+The canonical form of a graph is its least upper-triangle adjacency code,
+read column by column (column j holds the pairs (0, j) .. (j - 1, j)),
+over the relabelings that list the vertices by (degree, neighbour-degree
+multiset) profile, largest first. Any isomorphism keeps profiles, so
+equal forms mean isomorphic graphs. ``canonical_form`` finds the least
+code by a depth-first search that places one vertex per position. Once
+positions 0..j are placed, column j is fixed, so the search tries at
+position j only the vertices that give the least column j, and it drops
+a partial labeling as soon as its columns exceed those of the best code
+found. When a branch that lay below the best code replaces it, the
+branch's later siblings compare against the new best again. Of two free
+twins (vertices whose rows agree but for each other) it tries one, since
+swapping them fixes the prefix and so gives the same codes.
+
 Every connected graph of order k >= 2 has a vertex whose removal leaves
 it connected (any leaf of a spanning tree will do). So each order-k class
 is some order-(k - 1) class plus one new vertex joined to a nonempty set
 of old vertices. ``enumerate_connected`` builds the census level by level
-from K1: it extends every representative of the level below in every
-such way, which never disconnects a graph, and keeps one graph per
-canonical form (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998). Each kept graph is decoded from its canonical
-form, so ``canonical_form`` of a representative is its own upper-triangle
-code, and each level is sorted by canonical form. The stream therefore
-depends only on the classes, not on the order in which extensions happen
-to find them.
+from K1 and keeps one graph per canonical form (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998). Each kept graph is
+decoded from its canonical form, so the identity labeling reaches its
+least code, and the labelings that reach it, collected by the same search
+without the twin rule, are exactly its automorphisms. Two neighbourhood
+masks in one orbit of that group give isomorphic extensions, so each
+representative is extended only by the masks that are least in their
+orbit. Each level is sorted by canonical form, so the stream depends only
+on the classes, not on the order in which extensions happen to find them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
 
 from .core import Graph, bits
 
 CANONICAL_MAX = 8
 
 
+def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The columns of g's least code and, if asked, every labeling that reaches it.
+
+    A labeling lists the vertex at each position. Column j of a labeling
+    p holds the bits adj[p[i]][p[j]] for i < j, the first one highest, so
+    comparing columns as integers of equal width compares codes. Unless
+    ``automorphisms`` is set, the search tries one of each set of free
+    twins, so it finds the least code but not every labeling reaching it.
+    """
+    n = g.n
+    adj = g.adj
+    # adjacent[v][u]: 1 when u and v are adjacent
+    adjacent = [[row >> u & 1 for u in range(n)] for row in adj]
+    degree = [row.bit_count() for row in adj]
+    profile = [
+        (degree[v], tuple(sorted([d for d, a in zip(degree, adjacent[v]) if a], reverse=True)))
+        for v in range(n)
+    ]
+    ordered = sorted(range(n), key=profile.__getitem__, reverse=True)
+    blocks: list[list[int]] = []
+    for v in ordered:
+        if blocks and profile[blocks[-1][0]] == profile[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    # members[j]: the vertices that may take position j, those with its profile
+    members = [block for block in blocks for _ in block]
+    best: list[int] = []
+    cols = [0] * n
+    labeling = [0] * n
+    least: list[tuple[int, ...]] = []
+
+    def place(j: int, placed: int, seen: list[int], tight: bool) -> bool:
+        """Place a vertex at position j and on; True when the best code was replaced.
+
+        ``seen[v]`` is column j for v at position j. ``tight`` says the
+        columns so far equal the best code's; otherwise they are below it,
+        or there is no best code yet. One vertex is left for position n - 1.
+        """
+        free = [v for v in members[j] if not placed >> v & 1]
+        col = min([seen[v] for v in free])
+        # Column j is compared before every later one, so only the vertices
+        # that give the least column can lead to the least code.
+        if tight:
+            if col > best[j]:
+                return False
+            tight = col == best[j]
+        cols[j] = col
+        if j == n - 1:
+            labeling[j] = free[0]
+            if tight:
+                if automorphisms:
+                    least.append(tuple(labeling))
+                return False
+            best[:] = cols
+            if automorphisms:
+                least[:] = [tuple(labeling)]
+            return True
+        chosen = [v for v in free if seen[v] == col]
+        if not automorphisms and len(chosen) > 1:
+            # Swapping two free twins (equal rows but for each other) fixes
+            # the placed prefix, so their subtrees give equal codes.
+            kept = []
+            rows: set[int] = set()
+            for v in chosen:
+                row = adj[v]
+                if row not in rows and row | 1 << v not in rows:
+                    kept.append(v)
+                    rows.update((row, row | 1 << v))
+            chosen = kept
+        replaced = False
+        for v in chosen:
+            labeling[j] = v
+            below = [s << 1 | a for s, a in zip(seen, adjacent[v])]
+            if place(j + 1, placed | 1 << v, below, tight):
+                # The new best shares columns 0..j with this node, so
+                # the siblings still to come must compare against it.
+                replaced = tight = True
+        return replaced
+
+    place(0, 0, [0] * n, False)
+    return best, least
+
+
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant byte encoding; equal forms iff isomorphic.
 
-    Minimizes the upper-triangle adjacency code over all relabelings that
-    respect the (degree, neighbor-degree multiset) profile; any isomorphism
-    preserves the profile, so restricting to these relabelings keeps the
-    form complete while skipping most of the n! search.
+    The order, then the least column-major upper-triangle code over the
+    relabelings that keep the (degree, neighbour-degree multiset) profile
+    blocks in order; any isomorphism preserves the profile, so the form is
+    complete. A depth-first search places one vertex per position; column
+    j is fixed once positions 0..j are, so at each position it tries only
+    the vertices giving the least column, one per set of free twins, and it
+    drops a partial labeling as soon as its columns exceed the best code's.
     """
     n = g.n
     if n > CANONICAL_MAX:
         raise ValueError(f"canonical form is a factorial search; order must be <= {CANONICAL_MAX}")
     if n <= 1:
         return bytes([n])
-    adj = g.adj
-    degree = [row.bit_count() for row in adj]
-    profile = {
-        v: (degree[v], tuple(sorted((degree[u] for u in bits(adj[v])), reverse=True)))
-        for v in range(n)
-    }
-    ordered = sorted(range(n), key=lambda v: profile[v], reverse=True)
-    blocks: list[list[int]] = []
-    for v in ordered:
-        if blocks and profile[blocks[-1][-1]] == profile[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    best = None
-    for parts in product(*(permutations(block) for block in blocks)):
-        p = [v for part in parts for v in part]
-        code = 0
-        for i, j in pairs:
-            code = code << 1 | (adj[p[i]] >> p[j] & 1)
-        if best is None or code < best:
-            best = code
+    best, _ = _least_labelings(g, False)
+    code = 0
+    for j in range(1, n):
+        code = code << j | best[j]
     nbits = n * (n - 1) // 2
-    return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")
+    return bytes([n]) + code.to_bytes((nbits + 7) // 8, "big")
 
 
 def _from_form(form: bytes) -> Graph:
@@ -78,6 +161,23 @@ def _from_form(form: bytes) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _orbit_least_masks(rep: Graph) -> list[int]:
+    """The nonempty vertex masks of a representative that are least in their Aut-orbit.
+
+    ``rep`` is canonically labeled, so the labelings that reach its least
+    code are its automorphisms.
+    """
+    _, automorphisms = _least_labelings(rep, True)
+    least = []
+    found: set[int] = set()
+    for mask in range(1, 1 << rep.n):
+        if mask not in found:
+            least.append(mask)
+            vertices = list(bits(mask))
+            found.update(sum([1 << p[v] for v in vertices]) for p in automorphisms)
+    return least
+
+
 def enumerate_connected(n: int):
     """Yield one canonically labeled graph per connected class of order n.
 
@@ -90,7 +190,7 @@ def enumerate_connected(n: int):
         new_bit = 1 << k
         forms = set()
         for g in level:
-            for nbrs in range(1, new_bit):
+            for nbrs in _orbit_least_masks(g):
                 rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
                 rows.append(nbrs)
                 forms.add(canonical_form(Graph(k + 1, tuple(rows))))

@@ -6,7 +6,7 @@ exponential and meant for orders up to ~10 (the Roman labeling scan, 3^n,
 up to ~7).
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 from gdiff.core import Graph, bits
@@ -184,6 +184,40 @@ def naive_p12(g: Graph) -> tuple[str, int]:
         if in_r[smask] != diff_r:
             return "fail", qualifying
     return ("pass" if qualifying else "vacuous"), qualifying
+
+
+def naive_canonical_form(g: Graph) -> bytes:
+    """The order, then the least column-major upper-triangle code over every
+    relabeling that lists the vertices by (degree, sorted neighbour degrees),
+    largest first: a scan of the product of the permutations of each block.
+    """
+    n = g.n
+    if n <= 1:
+        return bytes([n])
+    adj = g.adj
+    degree = [row.bit_count() for row in adj]
+    profile = {
+        v: (degree[v], tuple(sorted((degree[u] for u in bits(adj[v])), reverse=True)))
+        for v in range(n)
+    }
+    ordered = sorted(range(n), key=lambda v: profile[v], reverse=True)
+    blocks: list[list[int]] = []
+    for v in ordered:
+        if blocks and profile[blocks[-1][-1]] == profile[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    best = None
+    for parts in product(*(permutations(block) for block in blocks)):
+        p = [v for part in parts for v in part]
+        code = 0
+        for i, j in pairs:
+            code = code << 1 | (adj[p[i]] >> p[j] & 1)
+        if best is None or code < best:
+            best = code
+    nbits = n * (n - 1) // 2
+    return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
