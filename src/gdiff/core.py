@@ -1,8 +1,8 @@
 """Immutable bit-vector graphs and vertex-set primitives.
 
 A graph stores, for every vertex, its neighborhood as one integer bitmask,
-so set-level operations (neighborhood of a set, boundary, exterior, private
-neighbors, induced subgraphs) reduce to a handful of integer operations.
+so set-level operations (neighborhood of a set, boundary, exterior,
+induced subgraphs) reduce to a handful of integer operations.
 Vertex indices run 0..n-1. Python integers have no word size, so graphs of
 any order are values; only input from outside the program (the parsers and
 the family generators) is bounded, by CAPACITY.
@@ -117,10 +117,6 @@ class VertexSet:
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ((1 << self.n) - 1) & ~self.mask)
 
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check_ambient(other)
-        return self.mask & ~other.mask == 0
-
     def __repr__(self) -> str:
         return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
 
@@ -193,11 +189,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v].bit_count()
 
-    def has_edge(self, a: int, b: int) -> bool:
-        self._check_vertex(a)
-        self._check_vertex(b)
-        return bool(self.adj[a] >> b & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted pairs, in lexicographic order."""
         return [(v, u) for v in range(self.n) for u in bits(self.adj[v]) if u > v]
@@ -218,23 +209,7 @@ class Graph:
             raise ValueError("set member out of range")
         return m
 
-    # -- neighborhood primitives ---------------------------------------------
-
-    def open_neighborhood(self, v: int) -> VertexSet:
-        """N(v): all vertices adjacent to v."""
-        self._check_vertex(v)
-        return VertexSet(self.n, self.adj[v])
-
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        """N[v] = N(v) plus v itself."""
-        self._check_vertex(v)
-        return VertexSet(self.n, self.adj[v] | 1 << v)
-
-    def set_neighborhood(self, s: "VertexSet | Iterable[int]", closed: bool = False) -> VertexSet:
-        """N(S), the union of N(v) over v in S; the closed form also unions S."""
-        smask = self._coerce(s)
-        out = _union(self.adj, smask)
-        return VertexSet(self.n, out | smask if closed else out)
+    # -- set primitives -------------------------------------------------------
 
     def boundary(self, s: "VertexSet | Iterable[int]") -> VertexSet:
         """B(S) = N(S) minus S."""
@@ -250,18 +225,6 @@ class Graph:
         """|B(S)| - |S|; may be negative."""
         smask = self._coerce(s)
         return (_union(self.adj, smask) & ~smask).bit_count() - smask.bit_count()
-
-    def external_private_neighbors(self, v: int, s: "VertexSet | Iterable[int]") -> VertexSet:
-        """Neighbors of v outside S that are adjacent to no other member of S.
-
-        Requires v in S.
-        """
-        self._check_vertex(v)
-        smask = self._coerce(s)
-        if not smask >> v & 1:
-            raise ValueError(f"vertex {v} is not a member of the set")
-        others = _union(self.adj, smask & ~(1 << v))
-        return VertexSet(self.n, self.adj[v] & ~smask & ~others)
 
     # -- structure ------------------------------------------------------------
 

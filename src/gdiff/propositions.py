@@ -9,9 +9,8 @@ verbatim so the counterexample can be replayed through the set primitives.
 The checks on one instance read every solver result from one
 ``solvers.InstanceContext``, so each search runs at most once per instance.
 The differential sets of R(G) over its full subset space follow from those
-inside V (``InstanceContext.diff_r_sizes``); only when they do not confirm
-P03, P06 or P09 does the exhaustive search over R(G) (``InstanceContext.diff_rg``,
-run at most once per instance) decide and list them.
+inside V (``InstanceContext.diff_r_sizes``), so P03, P06 and P09 decide from
+those alone; R(G) itself is built only by the checks that inspect it.
 
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
@@ -152,24 +151,19 @@ def _p02(ctx):
 @_register("P03", "differential set of R(G) inside V of every realized size", _connected3)
 def _p03(ctx):
     vres = ctx.diff_r("all")
-    v_sizes = {len(s) for s in vres.all_sets}
-    if ctx.diff_r_sizes <= v_sizes:
+    missing = ctx.diff_r_sizes - {len(s) for s in vres.all_sets}
+    if not missing:
         return PASS, (), ""
-    full = ctx.diff_rg
-    if full.value != vres.value:
-        return (
-            FAIL,
-            (full.witness.members, vres.witness.members),
-            f"full value {full.value} != V-restricted value {vres.value}",
-        )
-    for d in full.all_sets:
-        if len(d) not in v_sizes:
+    size = min(missing)
+    for a in vres.all_sets:
+        ext = ctx.g.exterior(a)
+        if len(a) <= size <= len(a) + len(ext):
             return (
                 FAIL,
-                (d.members,),
-                f"no V-restricted differential set of size {len(d)}",
+                (a.members, ext.members),
+                f"no differential set of R(G) inside V has size {size}; A plus one "
+                f"edge-vertex at each of {size - len(a)} of C(A)'s vertices is one",
             )
-    return PASS, (), ""
 
 
 @_register("P04", "some differential set of R(G) inside V dominates G", _connected3)
@@ -196,11 +190,9 @@ def _p05(ctx):
 @_register("P06", "min degree >= 2 forces |Y| >= |X| across differential sets", _min_degree2)
 def _p06(ctx):
     biggest_x = ctx.diff("all").witness
-    # The least size of a differential set of R(G) is that of the first
-    # set inside V (see diff_r_sizes).
-    if len(ctx.diff_r("all").all_sets[0]) >= len(biggest_x):
-        return PASS, (), ""
-    smallest_y = min(ctx.diff_rg.all_sets, key=len)
+    # A smallest differential set of R(G) is the first set inside V (see
+    # diff_r_sizes).
+    smallest_y = ctx.diff_r("all").all_sets[0]
     if len(smallest_y) >= len(biggest_x):
         return PASS, (), ""
     return (
@@ -257,15 +249,15 @@ def _p09(ctx):
     p_set = parts[0]
     # A differential set of R(G) is one inside V, A, plus up to |C(A)|
     # edge-vertices, so it is unique iff A is and C(A) is empty.
-    if ctx.diff_r("all").all_sets == (p_set,) and ctx.diff_r_sizes == {len(p_set)}:
-        return PASS, (p_set.members,), ""
-    full = ctx.diff_rg
-    if len(full.all_sets) == 1 and full.all_sets[0].mask == p_set.mask:
+    sets = ctx.diff_r("all").all_sets
+    sizes = ctx.diff_r_sizes
+    if sets == (p_set,) and sizes == {len(p_set)}:
         return PASS, (p_set.members,), ""
     return (
         FAIL,
-        tuple(s.members for s in full.all_sets),
-        f"expected the single maximizer {p_set.members}",
+        tuple(s.members for s in sets),
+        f"expected the single maximizer {p_set.members}; the differential sets "
+        f"inside V are listed, and those of R(G) have sizes {sorted(sizes)}",
     )
 
 

@@ -47,7 +47,7 @@ floor((n - mu) / 2).
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
 on one graph at most once and answers a one-witness differential read from
-the enumeration when that has run. ``full_record``, the proposition checks
+the enumeration when that has answered. ``full_record``, the proposition checks
 and the public one-quantity solvers all read from it. The identities live
 on it and nowhere else. Four quantities are derived instead of searched: the
 Roman domination number gamma_R = n - diff (Bermudo, Fernau and
@@ -720,12 +720,11 @@ class InstanceContext:
     G) and ``diff_r`` (on R(G) over V) take the search's ``key`` (see
     ``_max_differential``) and run each search at most once; a
     ``"largest"`` read is answered by the enumeration (``"all"``) when that
-    has already run, since both give the same value and witness.
-    ``diff_rg`` is the exhaustive search over R(G). A search that runs out
-    of budget is not run again: its error is cached and raised to every
-    later reader. A ``"largest"`` read of ``diff`` takes the enumeration's
-    error too, since its search is the same kernel; one of ``diff_r`` runs
-    its own search, ``_ChoiceSearch``, which answers far more often.
+    has already answered, since both give the same value and witness. A
+    search that runs out of budget is not run again: its error is cached and
+    raised to every later reader of its key. A ``"largest"`` read whose
+    enumeration ran out runs its own search, which does less work and may
+    answer.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -743,13 +742,10 @@ class InstanceContext:
             raise self._cache[key]
         return self._cache[key]
 
-    def _differential(self, name: str, search, key: str, one_kernel: bool) -> DifferentialResult:
-        # A "largest" read takes the enumeration's answer once that has run,
-        # and its budget error only where both keys run one kernel.
-        if key == "largest":
-            done = self._cache.get((name, "all"))
-            if done is not None and (one_kernel or not isinstance(done, Exception)):
-                key = "all"
+    def _differential(self, name: str, search, key: str) -> DifferentialResult:
+        done = self._cache.get((name, "all"))
+        if key == "largest" and isinstance(done, DifferentialResult):
+            return done
         return self._get((name, key), lambda: search(self.g, key, self.budget))
 
     @property
@@ -758,16 +754,11 @@ class InstanceContext:
 
     def diff(self, key: str = "largest") -> DifferentialResult:
         """Differential of the instance by the search ``key``."""
-        return self._differential("diff", differential_exact, key, True)
+        return self._differential("diff", differential_exact, key)
 
     def diff_r(self, key: str = "largest") -> DifferentialResult:
         """Differential of the R-graph over subsets of V by the search ``key``."""
-        return self._differential("diff_r", differential_of_r, key, False)
-
-    @property
-    def diff_rg(self) -> DifferentialResult:
-        """Every differential set of the R-graph, by the search over all its subsets."""
-        return self._get("diff_rg", lambda: differential_exact(self.rg, "all", self.budget))
+        return self._differential("diff_r", differential_of_r, key)
 
     @property
     def diff_r_sizes(self) -> set[int]:

@@ -100,35 +100,59 @@ def test_p09_skipped_beyond_budget_size():
 
 
 def test_full_space_checks_answer_beyond_the_exhaustive_search():
-    # R(C_16) has 32 vertices; the exhaustive search over it runs past this
-    # budget, the search over V does not.
+    # R(C_24) has 48 vertices; the search over V takes 457,901 units, the
+    # exhaustive search over all subsets of R(C_24) 3,573,165.
     for pid in ("P03", "P06"):
-        assert run_proposition(pid, cycle(16), budget=2_000_000).status == "pass"
+        assert run_proposition(pid, cycle(24), budget=1_000_000).status == "pass"
 
 
-def test_full_space_fail_paths_run_the_exhaustive_search(monkeypatch):
-    # When the sets inside V do not confirm P03, P06 or P09, the exhaustive
-    # search over R(G) decides and lists the sets; it runs once and the
-    # three checks share it. Here a stand-in V search finds only the empty
-    # set, with differential 0 instead of 7.
+def _empty_v_search(monkeypatch, n):
+    # A stand-in V search that finds only the empty set, with differential 0.
+    import gdiff.solvers as solvers
+
+    empty = VertexSet(n, 0)
+    low = solvers.DifferentialResult(0, empty, 0, (empty,))
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: low)
+
+
+def test_full_space_fail_paths_read_the_sets_inside_v(monkeypatch):
+    # P03, P06 and P09 derive the differential sets of R(G) from those
+    # inside V (diff_r_sizes); they neither build R(G) nor search it.
     import gdiff.solvers as solvers
 
     g = complete_bipartite(2, 3)
-    empty = VertexSet(5, 0)
-    low = solvers.DifferentialResult(0, empty, 0, (empty,))
-    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: low)
+    _empty_v_search(monkeypatch, g.n)
     runs = []
-    search = solvers.differential_exact
-    monkeypatch.setattr(
-        solvers, "differential_exact", lambda h, *a: runs.append(h.n) or search(h, *a)
-    )
+    for name in ("build_r", "differential_exact"):
+        fn = getattr(solvers, name)
+        monkeypatch.setattr(
+            solvers, name, lambda h, *a, name=name, fn=fn: runs.append((name, h.n)) or fn(h, *a)
+        )
     reports = run_all(g, ["P03", "P06", "P09"])
     assert [(r.status, r.witness_sets, r.note) for r in reports] == [
-        ("fail", ((0, 1), ()), "full value 7 != V-restricted value 0"),
-        ("pass", (), ""),
-        ("pass", ((0, 1),), ""),
+        (
+            "fail",
+            ((), (0, 1, 2, 3, 4)),
+            "no differential set of R(G) inside V has size 1; A plus one "
+            "edge-vertex at each of 1 of C(A)'s vertices is one",
+        ),
+        ("fail", ((0,), ()), "|Y| = 0 < |X| = 1"),
+        (
+            "fail",
+            ((),),
+            "expected the single maximizer (0, 1); the differential sets inside V "
+            "are listed, and those of R(G) have sizes [0, 1, 2, 3, 4, 5]",
+        ),
     ]
-    assert runs.count(g.n + g.m) == 1
+    # Only P06's search over G runs.
+    assert runs == [("differential_exact", g.n)]
+
+
+def test_full_space_fails_are_reported_beyond_the_exhaustive_search(monkeypatch):
+    # A fail needs no search over R(C_24), so it is not lost to the budget.
+    _empty_v_search(monkeypatch, 24)
+    reports = run_all(cycle(24), ["P03", "P06"], budget=1_000_000)
+    assert [r.status for r in reports] == ["fail", "fail"]
 
 
 def test_p18_verdict_is_definitive():

@@ -29,8 +29,8 @@ def test_u_vertices_see_their_edge():
     for g in (cycle(5), complete(3), path(3)):
         r = build_r(g)
         for i, (a, b) in enumerate(g.edges()):
-            assert r.open_neighborhood(g.n + i).members == (a, b)
-    assert build_r(complete(3)).open_neighborhood(3).members == (0, 1)
+            assert r.adj[g.n + i] == 1 << a | 1 << b
+    assert build_r(complete(3)).adj[3] == 0b11
 
 
 def test_validate_r_correct_by_construction():

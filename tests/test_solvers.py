@@ -259,11 +259,10 @@ def test_mu_matches_the_oracle():
 
 
 def test_diff_r_reuses_the_enumeration(monkeypatch):
-    # Once the enumeration ("all") over V, or over G, has run, a "largest"
-    # read takes its answer from it and starts no search of its own. Where
-    # the enumeration ran out of budget, the read over G takes its error
-    # (both keys run one kernel there), but the read over V runs the
-    # largest-maximizer kernel once and answers.
+    # Once the enumeration ("all") over V, or over G, has answered, a
+    # "largest" read takes its answer from it and starts no search of its
+    # own. Where the enumeration ran out of budget, the read runs its own
+    # search once and answers; the enumeration's error stays cached.
     import gdiff.solvers as solvers
 
     def refuse(*args, **kwargs):
@@ -281,19 +280,18 @@ def test_diff_r_reuses_the_enumeration(monkeypatch):
         assert getattr(ctx, read)("all").all_sets
         with pytest.raises(BudgetExceededError):
             getattr(failed, read)("all")
-    answered = failed.diff_r()
-    assert (answered.value, len(answered.witness)) == (16, 8)
+    answered = {read: getattr(failed, read)() for read, _ in reads}
+    assert (answered["diff"].value, answered["diff_r"].value) == (5, 16)
+    assert len(answered["diff_r"].witness) == 8
     for _, search in reads:
         monkeypatch.setattr(solvers, search, refuse)
     for read, want in expected.items():
         res = getattr(ctx, read)()
         assert (res.value, res.witness) == want, read
         assert res is getattr(ctx, read)("all")
-    with pytest.raises(BudgetExceededError):
-        failed.diff()
-    assert failed.diff_r() is answered
-    with pytest.raises(BudgetExceededError):
-        failed.diff_r("all")
+        assert getattr(failed, read)() is answered[read]
+        with pytest.raises(BudgetExceededError):
+            getattr(failed, read)("all")
     assert ctx.mu == len(ctx.diff_r("all").all_sets[-1])
 
 

@@ -1,12 +1,14 @@
 """Contracts with the tooling around gdiff.
 
-The benchmark's tracer looks gdiff's public names up by name; keep them.
+The benchmark (its tracer, its runner and its reference maker) looks gdiff's
+names up by name; keep them.
 Every command-line option must be read by the subcommand that takes it,
 and README's option table must list exactly the options each one takes.
 Importing the CLI leaves the process pool out.
 """
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import io
@@ -23,6 +25,16 @@ from gdiff.families import wheel
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 
+# What bench/run.py reads of gdiff, in its launch line, its set-up probe and
+# its traced runs.
+RUN_READS = (
+    "census.connected_census.cache_clear",
+    "cli.build_parser",
+    "cli.main",
+    "codecs.parse_graph6",
+    "core.BudgetExceededError",
+)
+
 
 def test_traced_names_exist():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
@@ -32,6 +44,28 @@ def test_traced_names_exist():
     for module_name, fn_name in tracer.TRACED:
         module = importlib.import_module(f"gdiff.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"gdiff.{module_name}.{fn_name}"
+
+
+def test_bench_names_exist():
+    tree = ast.parse((ROOT / "bench" / "make_reference.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "gdiff"
+        for alias in node.names
+    ]
+    assert imported
+    gdiff = importlib.import_module("gdiff")
+    for name in imported:
+        assert hasattr(gdiff, name), f"gdiff.{name}"
+    run_text = (ROOT / "bench" / "run.py").read_text()
+    for dotted in RUN_READS:
+        module, *attrs = dotted.split(".")
+        assert attrs[-1] in run_text, dotted
+        obj = importlib.import_module(f"gdiff.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"gdiff.{dotted}"
+            obj = getattr(obj, attr)
 
 
 def _subparsers():
