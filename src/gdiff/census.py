@@ -1,7 +1,8 @@
 """Canonical forms and isomorph-free generation of small connected graphs.
 
-The canonical form of a graph is its least upper-triangle adjacency code,
-read column by column (column j holds the pairs (0, j) .. (j - 1, j)),
+The canonical form of a graph is the graph6 text of its least labeling:
+the one with the least upper-triangle adjacency code, read column by
+column as graph6 reads it (column j holds the pairs (0, j) .. (j - 1, j)),
 over the relabelings that list the vertices by (degree, neighbour-degree
 multiset) profile, largest first. Any isomorphism keeps profiles, so
 equal forms mean isomorphic graphs. ``canonical_form`` finds the least
@@ -20,19 +21,25 @@ is some order-(k - 1) class plus one new vertex joined to a nonempty set
 of old vertices. ``enumerate_connected`` builds the census level by level
 from K1 and keeps one graph per canonical form (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998). Each kept graph is
-decoded from its canonical form, so the identity labeling reaches its
+parsed from its canonical form, so the identity labeling reaches its
 least code, and the labelings that reach it, collected by the same search
 without the twin rule, are exactly its automorphisms. Two neighbourhood
 masks in one orbit of that group give isomorphic extensions, so each
 representative is extended only by the masks that are least in their
 orbit. Each level is sorted by canonical form, so the stream depends only
 on the classes, not on the order in which extensions happen to find them.
+graph6 writes the code left-aligned in 6-bit groups of a fixed number for
+the order, so sorting the forms of one order sorts their codes: a level is
+in ascending order of code and of graph6, and a representative's form is
+its own graph6.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
+from .codecs import _graph6, parse_graph6
 from .core import Graph, bits
 
 CANONICAL_MAX = 8
@@ -57,12 +64,7 @@ def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tup
         for v in range(n)
     ]
     ordered = sorted(range(n), key=profile.__getitem__, reverse=True)
-    blocks: list[list[int]] = []
-    for v in ordered:
-        if blocks and profile[blocks[-1][0]] == profile[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
+    blocks = [list(block) for _, block in groupby(ordered, key=profile.__getitem__)]
     # members[j]: the vertices that may take position j, those with its profile
     members = [block for block in blocks for _ in block]
     best: list[int] = []
@@ -118,47 +120,24 @@ def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tup
                 replaced = tight = True
         return replaced
 
-    place(0, 0, [0] * n, False)
+    if n:
+        place(0, 0, [0] * n, False)
     return best, least
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Isomorphism-invariant byte encoding; equal forms iff isomorphic.
+def canonical_form(g: Graph) -> str:
+    """The graph6 text of g's least labeling; equal forms iff isomorphic.
 
-    The order, then the least column-major upper-triangle code over the
-    relabelings that keep the (degree, neighbour-degree multiset) profile
-    blocks in order; any isomorphism preserves the profile, so the form is
-    complete. A depth-first search places one vertex per position; column
-    j is fixed once positions 0..j are, so at each position it tries only
-    the vertices giving the least column, one per set of free twins, and it
-    drops a partial labeling as soon as its columns exceed the best code's.
+    The labelings searched and the search are as in the module docstring.
     """
     n = g.n
     if n > CANONICAL_MAX:
         raise ValueError(f"canonical form is a factorial search; order must be <= {CANONICAL_MAX}")
-    if n <= 1:
-        return bytes([n])
     best, _ = _least_labelings(g, False)
     code = 0
     for j in range(1, n):
         code = code << j | best[j]
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + code.to_bytes((nbits + 7) // 8, "big")
-
-
-def _from_form(form: bytes) -> Graph:
-    """The graph whose own upper-triangle code is ``form``."""
-    n = form[0]
-    code = int.from_bytes(form[1:], "big")
-    rows = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            shift -= 1
-            if code >> shift & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return _graph6(n, code)
 
 
 def _orbit_least_masks(rep: Graph) -> list[int]:
@@ -181,7 +160,7 @@ def _orbit_least_masks(rep: Graph) -> list[int]:
 def enumerate_connected(n: int):
     """Yield one canonically labeled graph per connected class of order n.
 
-    Graphs come in ascending order of canonical form.
+    Graphs come in ascending order of canonical form, which is their graph6.
     """
     if not 1 <= n <= CANONICAL_MAX:
         raise ValueError(f"census enumeration supports 1 <= n <= {CANONICAL_MAX}")
@@ -194,7 +173,7 @@ def enumerate_connected(n: int):
                 rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
                 rows.append(nbrs)
                 forms.add(canonical_form(Graph(k + 1, tuple(rows))))
-        level = [_from_form(form) for form in sorted(forms)]
+        level = [parse_graph6(form) for form in sorted(forms)]
     yield from level
 
 

@@ -232,3 +232,7 @@ def _dispatch(args) -> int:
 
 def main() -> None:
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -23,7 +23,15 @@ class FormatError(ValueError):
 
 
 def write_graph6(g: Graph) -> str:
-    n = g.n
+    code = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            code = code << 1 | (g.adj[i] >> j & 1)
+    return _graph6(g.n, code)
+
+
+def _graph6(n: int, code: int) -> str:
+    """graph6 text of order n whose upper triangle, read column by column, is ``code``."""
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -31,10 +39,6 @@ def write_graph6(g: Graph) -> str:
             chr(63 + (n >> shift & 0x3F)) for shift in (12, 6, 0)
         )
     nbits = n * (n - 1) // 2
-    code = 0
-    for j in range(1, n):
-        for i in range(j):
-            code = code << 1 | (g.adj[i] >> j & 1)
     ngroups = (nbits + 5) // 6
     code <<= ngroups * 6 - nbits
     body = "".join(

@@ -11,13 +11,15 @@ The checks on one instance read every solver result from one
 The differential sets of R(G) over its full subset space follow from those
 inside V (``InstanceContext.diff_r_sizes``), so P03, P06 and P09 decide from
 those alone; R(G) itself is built only by the checks that inspect it.
+The lemma in ``solvers`` also says that the largest differential set of
+R(G) inside V dominates G, so P04 checks that one set and enumerates none.
 
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
 P01  structural identities of the R-graph construction
 P02  some minimum dominating set of R(G) lies inside V: the colex-first one does
 P03  V contains a differential set of R(G) of every realized cardinality
-P04  some differential set of R(G) inside V dominates G
+P04  some differential set of R(G) inside V dominates G: the largest one does
 P05  min degree >= 2 forces every differential set inside V to dominate G
 P06  min degree >= 2 forces |Y| >= |X| for differential sets Y of R(G), X of G
 P07  max-degree characterizations of the differential of G itself
@@ -36,6 +38,7 @@ P18  audit: does some set attain the differential of both P_7 and R(P_7)?
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -168,15 +171,12 @@ def _p03(ctx):
 
 @_register("P04", "some differential set of R(G) inside V dominates G", _connected3)
 def _p04(ctx):
-    sets = ctx.diff_r("all").all_sets
-    for s in sets:
-        if is_dominating(ctx.g, s):
-            return PASS, (s.members,), ""
-    return (
-        FAIL,
-        tuple(s.members for s in sets),
-        "no differential set inside V dominates the base graph",
-    )
+    # By the lemma in ``solvers``, every vertex outside the largest maximizer
+    # has a neighbour in it, so the witness is the certificate.
+    s = ctx.diff_r().witness
+    if is_dominating(ctx.g, s):
+        return PASS, (s.members,), ""
+    return FAIL, (s.members,), "the largest differential set inside V does not dominate the base graph"
 
 
 @_register("P05", "min degree >= 2 forces differential sets inside V to dominate", _min_degree2)
@@ -545,8 +545,9 @@ def census_runs(
 
     The arguments are checked at the call. The census is generated and
     checked as the result is iterated, one instance's reports at a time,
-    in census order for every worker count; with ``jobs`` above 1 a
-    process pool checks batches of instances, a bounded number ahead.
+    in census order for every worker count. ``jobs`` is capped at the
+    CPUs this process may run on; above 1, a process pool of that many
+    workers checks batches of instances, a bounded number ahead.
     """
     if not 3 <= n_max <= CANONICAL_MAX:
         raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
@@ -555,9 +556,16 @@ def census_runs(
         if pid not in PROPOSITIONS:
             raise ValueError(f"unknown proposition id {pid!r}")
     instances = (g for n in range(3, n_max + 1) for g in connected_census(n))
+    jobs = min(jobs, _available_cpus())
     if jobs > 1:
         return _pooled_runs(instances, ids, jobs, budget)
     return (run_all(g, ids, budget) for g in instances)
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pooled_runs(instances, ids: list[str], jobs: int, budget: int) -> Iterator[list[CheckReport]]:

@@ -186,14 +186,13 @@ def naive_p12(g: Graph) -> tuple[str, int]:
     return ("pass" if qualifying else "vacuous"), qualifying
 
 
-def naive_canonical_form(g: Graph) -> bytes:
-    """The order, then the least column-major upper-triangle code over every
-    relabeling that lists the vertices by (degree, sorted neighbour degrees),
-    largest first: a scan of the product of the permutations of each block.
+def naive_canonical_form(g: Graph) -> str:
+    """graph6 text of the relabeling with the least column-major upper-triangle
+    code among every relabeling that lists the vertices by (degree, sorted
+    neighbour degrees), largest first: a scan of the product of the
+    permutations of each block. The 6-bit packing is written out here.
     """
     n = g.n
-    if n <= 1:
-        return bytes([n])
     adj = g.adj
     degree = [row.bit_count() for row in adj]
     profile = {
@@ -211,13 +210,11 @@ def naive_canonical_form(g: Graph) -> bytes:
     best = None
     for parts in product(*(permutations(block) for block in blocks)):
         p = [v for part in parts for v in part]
-        code = 0
-        for i, j in pairs:
-            code = code << 1 | (adj[p[i]] >> p[j] & 1)
+        code = "".join(str(adj[p[i]] >> p[j] & 1) for i, j in pairs)
         if best is None or code < best:
             best = code
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")
+    best += "0" * (-len(best) % 6)
+    return chr(63 + n) + "".join(chr(63 + int(best[k : k + 6], 2)) for k in range(0, len(best), 6))
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:

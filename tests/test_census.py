@@ -50,7 +50,7 @@ def test_census_graphs_are_connected_and_ordered():
 
 def test_census_matches_networkx_atlas():
     # The atlas lists every graph of order <= 7, independently of gdiff.
-    atlas: dict[int, set[bytes]] = {n: set() for n in range(1, 8)}
+    atlas: dict[int, set[str]] = {n: set() for n in range(1, 8)}
     for h in nx.graph_atlas_g():
         n = h.number_of_nodes()
         if n >= 1 and nx.is_connected(h):
@@ -76,20 +76,12 @@ def test_census_labeled_count():
         assert sum(factorial(n) // _automorphisms(g) for g in connected_census(n)) == labeled
 
 
-def _own_code(g: Graph) -> bytes:
-    """The upper-triangle adjacency code of g as labeled, in canonical_form's layout."""
-    code = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            code = code << 1 | (g.adj[i] >> j & 1)
-    nbits = g.n * (g.n - 1) // 2
-    return bytes([g.n]) + code.to_bytes((nbits + 7) // 8, "big")
-
-
 def test_census_representatives_are_canonical_and_sorted():
+    # Each representative's form is its own graph6, and a level is in
+    # ascending order of it.
     for n in range(1, 8):
         forms = [canonical_form(g) for g in connected_census(n)]
-        assert forms == [_own_code(g) for g in connected_census(n)]
+        assert forms == [write_graph6(g) for g in connected_census(n)]
         assert forms == sorted(forms)
 
 
@@ -209,10 +201,10 @@ def test_orbit_least_masks_reach_every_extension_class():
     # Built from every neighbourhood mask through the oracle, each level up
     # to order 7 equals the census level, which extends by orbit-least masks.
     for n in range(1, 7):
-        level: set[bytes] = set()
+        level: set[str] = set()
         for g in connected_census(n):
             forms = {nbrs: naive_canonical_form(_extension(g, nbrs)) for nbrs in range(1, 1 << n)}
             least = _orbit_least_masks(g)
             assert {forms[nbrs] for nbrs in least} == set(forms.values())
             level.update(forms.values())
-        assert sorted(level) == [_own_code(g) for g in connected_census(n + 1)]
+        assert sorted(level) == [write_graph6(g) for g in connected_census(n + 1)]

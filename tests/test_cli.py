@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import gdiff.cli as cli_module
 from gdiff import propositions
 from gdiff.cli import cli
 from gdiff.codecs import parse_graph6, write_graph6
-from gdiff.families import complete_bipartite, wheel
+from gdiff.families import KINDS, complete_bipartite, wheel
 from gdiff.roperator import build_r
 
 from oracles import sparse_connected_graphs
@@ -338,3 +342,77 @@ def test_census_streams_one_write_per_instance(monkeypatch):
     assert cli(["census", "--nmax", "4", "--props", "P01,P11"]) == 0
     assert stream.checked_at_writes == [1, 2, 3, 4, 5, 6, 7, 8, 8]
     assert json.loads(stream.getvalue())["summary"]["instances"] == 8
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Input files for the CLI fuzz: graph6, junk, empty and edge-list."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    graphs = (wheel(5), complete_bipartite(2, 3))
+    (tmp / "good.g6").write_text("".join(write_graph6(g) + "\n" for g in graphs))
+    (tmp / "junk.txt").write_text("not a graph\n~~\x01\n")
+    (tmp / "empty.txt").write_text("")
+    (tmp / "edges.txt").write_text("n 4\n0 1\n1 2\n2 3\n")
+    return tmp
+
+
+# The options each subcommand takes, but census --jobs, which the fuzz
+# always sets to 1.
+FAMILY = ("--kind", "--n", "--p", "--q", "--r")
+REPORTS = ("--json", "--csv", "--budget", "--out")
+TAKES = {
+    "family": FAMILY + ("--format", "--out"),
+    "roper": ("--input", "--format", "--out"),
+    "compute": ("--input", "--format") + REPORTS,
+    "verify": ("--props", "--input", "--format") + FAMILY + REPORTS,
+    "census": ("--nmax", "--props", "--input") + REPORTS,
+    "nope": (),
+}
+
+
+def _fuzz_values(tmp):
+    """A strategy for the value of each option; None for a flag or a junk token."""
+    orders = st.integers(-3, 65).map(str)
+    inputs = [str(tmp / name) for name in ("good.g6", "junk.txt", "empty.txt", "edges.txt", "none.g6")]
+    values = {
+        "--kind": st.sampled_from(KINDS + ("grid",)),
+        "--budget": st.sampled_from(["1", "40", "ten"]) | st.integers(-1, 10**4).map(str),
+        "--props": st.sampled_from(["all", "P01", "p04,P17", "P99", ",", "P03,P03"]),
+        "--input": st.sampled_from(inputs + ["-"]),
+        "--format": st.sampled_from(["graph6", "edgelist", "dot"]),
+        "--out": st.sampled_from([str(tmp / "out.txt"), str(tmp)]),
+        "--nmax": st.sampled_from(["-1", "0", "2", "3", "4", "5", "9"]),
+    }
+    values.update({name: orders for name in FAMILY[1:]})
+    values.update({token: None for token in ("--json", "--csv", "--help", "-x", "junk", "")})
+    return values
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
+    # Random subcommands, options and junk, in-process. Half the runs draw
+    # only the subcommand's own options, so they get past the parser. census
+    # always gets --jobs 1, so no worker process starts, and every search
+    # gets a budget of at most 10^4 last, so no run takes long.
+    values = _fuzz_values(fuzz_dir)
+    command = data.draw(st.sampled_from(list(TAKES)))
+    own = data.draw(st.booleans()) and TAKES[command]
+    names = st.sampled_from(own or list(values))
+    argv = [command]
+    for name in data.draw(st.lists(names, max_size=5)):
+        argv.append(name)
+        if values[name] is not None:
+            argv.append(data.draw(values[name]))
+    if command == "census":
+        argv += ["--jobs", "1"]
+    if "--budget" in TAKES[command]:
+        argv += ["--budget", data.draw(st.integers(1, 10**4).map(str))]
+    stdin = write_graph6(wheel(5)) + "\n"
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", io.StringIO(stdin))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

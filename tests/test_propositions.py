@@ -33,9 +33,12 @@ from gdiff.propositions import (
 from gdiff.reports import JsonWriter
 from gdiff.roperator import build_r
 from gdiff.solvers import (
+    DifferentialResult,
+    InstanceContext,
     differential_exact,
     differential_of_r,
     domination_number,
+    is_dominating,
     mu_invariant,
 )
 
@@ -43,6 +46,7 @@ from oracles import (
     card_colex_order,
     naive_minimum_dominating_sets,
     naive_p12,
+    random_connected_graph,
     random_graph,
     random_graphs,
 )
@@ -247,7 +251,7 @@ CENSUS_ORDER7 = (
         "P17": {"pass": 994},
         "P18": {"fail": 1, "vacuous": 993},
     },
-    "e2c1f223ba13eb78e77f36f6063b6127b9c64a4d31b7c2de7b9d1bd82cc05e69",
+    "c908bd113dea6eb6cb7f8ffe3f5d09cab387891d8178d53317fe505039ca28e8",
 )
 
 
@@ -272,7 +276,7 @@ CENSUS_ORDER8 = (
         "P17": {"pass": 12111},
         "P18": {"fail": 1, "vacuous": 12110},
     },
-    "ed77b8d0534b631877cdd35de72d2862ce4930a955c189b174fed0741ba7af7e",
+    "3c596c47c4e4adaa6af946085795faea405d469265dc9f7c0e19bf786496d901",
 )
 
 
@@ -449,6 +453,38 @@ def test_p12_matches_the_subset_scan():
             assert report.note == f"{qualifying} qualifying cover(s)"
 
 
+def test_p04_certificate_agrees_with_the_enumeration():
+    # P04 reads one set: by the lemma in solvers, every differential set of
+    # R(G) inside V of the largest cardinality dominates G. The enumeration
+    # checks that claim, and that the witness is the first of those sets.
+    rng = Random(101)
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
+    for g in graphs:
+        ctx = InstanceContext(g)
+        witness = ctx.diff_r().witness
+        sets = ctx.diff_r("all").all_sets
+        largest = [s for s in sets if len(s) == len(sets[-1])]
+        assert witness == largest[0], write_graph6(g)
+        assert all(is_dominating(g, s) for s in largest), write_graph6(g)
+        report = run_proposition("P04", g)
+        assert (report.status, report.witness_sets) == ("pass", (witness.members,))
+
+
+def test_p04_fails_when_the_largest_set_does_not_dominate(monkeypatch):
+    # A stand-in search whose witness {0} leaves 2 and 3 of P_4 undominated.
+    import gdiff.solvers as solvers
+
+    stand_in = DifferentialResult(0, VertexSet(4, 0b0001), 0)
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: stand_in)
+    report = run_proposition("P04", path(4))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0,),),
+        "the largest differential set inside V does not dominate the base graph",
+    )
+
+
 def test_run_all_shares_context():
     reports = run_all(complete(4), ["P01", "P11", "P15"])
     assert [r.prop_id for r in reports] == ["P01", "P11", "P15"]
@@ -480,6 +516,39 @@ def test_census_parallel_matches_serial(monkeypatch):
     parallel_summary, parallel = run_census(5, ["P01", "P11", "P17"], jobs=2)
     assert [r.row() for r in serial] == [r.row() for r in parallel]
     assert serial_summary.counts == parallel_summary.counts
+
+
+def test_census_workers_are_capped_at_the_available_cpus(monkeypatch):
+    # A stand-in pool records its size and runs each batch inline, so no
+    # process starts. With one CPU no pool is made at all.
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    assert propositions._available_cpus() >= 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    serial = [r.row() for chunk in census_runs(4, ["P01", "P04"]) for r in chunk]
+    for cpus, made in ((3, [3]), (1, [])):
+        sizes.clear()
+        monkeypatch.setattr(propositions, "_available_cpus", lambda: cpus)
+        runs = census_runs(4, ["P01", "P04"], jobs=10**6)
+        assert [r.row() for chunk in runs for r in chunk] == serial
+        assert sizes == made
 
 
 def test_census_rejects_bad_arguments():

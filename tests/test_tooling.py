@@ -4,7 +4,7 @@ The benchmark (its tracer, its runner and its reference maker) looks gdiff's
 names up by name; keep them.
 Every command-line option must be read by the subcommand that takes it,
 and README's option table must list exactly the options each one takes.
-Importing the CLI leaves the process pool out.
+Importing the CLI leaves the process pool out, and `python -m gdiff.cli` runs the CLI.
 """
 
 import argparse
@@ -160,3 +160,16 @@ def test_cli_import_leaves_out_the_process_pool():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m gdiff.cli` is the CLI, exit code included.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(props):
+        argv = [sys.executable, "-m", "gdiff.cli", "census", "--nmax", "3", "--props", props, "--csv"]
+        return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+    done = run("P01")
+    assert (done.returncode, done.stdout) == (0, "prop,pass,fail,vacuous,skipped,total\nP01,2,0,0,0,2\n")
+    assert run("P99").returncode == 2
