@@ -7,8 +7,9 @@ Subcommands:
   verify   run proposition checks on input graphs or a family
   census   run proposition checks over the connected census
 
-Exit codes: 0 all pass, 1 at least one failed check, 2 usage or parse
-error, 3 a search budget was exhausted.
+Options are spelled in full: a prefix of one is a usage error. Exit codes:
+0 all pass, 1 at least one failed check, 2 usage or parse error, 3 a search
+budget was exhausted.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gdiff",
         description="Exact graph differential toolkit: solvers, the R operator, "
         "family generators, and a proposition verification harness.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -69,24 +71,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(report_format="json")
         p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search node budget")
 
-    p_family = sub.add_parser("family", help="emit a family graph")
+    p_family = sub.add_parser("family", help="emit a family graph", allow_abbrev=False)
     add_family(p_family, required=True)
     add_graphs(p_family, reads=False)
 
-    p_roper = sub.add_parser("roper", help="emit the R-graph of each input graph")
+    p_roper = sub.add_parser("roper", help="emit the R-graph of each input graph", allow_abbrev=False)
     add_graphs(p_roper)
 
-    p_compute = sub.add_parser("compute", help="emit an invariant record per input graph")
+    p_compute = sub.add_parser("compute", help="emit an invariant record per input graph", allow_abbrev=False)
     add_graphs(p_compute)
     add_reports(p_compute)
 
-    p_verify = sub.add_parser("verify", help="run proposition checks on given graphs")
+    p_verify = sub.add_parser("verify", help="run proposition checks on given graphs", allow_abbrev=False)
     p_verify.add_argument("--props", default="all", help="comma-separated ids or 'all'")
     add_family(p_verify, help="verify a family graph instead of reading input")
     add_graphs(p_verify)
     add_reports(p_verify)
 
-    p_census = sub.add_parser("census", help="run proposition checks over the census")
+    p_census = sub.add_parser("census", help="run proposition checks over the census", allow_abbrev=False)
     p_census.add_argument("--nmax", type=int, default=5, help=f"largest order, up to {CANONICAL_MAX}")
     p_census.add_argument("--props", default="all")
     p_census.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")

@@ -13,11 +13,14 @@ inside V (``InstanceContext.diff_r_sizes``), so P03, P06 and P09 decide from
 those alone; R(G) itself is built only by the checks that inspect it.
 The lemma in ``solvers`` also says that the largest differential set of
 R(G) inside V dominates G, so P04 checks that one set and enumerates none.
+P02 moves each edge-vertex v_ab of the minimum dominating set of R(G) that
+P11's search found onto the lower end a of its edge, as N[v_ab] lies inside
+N[a], and checks that the moved set is a dominating set of the same size.
 
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
 P01  structural identities of the R-graph construction
-P02  some minimum dominating set of R(G) lies inside V: the colex-first one does
+P02  some minimum dominating set of R(G) lies inside V: the found one moved onto V
 P03  V contains a differential set of R(G) of every realized cardinality
 P04  some differential set of R(G) inside V dominates G: the largest one does
 P05  min degree >= 2 forces every differential set inside V to dominate G
@@ -144,11 +147,13 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
-    # V comes first in colex order, so the witness lies inside V iff some minimum does.
     _, dom = ctx.gamma_r
-    if dom.mask < 1 << ctx.g.n:
-        return PASS, (dom.members,), ""
-    return FAIL, (dom.members,), "no minimum dominating set lies inside V"
+    g, edges = ctx.g, ctx.g.edges()
+    # N[v_ab] = {v_ab, a, b} lies inside N[a], so a can replace v_ab.
+    inside = tuple(sorted({v if v < g.n else edges[v - g.n][0] for v in dom}))
+    if len(inside) == len(dom) and is_dominating(ctx.rg, inside):
+        return PASS, (inside,), ""
+    return FAIL, (dom.members, inside), "the projected set is not a minimum dominating set inside V"
 
 
 @_register("P03", "differential set of R(G) inside V of every realized size", _connected3)

@@ -65,21 +65,17 @@ the full subset space follow from the sets inside V (see
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple, which keeps reports reproducible. A differential
 witness has the largest cardinality among the maximizers, an independence
-witness is a maximum set. Domination witnesses are the exception: they are
-the first minimum in colex order, which compares two sets of one size by the
-largest vertex in which they differ and puts first the one without it.
-R(G) numbers V below every edge-vertex, so the colex-first minimum
-dominating set of R(G) lies inside V exactly when some minimum does, and
-one search answers both the domination number and that question. Searches
-that would exceed their node budget raise BudgetExceededError rather than
-returning a partial answer.
+witness is a maximum set. A domination witness is the minimum the search
+ends on; the search is deterministic, so it too is reproducible. Searches
+that would exceed their node budget raise BudgetExceededError, naming the
+public solver that ran out, rather than returning a partial answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import BudgetExceededError, Graph, VertexSet, _union, bits
 from .roperator import build_r, r_v_rows
@@ -109,22 +105,23 @@ class DifferentialResult:
 
 
 class _NodeCounter:
-    __slots__ = ("nodes", "budget")
+    __slots__ = ("nodes", "budget", "solver")
 
-    def __init__(self, budget: int):
+    def __init__(self, solver: str, budget: int):
         self.nodes = 0
         self.budget = budget
+        self.solver = solver
 
     def spend(self, amount: int = 1) -> None:
         self.nodes += amount
         if self.nodes > self.budget:
             raise BudgetExceededError(
-                f"search exceeded its node budget of {self.budget}"
+                f"{self.solver} search exceeded its node budget of {self.budget}"
             )
 
 
 def _max_differential(
-    rows: tuple[int, ...], order: int, key: str, budget: int
+    rows: tuple[int, ...], order: int, key: str, budget: int, solver: str
 ) -> DifferentialResult:
     """Maximize |N[S]| - 2|S| over subsets S of 0..n-1, where n = len(rows).
 
@@ -175,7 +172,7 @@ def _max_differential(
         card = 1 << n
         unit = (n + 1) * card
         price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
-    counter = _NodeCounter(budget)
+    counter = _NodeCounter(solver, budget)
     best = math.inf
     found: list[int] = []
 
@@ -454,7 +451,7 @@ def differential_exact(
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    return _max_differential(g.adj, g.n, key, budget)
+    return _max_differential(g.adj, g.n, key, budget, "differential_exact")
 
 
 def _require_r_base(g: Graph) -> None:
@@ -480,13 +477,13 @@ def differential_of_r(
     """
     _require_r_base(g)
     if key != "largest":
-        return _max_differential(r_v_rows(g), g.n + g.m, key, budget)
+        return _max_differential(r_v_rows(g), g.n + g.m, key, budget, "differential_of_r")
     n = g.n
     card = 1 << n
     unit = (n + 1) * card
     tie = [-card - (1 << n - 1 - v) for v in range(n)]
     pairable = sum(1 << v for v, row in enumerate(g.adj) if row & row - 1)
-    counter = _NodeCounter(budget)
+    counter = _NodeCounter("differential_of_r", budget)
     best = _ChoiceSearch(g.adj, 2, 3, tie, unit, pairable, counter, 1).best(g.full_mask)
     chosen = _reversed_bits(-best % card, n)
     return DifferentialResult(
@@ -520,27 +517,26 @@ class _DominatingSets:
     def __init__(self, g: Graph, budget: int):
         self.full = g.full_mask
         self.rows = g.closed_adj
-        self.counter = _NodeCounter(budget)
+        self.counter = _NodeCounter("domination_number", budget)
 
-    def covers(self, undominated: int, allowed: int, chosen: int, limit: int) -> Iterator[int]:
-        """Yield dominating sets ``chosen`` + T, T inside ``allowed``, |T| <= ``limit``.
+    def covers(self, undominated: int, allowed: int, chosen: int, limit: int) -> int | None:
+        """A dominating set ``chosen`` + T, T inside ``allowed``, |T| <= ``limit``, or None.
 
         Branch on the undominated vertex with the fewest allowed dominators,
         taking each of them in turn and excluding the earlier ones from the
-        later branches, so every yielded set is reached in exactly one
-        branch. A dominator that reaches no undominated vertex is dropped: no
-        minimum set contains it. Prune when one of two lower bounds on |T|
-        exceeds ``limit``: the undominated count over the most undominated
-        vertices one vertex reaches, rounded up, and the number of
-        undominated vertices with pairwise disjoint dominators, taken fewest
-        dominators first, since each needs its own. So every minimum
-        dominating set within ``limit`` is yielded, and other dominating sets
-        may be. Each call spends one node.
+        later branches, so every such set lies in exactly one branch. A
+        dominator that reaches no undominated vertex is dropped: no minimum
+        set contains it. Prune when one of two lower bounds on |T| exceeds
+        ``limit``: the undominated count over the most undominated vertices
+        one vertex reaches, rounded up, and the number of undominated
+        vertices with pairwise disjoint dominators, taken fewest dominators
+        first, since each needs its own. So a set is found whenever a
+        minimum dominating set within ``limit`` exists. Each call spends one
+        node.
         """
         self.counter.spend()
         if not undominated:
-            yield chosen
-            return
+            return chosen
         rows = self.rows
         reach = [0] * len(rows)
         useful = 0
@@ -553,7 +549,7 @@ class _DominatingSets:
         for u in bits(undominated):
             dominators = rows[u] & useful
             if not dominators:
-                return
+                return None
             options.append((dominators.bit_count(), dominators))
         options.sort()
         packed = taken = 0
@@ -562,10 +558,13 @@ class _DominatingSets:
                 packed += 1
                 taken |= dominators
         if max(packed, -(-undominated.bit_count() // max(reach))) > limit:
-            return
+            return None
         for d in sorted(bits(options[0][1]), key=reach.__getitem__, reverse=True):
             useful &= ~(1 << d)
-            yield from self.covers(undominated & ~rows[d], useful, chosen | 1 << d, limit - 1)
+            found = self.covers(undominated & ~rows[d], useful, chosen | 1 << d, limit - 1)
+            if found is not None:
+                return found
+        return None
 
     def minimum(self) -> int:
         """A minimum dominating set: ask for a smaller one until there is none.
@@ -582,51 +581,24 @@ class _DominatingSets:
             best |= 1 << v
             undominated &= ~rows[v]
         while True:
-            smaller = next(self.covers(self.full, self.full, 0, best.bit_count() - 1), None)
+            smaller = self.covers(self.full, self.full, 0, best.bit_count() - 1)
             if smaller is None:
                 return best
             best = smaller
-
-    def first_minimum(self, best: int) -> int:
-        """The first minimum in colex order, given the minimum ``best``.
-
-        Walk the vertices from the highest index down and leave a vertex out
-        when some minimum set agrees with every decision so far and avoids
-        it. ``best``, kept agreeing, answers when it avoids the vertex; else
-        a search over the lower vertices does, and its set becomes ``best``.
-        """
-        gamma = best.bit_count()
-        kept = 0
-        below = best
-        # Once the members at or below v are exactly 0..v, every agreeing
-        # minimum holds all of them, so none comes earlier.
-        while below & (below + 1):
-            v = below.bit_length() - 1
-            lower = (1 << v) - 1
-            undominated = self.full & ~_union(self.rows, kept)
-            limit = gamma - kept.bit_count()
-            agreeing = next(self.covers(undominated, lower, kept, limit), None)
-            if agreeing is None:
-                kept |= 1 << v
-            else:
-                best = agreeing
-            below = best & lower
-        return best
 
 
 def domination_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Minimum dominating set size and its first minimum set in colex order.
+    """Minimum dominating set size and the minimum set the search ends on.
 
-    A value pass finds some minimum set; a witness pass then finds the
-    first one (see ``_DominatingSets``). Both spend from one budget.
+    That is the greedy set when no smaller one exists, else the last
+    smaller set found (see ``_DominatingSets.minimum``).
     """
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    search = _DominatingSets(g, budget)
-    best = search.minimum()
-    return best.bit_count(), VertexSet(g.n, search.first_minimum(best))
+    best = _DominatingSets(g, budget).minimum()
+    return best.bit_count(), VertexSet(g.n, best)
 
 
 def vertex_cover_number(
@@ -648,7 +620,8 @@ def independence_number(
     the ones already taken. Each node spends one unit.
     """
     adj = g.adj
-    size = _ChoiceSearch(adj, 1, 0, [0] * g.n, 1, 0, _NodeCounter(budget), 0).best
+    counter = _NodeCounter("independence_number", budget)
+    size = _ChoiceSearch(adj, 1, 0, [0] * g.n, 1, 0, counter, 0).best
     alpha = size(g.full_mask)
     chosen = 0
     candidates = g.full_mask
@@ -714,9 +687,7 @@ class InstanceContext:
 
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
     only when a check inspects it), the differential searches and the
-    domination and independence numbers instead of re-solving. One
-    domination search on R(G) (``gamma_r``) serves both its value and the
-    question whether a minimum set lies inside V. ``diff`` (on
+    domination and independence numbers instead of re-solving. ``diff`` (on
     G) and ``diff_r`` (on R(G) over V) take the search's ``key`` (see
     ``_max_differential``) and run each search at most once; a
     ``"largest"`` read is answered by the enumeration (``"all"``) when that
@@ -781,17 +752,14 @@ class InstanceContext:
 
     @property
     def gamma(self) -> tuple[int, VertexSet]:
-        """Domination number of the instance and its colex-first minimum set."""
+        """Domination number of the instance and the minimum the search ends on."""
         return self._get(
             "gamma", lambda: domination_number(self.g, budget=self.budget)
         )
 
     @property
     def gamma_r(self) -> tuple[int, VertexSet]:
-        """Domination number of the R-graph and its colex-first minimum set.
-
-        The set lies inside V exactly when some minimum set does.
-        """
+        """Domination number of the R-graph and the minimum the search ends on."""
         return self._get(
             "gamma_r",
             lambda: domination_number(self.rg, budget=self.budget),

@@ -236,15 +236,6 @@ def card_lex_order(masks) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
-def card_colex_order(masks) -> list[int]:
-    """Masks sorted by cardinality, then colex.
-
-    Colex order puts first, of two sets of one size, the one without the
-    largest vertex in which they differ: the smaller mask.
-    """
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
 def sparse_connected_graphs(seed: int, orders) -> list[Graph]:
     """One connected G(n, 3 / (n - 1)) graph per order, redrawn until connected."""
     rng = Random(seed)

@@ -64,8 +64,12 @@ def test_compute_on_large_sparse_graphs_ends_within_budget(capsys, monkeypatch):
     assert code in (0, 3)
     records = json.loads(out)["records"]
     assert len(records) == len(graphs)
-    reasons = [reason for r in records for reason in r["skipped"].values()]
-    assert all(reason.startswith("search exceeded its node budget") for reason in reasons)
+    reasons = [reason.split(" ", 1) for r in records for reason in r["skipped"].values()]
+    solvers = {"differential_exact", "differential_of_r", "domination_number", "independence_number"}
+    assert all(
+        solver in solvers and rest == "search exceeded its node budget of 20000"
+        for solver, rest in reasons
+    )
 
 
 def test_compute_answers_sparse_graphs_of_order_32_at_the_default_budget(capsys, monkeypatch):
@@ -125,6 +129,20 @@ def test_unread_flags_removed(capsys, monkeypatch):
         ["census", "--nmax", "3", "--format", "edgelist"],
     ):
         assert run_cli(capsys, monkeypatch, args, stdin=g6)[0] == 2, args
+
+
+def test_option_prefixes_are_usage_errors(capsys, monkeypatch):
+    # Options are spelled in full: --n would otherwise run census --nmax 7,
+    # while on verify and family it is the family order.
+    g6 = write_graph6(complete_bipartite(2, 3)) + "\n"
+    for args in (
+        ["census", "--n", "7"],
+        ["census", "--nmax", "3", "--p", "P01"],
+        ["verify", "--prop", "P01", "--kind", "wheel", "--n", "6"],
+        ["compute", "--js"],
+    ):
+        code, out, _ = run_cli(capsys, monkeypatch, args, stdin=g6)
+        assert (code, out) == (2, ""), args
 
 
 def test_seed_flag_removed(capsys, monkeypatch):

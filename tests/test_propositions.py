@@ -11,7 +11,7 @@ from random import Random
 from gdiff import propositions
 from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6, write_graph6
-from gdiff.core import Graph, VertexSet, bits
+from gdiff.core import VertexSet
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -43,7 +43,6 @@ from gdiff.solvers import (
 )
 
 from oracles import (
-    card_colex_order,
     naive_minimum_dominating_sets,
     naive_p12,
     random_connected_graph,
@@ -251,7 +250,7 @@ CENSUS_ORDER7 = (
         "P17": {"pass": 994},
         "P18": {"fail": 1, "vacuous": 993},
     },
-    "c908bd113dea6eb6cb7f8ffe3f5d09cab387891d8178d53317fe505039ca28e8",
+    "ec64f410dd41b00b413eea9effe54a3040d74b6921452576de193f1da2059ed9",
 )
 
 
@@ -276,7 +275,7 @@ CENSUS_ORDER8 = (
         "P17": {"pass": 12111},
         "P18": {"fail": 1, "vacuous": 12110},
     },
-    "3c596c47c4e4adaa6af946085795faea405d469265dc9f7c0e19bf786496d901",
+    "f0b9ef2b3ea03925e3632c8d0973a6bfd4ec9d6ccb5c2d84c9e27b0e3d32de0d",
 )
 
 
@@ -353,18 +352,21 @@ def test_p17_certifies_the_roman_labeling(monkeypatch):
 
 
 def test_p02_p11_witnesses_on_census():
-    # P02's witness is the colex-first minimum dominating set of R(G), which
-    # lies inside V; P11 passes with the shared value in its note. The scan
-    # of all 2^(n+m) sets of R(G) is fast up to order 5; at order 6 it scans
-    # the sets inside V, whose minima are minimum overall when P11 passes.
+    # P02's witness lies inside V and is among the oracle's minimum
+    # dominating sets of R(G); P11 passes with the shared value in its note.
+    # The scan of all 2^(n+m) sets of R(G) is fast up to order 5; at order
+    # 6 it scans the sets inside V, whose minima are minimum overall when
+    # P11 passes.
     for n in range(3, 7):
         for g in connected_census(n):
             within = None if n <= 5 else g.full_mask
-            first = card_colex_order(naive_minimum_dominating_sets(build_r(g), within))[0]
+            minima = naive_minimum_dominating_sets(build_r(g), within)
             p02, p11 = run_all(g, ["P02", "P11"])
-            assert (p02.status, p02.witness_sets, p02.note) == ("pass", (tuple(bits(first)),), "")
-            assert first < 1 << g.n
-            gamma = first.bit_count()
+            assert (p02.status, p02.note) == ("pass", "")
+            (witness,) = p02.witness_sets
+            assert all(v < n for v in witness)
+            assert sum(1 << v for v in witness) in minima
+            gamma = minima[0].bit_count()
             assert (p11.status, p11.witness_sets, p11.note) == ("pass", (), f"tau = gamma(R) = {gamma}")
 
 
@@ -416,28 +418,39 @@ def test_p02_p11_pass_beyond_the_census():
         checked += 1
 
 
-def test_p02_on_hand_built_operator_graphs(monkeypatch):
-    # On a real R(G) P02 always passes; hand-built stand-ins reach the other
-    # cases. V = {0, 1, 2}, U = {3, 4}.
+def test_p02_projects_the_search_set_onto_v(monkeypatch):
+    # Stand-in searches reach the projection: the census searches all end
+    # inside V. In R(K_3), V = {0, 1, 2} and 3, 4, 5 are the edge-vertices
+    # of (0, 1), (0, 2) and (1, 2).
     import gdiff.solvers as solvers
 
-    def stand_in(edges):
-        return lambda g: Graph.from_edges(5, edges)
+    def stand_in(*members):
+        return lambda g, budget: (2, VertexSet(g.n, sum(1 << v for v in members)))
 
-    # minima {0, 3} and {1, 2}: the lex-first {0, 3} lies outside V, but
-    # the colex-first {1, 2}, the witness, lies inside
-    monkeypatch.setattr(solvers, "build_r", stand_in([(0, 1), (1, 4), (2, 3), (3, 4)]))
-    report = run_proposition("P02", path(3))
-    assert (report.status, report.witness_sets) == ("pass", ((1, 2),))
-    # minima {0, 3} and {3, 4}; V needs 3 vertices: the colex-first minimum,
-    # outside V, is the witness that none lies inside
-    monkeypatch.setattr(solvers, "build_r", stand_in([(0, 4), (1, 3), (2, 3)]))
-    report = run_proposition("P02", path(3))
+    # the minimum {0, 5}: edge-vertex 5 moves to 1, the lower end of (1, 2)
+    monkeypatch.setattr(solvers, "domination_number", stand_in(0, 5))
+    report = run_proposition("P02", complete(3))
+    assert (report.status, report.witness_sets) == ("pass", ((0, 1),))
+    # {0, 3} leaves 5 undominated and moves onto {0}
+    monkeypatch.setattr(solvers, "domination_number", stand_in(0, 3))
+    report = run_proposition("P02", complete(3))
     assert (report.status, report.witness_sets, report.note) == (
         "fail",
-        ((0, 3),),
-        "no minimum dominating set lies inside V",
+        ((0, 3), (0,)),
+        "the projected set is not a minimum dominating set inside V",
     )
+
+
+def test_budget_notes_name_the_search():
+    # At 5 nodes every search runs out on C_9 (domination on R(C_9), which
+    # needs 10), and each skip note starts with the solver that ran out.
+    reports = run_all(cycle(9), ["P02", "P04", "P07", "P11"], budget=5)
+    solvers = ("domination_number", "differential_of_r", "differential_exact", "independence_number")
+    for report, solver in zip(reports, solvers):
+        assert (report.status, report.note) == (
+            "skipped",
+            f"budget: {solver} search exceeded its node budget of 5",
+        ), report.prop_id
 
 
 def test_p12_matches_the_subset_scan():
