@@ -9,7 +9,7 @@ harness re-verifies the structural propositions relating them on every
 small connected graph.
 """
 
-from .census import canonical_form, connected_census, enumerate_connected
+from .census import canonical_form, connected_census
 from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
 from .core import (
     CAPACITY,
@@ -86,7 +86,6 @@ __all__ = [
     "domination_number",
     "empty_graph",
     "enclaveless_number",
-    "enumerate_connected",
     "full_record",
     "generate",
     "independence_number",

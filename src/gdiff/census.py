@@ -18,8 +18,9 @@ swapping them fixes the prefix and so gives the same codes.
 Every connected graph of order k >= 2 has a vertex whose removal leaves
 it connected (any leaf of a spanning tree will do). So each order-k class
 is some order-(k - 1) class plus one new vertex joined to a nonempty set
-of old vertices. ``enumerate_connected`` builds the census level by level
-from K1 and keeps one graph per canonical form (McKay, "Isomorph-free
+of old vertices. ``connected_census(n)`` extends each graph of the cached
+level n - 1, so a process builds each level once, from K1 up, and keeps
+one graph per canonical form (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998). Each kept graph is
 parsed from its canonical form, so the identity labeling reaches its
 least code, and the labelings that reach it, collected by the same search
@@ -132,7 +133,7 @@ def canonical_form(g: Graph) -> str:
     """
     n = g.n
     if n > CANONICAL_MAX:
-        raise ValueError(f"canonical form is a factorial search; order must be <= {CANONICAL_MAX}")
+        raise ValueError(f"canonical form supports order <= {CANONICAL_MAX}")
     best, _ = _least_labelings(g, False)
     code = 0
     for j in range(1, n):
@@ -157,27 +158,21 @@ def _orbit_least_masks(rep: Graph) -> list[int]:
     return least
 
 
-def enumerate_connected(n: int):
-    """Yield one canonically labeled graph per connected class of order n.
+@lru_cache(maxsize=None)
+def connected_census(n: int) -> tuple[Graph, ...]:
+    """One canonically labeled graph per connected class of order n, cached per process.
 
     Graphs come in ascending order of canonical form, which is their graph6.
     """
     if not 1 <= n <= CANONICAL_MAX:
         raise ValueError(f"census enumeration supports 1 <= n <= {CANONICAL_MAX}")
-    level = [Graph(1, (0,))]
-    for k in range(1, n):
-        new_bit = 1 << k
-        forms = set()
-        for g in level:
-            for nbrs in _orbit_least_masks(g):
-                rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
-                rows.append(nbrs)
-                forms.add(canonical_form(Graph(k + 1, tuple(rows))))
-        level = [parse_graph6(form) for form in sorted(forms)]
-    yield from level
-
-
-@lru_cache(maxsize=None)
-def connected_census(n: int) -> tuple[Graph, ...]:
-    """Connected census of order n, one graph per class, cached per process."""
-    return tuple(enumerate_connected(n))
+    if n == 1:
+        return (Graph(1, (0,)),)
+    new_bit = 1 << n - 1
+    forms = set()
+    for g in connected_census(n - 1):
+        for nbrs in _orbit_least_masks(g):
+            rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
+            rows.append(nbrs)
+            forms.add(canonical_form(Graph(n, tuple(rows))))
+    return tuple(parse_graph6(form) for form in sorted(forms))

@@ -146,7 +146,8 @@ def generate(spec: FamilySpec) -> Graph:
 # -- structure detectors ------------------------------------------------------
 #
 # These recognize family membership directly from degrees and adjacency, so
-# they work at any order (unlike the factorial canonical form).
+# they work at any order (unlike the canonical form, capped at
+# census.CANONICAL_MAX).
 
 
 def is_complete(g: Graph) -> bool:

@@ -472,8 +472,7 @@ def _p18(ctx):
 
 def run_proposition(prop_id: str, g: Graph, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Evaluate one registered proposition on one graph."""
-    ctx = InstanceContext(g, budget)
-    return _run_with_ctx(PROPOSITIONS[prop_id], ctx, write_graph6(g))
+    return run_all(g, [prop_id], budget)[0]
 
 
 def _run_with_ctx(check: PropositionCheck, ctx: InstanceContext, instance: str) -> CheckReport:

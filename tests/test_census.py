@@ -6,12 +6,12 @@ from random import Random
 import networkx as nx
 import pytest
 
+from gdiff import census
 from gdiff.census import (
     _least_labelings,
     _orbit_least_masks,
     canonical_form,
     connected_census,
-    enumerate_connected,
 )
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.core import Graph
@@ -27,12 +27,12 @@ def test_census_counts_match_oracle():
         assert len(connected_census(n)) == count
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; order 8 takes about 9 s")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; order 8 takes about 8 s")
 def test_census_counts_order8():
     assert len(connected_census(8)) == 11117
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; about 18 s, 6 s once order 8 is generated")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; about 13 s, 4 s once order 8 is generated")
 def test_census_order8_full_space_checks_answer():
     # P03, P06 and P09 read the differential of R(G) over its full subset
     # space; on the census up to order 8 none of them is skipped or fails.
@@ -87,15 +87,37 @@ def test_census_representatives_are_canonical_and_sorted():
 
 def test_census_range_guard():
     with pytest.raises(ValueError):
-        list(enumerate_connected(0))
+        connected_census(0)
     with pytest.raises(ValueError):
-        list(enumerate_connected(9))
+        connected_census(9)
 
 
 def test_census_is_deterministic():
-    first = [write_graph6(g) for g in enumerate_connected(5)]
-    second = [write_graph6(g) for g in enumerate_connected(5)]
+    connected_census.cache_clear()
+    first = [write_graph6(g) for g in connected_census(5)]
+    connected_census.cache_clear()
+    second = [write_graph6(g) for g in connected_census(5)]
     assert first == second
+
+
+def test_census_builds_each_level_once(monkeypatch):
+    # Level n extends the cached level n - 1, so a census of orders 3..6
+    # canonicalizes the orbit-least extensions of each of orders 1..5 once.
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(census, "canonical_form", counting)
+    connected_census.cache_clear()
+    try:
+        for n in range(3, 7):
+            connected_census(n)
+    finally:
+        connected_census.cache_clear()
+    assert calls == 388
 
 
 def test_canonical_form_examples():
