@@ -95,25 +95,6 @@ class VertexSet:
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def _check_ambient(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient order mismatch: {self.n} != {other.n}")
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_ambient(other)
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_ambient(other)
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_ambient(other)
-        return VertexSet(self.n, self.mask & ~other.mask)
-
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ((1 << self.n) - 1) & ~self.mask)
 

@@ -16,6 +16,13 @@ R(G) inside V dominates G, so P04 checks that one set and enumerates none.
 P02 moves each edge-vertex v_ab of the minimum dominating set of R(G) that
 P11's search found onto the lower end a of its edge, as N[v_ab] lies inside
 N[a], and checks that the moved set is a dominating set of the same size.
+P13 calls a differential set S inside V maximal when no one vertex of R(G)
+added to it keeps the value, and decides that from G and the list of those
+sets. S is a maximizer over all of R(G) (see ``diff_r_sizes``). Adding the
+edge-vertex v_ab costs 2 when ab has an end in S, and otherwise changes the
+value by -1 + |{a, b} & C(S)|. A maximizer has no edge inside C(S), so some
+edge-vertex keeps the value iff an edge joins B(S) to C(S): on a connected G,
+iff C(S) is non-empty. A vertex w of V keeps it iff S + w is in the list.
 
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
@@ -50,7 +57,7 @@ from typing import Callable, Iterator
 
 from .census import CANONICAL_MAX, connected_census
 from .codecs import parse_graph6, write_graph6
-from .core import BudgetExceededError, Graph, VertexSet
+from .core import BudgetExceededError, Graph, VertexSet, bits
 from .families import (
     complete_bipartite_parts,
     is_complete,
@@ -103,18 +110,6 @@ class PropositionCheck:
     title: str
     applies: Callable[["InstanceContext"], bool]
     run: Callable[["InstanceContext"], tuple[str, tuple, str]]
-
-
-def _single_vertex_maximal(ctx: InstanceContext, s: VertexSet) -> bool:
-    """No single added vertex keeps the differential of the R-graph."""
-    r = ctx.rg
-    value = ctx.diff_r("all").value
-    for w in range(r.n):
-        if w in s:
-            continue
-        if r.set_differential(VertexSet(r.n, s.mask | 1 << w)) >= value:
-            return False
-    return True
 
 
 PROPOSITIONS: dict[str, PropositionCheck] = {}
@@ -350,15 +345,22 @@ def _p12(ctx):
     return PASS, (), f"{qualifying} qualifying cover(s)"
 
 
+def _maximal(g: Graph, s: VertexSet, masks: set[int]) -> bool:
+    """No vertex of R(G) added to S keeps the value; ``masks``: all the sets."""
+    outside = bits(g.full_mask & ~s.mask)
+    return not g.exterior(s) and not any(s.mask | 1 << w in masks for w in outside)
+
+
 @_register("P13", "boundaries of differential sets inside V are 2-dependent", _connected3)
 def _p13(ctx):
     g = ctx.g
     res = ctx.diff_r("all")
+    masks = {s.mask for s in res.all_sets}
     for s in res.all_sets:
         bound = g.boundary(s)
         if not g.is_k_dependent(bound, 2):
             return FAIL, (s.members, bound.members), "boundary is not 2-dependent"
-        maximal = _single_vertex_maximal(ctx, s)
+        maximal = _maximal(g, s, masks)
         if maximal and not g.is_k_dependent(bound, 1):
             return (
                 FAIL,

@@ -125,17 +125,11 @@ def test_small_orders_are_legal():
 
 def test_vertexset_algebra():
     a = VertexSet.of(6, [0, 2, 4])
-    b = VertexSet.of(6, [2, 3])
-    assert (a | b).members == (0, 2, 3, 4)
-    assert (a & b).members == (2,)
-    assert (a - b).members == (0, 4)
     assert a.complement().members == (1, 3, 5)
     assert len(a) == 3 and 2 in a and 1 not in a
     assert list(bits(a.mask)) == [0, 2, 4]
     with pytest.raises(ValueError):
         VertexSet.of(3, [5])
-    with pytest.raises(ValueError):
-        a | VertexSet.of(5, [1])
 
 
 def test_relabel_preserves_structure():

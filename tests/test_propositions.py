@@ -109,13 +109,14 @@ def test_full_space_checks_answer_beyond_the_exhaustive_search():
         assert run_proposition(pid, cycle(24), budget=1_000_000).status == "pass"
 
 
-def _empty_v_search(monkeypatch, n):
-    # A stand-in V search that finds only the empty set, with differential 0.
+def _stand_in_sets(monkeypatch, n, sets):
+    # A stand-in V search, with differential 0, that lists ``sets``; the
+    # last is the witness.
     import gdiff.solvers as solvers
 
-    empty = VertexSet(n, 0)
-    low = solvers.DifferentialResult(0, empty, 0, (empty,))
-    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: low)
+    found = tuple(VertexSet.of(n, s) for s in sets)
+    res = DifferentialResult(0, found[-1], 0, found)
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: res)
 
 
 def test_full_space_fail_paths_read_the_sets_inside_v(monkeypatch):
@@ -124,7 +125,7 @@ def test_full_space_fail_paths_read_the_sets_inside_v(monkeypatch):
     import gdiff.solvers as solvers
 
     g = complete_bipartite(2, 3)
-    _empty_v_search(monkeypatch, g.n)
+    _stand_in_sets(monkeypatch, g.n, [[]])
     runs = []
     for name in ("build_r", "differential_exact"):
         fn = getattr(solvers, name)
@@ -153,7 +154,7 @@ def test_full_space_fail_paths_read_the_sets_inside_v(monkeypatch):
 
 def test_full_space_fails_are_reported_beyond_the_exhaustive_search(monkeypatch):
     # A fail needs no search over R(C_24), so it is not lost to the budget.
-    _empty_v_search(monkeypatch, 24)
+    _stand_in_sets(monkeypatch, 24, [[]])
     reports = run_all(cycle(24), ["P03", "P06"], budget=1_000_000)
     assert [r.status for r in reports] == ["fail", "fail"]
 
@@ -486,15 +487,81 @@ def test_p04_certificate_agrees_with_the_enumeration():
 
 def test_p04_fails_when_the_largest_set_does_not_dominate(monkeypatch):
     # A stand-in search whose witness {0} leaves 2 and 3 of P_4 undominated.
-    import gdiff.solvers as solvers
-
-    stand_in = DifferentialResult(0, VertexSet(4, 0b0001), 0)
-    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: stand_in)
+    _stand_in_sets(monkeypatch, 4, [[0]])
     report = run_proposition("P04", path(4))
     assert (report.status, report.witness_sets, report.note) == (
         "fail",
         ((0,),),
         "the largest differential set inside V does not dominate the base graph",
+    )
+
+
+def test_p13_maximality_matches_the_r_graph_scan():
+    # P13 decides maximality from G and the list of differential sets inside
+    # V; the reference adds each vertex of R(G) outside S and evaluates it.
+    rng = Random(107)
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
+    outcomes = set()
+    for g in graphs:
+        res = differential_of_r(g, "all")
+        masks = {s.mask for s in res.all_sets}
+        r = build_r(g)
+        for s in res.all_sets:
+            scan = all(
+                r.set_differential(VertexSet(r.n, s.mask | 1 << w)) < res.value
+                for w in range(r.n)
+                if w not in s
+            )
+            assert propositions._maximal(g, s, masks) == scan, (write_graph6(g), s)
+            outcomes.add(scan)
+    assert outcomes == {True, False}
+
+
+def test_p13_fail_rows(monkeypatch):
+    # P13 reads G and the list alone; it builds no R(G).
+    import gdiff.solvers as solvers
+
+    monkeypatch.setattr(solvers, "build_r", lambda g: pytest.fail("P13 built R(G)"))
+    # K_5: B({0}) is a K_4, not 2-dependent.
+    _stand_in_sets(monkeypatch, 5, [[0]])
+    report = run_proposition("P13", complete(5))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0,), (1, 2, 3, 4)),
+        "boundary is not 2-dependent",
+    )
+    # K_4: B({0}) is a triangle, and {0} is maximal: C({0}) is empty and
+    # neither {0, w} is listed.
+    _stand_in_sets(monkeypatch, 4, [[0]])
+    report = run_proposition("P13", complete(4))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0,), (1, 2, 3)),
+        "maximal differential set with boundary not 1-dependent",
+    )
+    # With {0, 1} listed, {0} is not maximal, so its triangle is allowed.
+    _stand_in_sets(monkeypatch, 4, [[0], [0, 1]])
+    assert run_proposition("P13", complete(4)).status == "pass"
+    # P_4: the largest set {1} leaves C({1}) = {3}, so it is not maximal.
+    _stand_in_sets(monkeypatch, 4, [[1]])
+    report = run_proposition("P13", path(4))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((1,),),
+        "maximum-cardinality differential set is not maximal",
+    )
+
+
+def test_p14_fail_row(monkeypatch):
+    # P_4 and {0}: C({0}) in R(P_4) is {2, 3} and the edge-vertices 5 and 6
+    # of the edges 12 and 23.
+    _stand_in_sets(monkeypatch, 4, [[0]])
+    report = run_proposition("P14", path(4))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0,), (2, 3, 5, 6)),
+        "|C(S)| = 4 > (4 - 1)/2",
     )
 
 
