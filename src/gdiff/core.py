@@ -19,9 +19,8 @@ its vertices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 #: Largest order accepted from outside the program: by the graph6 and
 #: edge-list parsers and by ``families.generate``. Graphs built inside it,
@@ -65,18 +64,38 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
+def _immutable(self, *args) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class VertexSet:
-    """A subset of 0..n-1, stored as a bitmask over an ambient order n."""
+    """A subset of 0..n-1, stored as a bitmask over an ambient order n.
 
-    n: int
-    mask: int = 0
+    Instances are immutable values, equal and hashed by ``(n, mask)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative ambient order {self.n}")
-        if self.mask < 0 or self.mask >> self.n:
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n: int, mask: int = 0):
+        if n < 0:
+            raise ValueError(f"negative ambient order {n}")
+        if mask < 0 or mask >> n:
             raise ValueError("vertex index out of range for ambient order")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.mask == other.mask
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __reduce__(self):
+        return VertexSet, (self.n, self.mask)
 
     @classmethod
     def of(cls, n: int, members: Iterable[int] = ()) -> "VertexSet":
@@ -102,8 +121,7 @@ class VertexSet:
         return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Per-vertex degrees with explicit min/max; both None on the empty graph."""
 
     degrees: tuple[int, ...]
@@ -111,32 +129,40 @@ class DegreeStats:
     maximum: int | None
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows.
 
     Invariants enforced at construction: symmetry, irreflexivity, all
-    neighbor indices below ``n``. Instances are immutable values and safe
-    to share across workers.
+    neighbor indices below ``n``. Instances are immutable values, equal and
+    hashed by ``(n, adj)``, and safe to share across workers.
     """
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency rows must match vertex count")
-        for v, row in enumerate(self.adj):
-            if row < 0 or row >> self.n:
+        for v, row in enumerate(adj):
+            if row < 0 or row >> n:
                 raise ValueError(f"neighbor of vertex {v} out of range")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             for u in bits(row):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        # The cached properties below are stored in the same __dict__.
+        self.__dict__.update(n=n, adj=adj)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.adj == other.adj
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -9,8 +9,8 @@ stars put the center first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import CAPACITY, CapacityError, Graph, VertexSet, bits
 
@@ -94,8 +94,7 @@ def kprime(r: int) -> Graph:
     return Graph.from_edges(3 * r, edges)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A family name with its parameters; ``build`` produces the graph."""
 
     kind: str

@@ -51,9 +51,8 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .census import CANONICAL_MAX, connected_census
 from .codecs import parse_graph6, write_graph6
@@ -82,8 +81,7 @@ VACUOUS = "vacuous"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one proposition check on one instance."""
 
     prop_id: str
@@ -104,8 +102,7 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class PropositionCheck:
+class PropositionCheck(NamedTuple):
     prop_id: str
     title: str
     applies: Callable[["InstanceContext"], bool]
@@ -507,14 +504,14 @@ def run_all(
     return [_run_with_ctx(PROPOSITIONS[pid], ctx, instance) for pid in ids]
 
 
-@dataclass
 class CensusSummary:
     """Per-proposition status counts over one census run, one instance at a time."""
 
-    n_min: int
-    n_max: int
-    instances: int = 0
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    def __init__(self, n_min: int, n_max: int):
+        self.n_min = n_min
+        self.n_max = n_max
+        self.instances = 0
+        self.counts: dict[str, dict[str, int]] = {}
 
     def add(self, reports: list[CheckReport]) -> None:
         """Count the reports of one instance."""

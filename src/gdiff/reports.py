@@ -13,10 +13,9 @@ flags, so two runs with equal flags produce byte-identical bodies.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from datetime import datetime, timezone
+import time
 from typing import TextIO
 
 from .propositions import CensusSummary, CheckReport
@@ -29,7 +28,7 @@ def _header(command: str, runtime: float | None) -> dict:
     return {
         "tool": "gdiff",
         "command": command,
-        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "runtime_seconds": round(runtime, 3) if runtime is not None else None,
     }
 
@@ -90,6 +89,8 @@ class CsvWriter:
     def rows(self, rows: list[dict]) -> None:
         if not rows:
             return
+        import csv
+
         text = io.StringIO()
         writer = csv.writer(text, lineterminator="\n")
         if not self.started:
@@ -106,6 +107,8 @@ class CsvWriter:
 
 
 def summary_to_csv(summary: CensusSummary) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["prop", "pass", "fail", "vacuous", "skipped", "total"])

@@ -68,14 +68,14 @@ witness has the largest cardinality among the maximizers, an independence
 witness is a maximum set. A domination witness is the minimum the search
 ends on; the search is deterministic, so it too is reproducible. Searches
 that would exceed their node budget raise BudgetExceededError, naming the
-public solver that ran out, rather than returning a partial answer.
+public solver that ran out and the units it spent, rather than returning a
+partial answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import BudgetExceededError, Graph, VertexSet, _union, bits
 from .roperator import build_r, r_v_rows
@@ -87,8 +87,7 @@ DEFAULT_BUDGET = 10_000_000
 SMALL_PART = 12
 
 
-@dataclass(frozen=True)
-class DifferentialResult:
+class DifferentialResult(NamedTuple):
     """Outcome of an exact differential search.
 
     ``witness`` is the first maximizer of the largest cardinality.
@@ -117,6 +116,7 @@ class _NodeCounter:
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"{self.solver} search exceeded its node budget of {self.budget}"
+                f" after {self.nodes} units"
             )
 
 
@@ -815,8 +815,7 @@ class InstanceContext:
         return len(self.diff_r().witness)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """Every invariant of one graph; fields are None when skipped.
 
     ``skipped`` maps each skipped field name to the reason it was not
@@ -836,7 +835,7 @@ class InvariantRecord:
     psi: int | None
     lam: int | None
     mu: int | None
-    skipped: dict[str, str] = field(default_factory=dict)
+    skipped: dict[str, str]
 
     def to_dict(self) -> dict:
         return {

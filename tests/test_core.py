@@ -1,8 +1,12 @@
+import copy
+import pickle
 import pytest
 from random import Random
 
 from gdiff.core import Graph, VertexSet, bits
 from gdiff.families import complete, complete_bipartite, cycle, empty_graph, path, wheel
+from gdiff.propositions import run_all
+from gdiff.solvers import differential_exact, full_record
 
 from oracles import naive_differential, random_graph
 
@@ -113,6 +117,58 @@ def test_constructor_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(IndexError):
         path(3).degree(3)
+
+
+def test_invalid_rows_and_masks_raise_the_same_messages():
+    cases = [
+        (lambda: Graph(-1, ()), "vertex count must be non-negative"),
+        (lambda: Graph(2, (0b10,)), "adjacency rows must match vertex count"),
+        (lambda: Graph(2, (0b100, 0b00)), "neighbor of vertex 0 out of range"),
+        (lambda: Graph(2, (0b00, -1)), "neighbor of vertex 1 out of range"),
+        (lambda: Graph(1, (0b1,)), "self-loop at vertex 0"),
+        (lambda: Graph(2, (0b10, 0b00)), "asymmetric adjacency between 0 and 1"),
+        (lambda: VertexSet(-1), "negative ambient order -1"),
+        (lambda: VertexSet(3, 0b1000), "vertex index out of range for ambient order"),
+        (lambda: VertexSet(3, -1), "vertex index out of range for ambient order"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_graphs_and_vertex_sets_are_immutable_values():
+    g, h = cycle(5), Graph.from_edges(5, [(4, 0), (0, 1), (1, 2), (2, 3), (3, 4)])
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert g != path(5) and g != cycle(6) and g != (5, g.adj)
+    assert len({g, h, path(5)}) == 2
+    a, b = VertexSet(5, 0b101), VertexSet.of(5, [2, 0])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != VertexSet(6, 0b101) and a != (5, 0b101)
+    assert len({a, b, VertexSet(5, 0b11)}) == 2
+    for value in (g, a):
+        with pytest.raises(AttributeError):
+            value.n = 9
+        assert value.n == 5
+
+
+def test_values_round_trip_through_pickle_and_deepcopy():
+    g = wheel(6)
+    assert g.m == 10  # cached on the instance before it is copied
+    values = [
+        g,
+        VertexSet.of(6, [1, 3]),
+        run_all(g, ["P09"])[0],
+        differential_exact(g, "all"),
+        full_record(g),
+    ]
+    for value in values:
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value) and copied == value
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert vars(copied)["m"] == 10 and hash(copied) == hash(g)
+        with pytest.raises(AttributeError):
+            copied.n = 7
 
 
 def test_small_orders_are_legal():

@@ -445,12 +445,18 @@ def test_p02_projects_the_search_set_onto_v(monkeypatch):
 def test_budget_notes_name_the_search():
     # At 5 nodes every search runs out on C_9 (domination on R(C_9), which
     # needs 10), and each skip note starts with the solver that ran out.
+    # The note ends with the units spent; the searches are deterministic.
     reports = run_all(cycle(9), ["P02", "P04", "P07", "P11"], budget=5)
-    solvers = ("domination_number", "differential_of_r", "differential_exact", "independence_number")
-    for report, solver in zip(reports, solvers):
+    spent = (
+        ("domination_number", 6),
+        ("differential_of_r", 10),
+        ("differential_exact", 19),
+        ("independence_number", 6),
+    )
+    for report, (solver, units) in zip(reports, spent):
         assert (report.status, report.note) == (
             "skipped",
-            f"budget: {solver} search exceeded its node budget of 5",
+            f"budget: {solver} search exceeded its node budget of 5 after {units} units",
         ), report.prop_id
 
 

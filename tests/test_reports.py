@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 from gdiff.codecs import write_graph6
 from gdiff.families import complete_bipartite, cycle, path, star, wheel
@@ -54,6 +55,7 @@ def test_json_writer_equals_json_dumps_with_the_header_last():
     doc = json.loads(text)
     assert list(doc) == ["reports", "summary", "header"]
     assert doc["header"]["runtime_seconds"] == 1.5
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", doc["header"]["created_at"])
     payload = {
         "reports": [row for rows in per_instance for row in rows],
         "summary": summary.to_dict(),

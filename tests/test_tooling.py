@@ -148,13 +148,12 @@ def test_readme_option_table_matches_the_parser():
     assert table == registered
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # Only census --jobs > 1 needs a process pool; every other run would pay
-    # for importing it at start-up.
-    probe = (
-        "import sys, gdiff.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
-    )
+def test_cli_import_leaves_out_modules_most_runs_do_not_need():
+    # Only census --jobs > 1 needs a process pool, and only CSV output needs
+    # csv; every other run would pay for importing them at start-up. No run
+    # needs dataclasses, which imports inspect, or datetime.
+    unneeded = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "datetime", "csv")
+    probe = f"import sys, gdiff.cli; print(sorted(m for m in {unneeded!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
