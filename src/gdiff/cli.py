@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in ("json", "csv"):
             fmt.add_argument(f"--{name}", dest="report_format", action="store_const", const=name)
         p.set_defaults(report_format="json")
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search node budget")
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search budget, in units of work")
 
     p_family = sub.add_parser("family", help="emit a family graph", allow_abbrev=False)
     add_family(p_family, required=True)

@@ -4,19 +4,21 @@ Every solver is an exhaustive search; no heuristics, no approximation.
 For a graph of order n:
 
 * differential: by gamma_R = n - diff, a minimum of the Roman weight
-  2|T| + |V - N[T]| (``_max_differential``): set-cover branch and bound on
-  an uncovered vertex with the fewest dominators, where the last branch
-  leaves it uncovered, pruned by a coverage lower bound; one search finds
-  the value and the first maximizer of the largest cardinality, and its
-  ``key`` says whether it also enumerates every maximizer (``"all"``) or
-  not (``"largest"``). It serves G, and every enumeration over V for R(G);
+  2|T| + |V - N[T]| (``_max_differential``) by the weighted set-cover
+  branch and bound ``_min_cover``: branch on an uncovered vertex with the
+  fewest dominators, where the last branch leaves it uncovered, pruned by a
+  coverage lower bound; one search finds the value and the first maximizer
+  of the largest cardinality, and its ``key`` says whether it also
+  enumerates every maximizer (``"all"``) or not (``"largest"``). It serves
+  G, and every enumeration over V for R(G);
 * the differential of R(G), key ``"largest"``: a maximum-weight choice of
   G's vertices and non-pendant edges (the lemma below), by the memoized
   weighted search ``_ChoiceSearch``;
-* domination: set-cover branch and bound (``_DominatingSets``) on an
-  undominated vertex with the fewest dominators, pruned by a coverage and a
-  packing lower bound (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009,
-  and van Rooij and Bodlaender, Discrete Appl. Math. 159, 2011);
+* domination: ``_min_cover`` from the greedy set, with a member priced 1
+  and an undominated vertex n + 1, so every vertex must be covered and a
+  packing lower bound joins the coverage one (after Fomin, Grandoni and
+  Kratsch, J. ACM 56, 2009, and van Rooij and Bodlaender, Discrete Appl.
+  Math. 159, 2011);
 * independence: ``_ChoiceSearch`` with every vertex an item of weight 1.
 
 The lemma. Let G be connected of order n >= 3 with m edges, S a subset of
@@ -65,11 +67,11 @@ the full subset space follow from the sets inside V (see
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple, which keeps reports reproducible. A differential
 witness has the largest cardinality among the maximizers, an independence
-witness is a maximum set. A domination witness is the minimum the search
-ends on; the search is deterministic, so it too is reproducible. Searches
-that would exceed their node budget raise BudgetExceededError, naming the
-public solver that ran out and the units it spent, rather than returning a
-partial answer.
+witness is a maximum set. A domination witness is the first minimum the
+search finds; the search is deterministic, so it too is reproducible.
+Searches that would exceed their node budget raise BudgetExceededError,
+naming the public solver that ran out and the units it spent, rather than
+returning a partial answer.
 """
 
 from __future__ import annotations
@@ -120,61 +122,52 @@ class _NodeCounter:
             )
 
 
-def _max_differential(
-    rows: tuple[int, ...], order: int, key: str, budget: int, solver: str
-) -> DifferentialResult:
-    """Maximize |N[S]| - 2|S| over subsets S of 0..n-1, where n = len(rows).
+def _min_cover(
+    rows: tuple[int, ...], order: int, price: list[int], unit: int, ties: bool,
+    counter: _NodeCounter, best: float, found: list[int],
+) -> tuple[float, list[int]]:
+    """The least cost of a subset S of 0..n-1, n = len(rows), and its sets.
 
     ``rows`` are the adjacency rows of vertices 0..n-1 in a graph on
-    ``order`` vertices, where |N[S]| - 2|S| is the differential of S. The
-    search minimizes the Roman weight 2|S| + |uncovered|, the vertices
-    outside N[S], by set-cover branch and bound like ``_DominatingSets``:
-    branch on an uncovered vertex with the fewest allowed dominators,
-    taking each of them in turn and excluding the earlier ones from the
-    later branches; the last branch leaves the vertex uncovered, paying 1,
-    and forbids all of them. So every S is reached in exactly one branch.
-    A dominator that reaches fewer than two uncovered vertices is dropped,
-    since it costs more than it covers, and a vertex with no allowed
-    dominator pays 1. The bound adds to the cost so far the cheapest member
-    prices paired with the largest reaches, stopping at the first member
-    that pays at least the uncovered vertices it covers, and 1 for every
-    uncovered vertex left.
+    ``order`` vertices. The cost of S is the sum of its members' ``price``,
+    which the caller lists cheapest first, plus ``unit`` for each vertex
+    outside N[S]. The callers give the cost model: a member costs 2 and an
+    uncovered vertex 1 for the Roman weight 2|S| + |V - N[S]| (see
+    ``_max_differential``), a member 1 and an uncovered vertex n + 1 for
+    domination. Set-cover branch and bound: branch on an uncovered vertex
+    with the fewest allowed dominators, taking each of them in turn by
+    reach and excluding the earlier ones from the later branches; the last
+    branch leaves the vertex uncovered and forbids all of them. So every S
+    is reached in exactly one branch. A dominator is kept while its price
+    is at most ``unit`` times the uncovered vertices it reaches, and a
+    vertex with no kept dominator pays ``unit``. The bound adds to the cost
+    so far the cheapest prices paired with the largest reaches, stopping at
+    the first member that pays at least ``unit`` times what it covers, and
+    ``unit`` for every uncovered vertex left. When ``unit`` exceeds every
+    price, the bound is also at least the cheapest prices of as many
+    uncovered vertices with pairwise disjoint dominators, taken fewest
+    dominators first, since each pays for a member of its own or its
+    ``unit`` (the packing bound of van Rooij and Bodlaender, Discrete Appl.
+    Math. 159, 2011); the search then branches on the first of them, and
+    otherwise on the lowest-index vertex with the fewest dominators. The
+    last branch is entered only when the cost so far plus ``unit`` can
+    still beat ``best``, or, with ``ties``, tie it.
 
-    ``key`` says what the search finds beside the value: ``"largest"``,
-    the witness only, or ``"all"``, also every maximizer, sorted by
-    cardinality, then member tuple. Either way the witness is the first
-    maximizer of the largest cardinality in that order.
-
-    For ``"all"`` a member costs 2 and the search prunes when the bound
-    exceeds the incumbent. For ``"largest"`` the weight, |S| and the member
-    tuple are packed into one integer (see below) whose minimum is the set
-    sought, the search prunes when the bound meets the incumbent, and the
-    weight is that minimum in whole units, rounded up. Each call spends one
-    node plus one per allowed and per uncovered vertex, the work it does.
+    The search starts from the incumbent ``best``, reached by ``found``. It
+    prunes when the bound meets the incumbent, or, with ``ties``, exceeds
+    it, keeping every set of the least cost in the order found; without
+    ``ties`` ``found`` holds the first set of the least cost. Each call
+    spends one unit plus one per allowed and per uncovered vertex, the work
+    it does.
     """
-    if key not in ("all", "largest"):
-        raise ValueError(f"unknown differential search key {key!r}")
     n = len(rows)
     closed = [rows[v] | 1 << v for v in range(n)]
-    dominators = [0] * order
-    for v in range(n):
+    # On ``order`` = n the rows are a whole graph's, so they are symmetric.
+    dominators = closed if order == n else [0] * order
+    for v in range(n if order > n else 0):
         for u in bits(closed[v]):
             dominators[u] |= 1 << v
-    enumerate_all = key == "all"
-    if enumerate_all:
-        unit, price = 1, [2] * n
-    else:
-        # An uncovered vertex costs `unit` and a member v 2 units less
-        # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
-        # Of two sets of one weight the larger is kept; of two k-sets, the
-        # one holding the least vertex they do not share, which has the
-        # larger sum of 2^(n - 1 - v).
-        card = 1 << n
-        unit = (n + 1) * card
-        price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
-    counter = _NodeCounter(solver, budget)
-    best = math.inf
-    found: list[int] = []
+    must_cover = unit > max(price)
 
     def search(uncovered: int, allowed: int, chosen: int, cost: int) -> None:
         nonlocal best, found
@@ -188,7 +181,7 @@ def _max_differential(
             rest ^= low
             v = low.bit_length() - 1
             k = (closed[v] & uncovered).bit_count()
-            if k >= 2:
+            if price[v] <= unit * k:
                 reach[v] = k
                 prices.append(price[v])
                 useful |= low
@@ -198,7 +191,7 @@ def _max_differential(
         if not uncovered:
             if cost < best:
                 best, found = cost, [chosen]
-            elif cost == best:
+            elif cost == best and ties:
                 found.append(chosen)
             return
         # Prices come cheapest first and reaches largest first, so each
@@ -214,23 +207,84 @@ def _max_differential(
             bound += p
             left -= k
         bound += unit * left
-        if bound > best or (bound == best and not enumerate_all):
+        # With ties an equal bound may still tie, so prune only above it.
+        if bound >= best + ties:
             return
-        fewest = n + 1
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            options = dominators[low.bit_length() - 1] & useful
-            k = options.bit_count()
-            if k < fewest:
-                branch, candidates, fewest = low, options, k
+        if must_cover:
+            options = []
+            for u in bits(uncovered):
+                d = dominators[u] & useful
+                options.append((d.bit_count(), d, 1 << u))
+            options.sort()
+            packed = taken = 0
+            for _, d, _ in options:
+                if not d & taken:
+                    packed += 1
+                    taken |= d
+            if cost + sum(prices[:packed]) >= best + ties:
+                return
+            _, candidates, branch = options[0]
+        else:
+            fewest = n + 1
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                options = dominators[low.bit_length() - 1] & useful
+                k = options.bit_count()
+                if k < fewest:
+                    branch, candidates, fewest = low, options, k
+        leave = cost + unit < best + ties
         for d in sorted(bits(candidates), key=reach.__getitem__, reverse=True):
             useful &= ~(1 << d)
             search(uncovered & ~closed[d], useful, chosen | 1 << d, cost + price[d])
-        search(uncovered ^ branch, useful, chosen, cost + unit)
+        if leave:
+            search(uncovered ^ branch, useful, chosen, cost + unit)
 
     search((1 << order) - 1, (1 << n) - 1, 0, 0)
+    return best, found
+
+
+def _max_differential(
+    rows: tuple[int, ...], order: int, key: str, budget: int, solver: str
+) -> DifferentialResult:
+    """Maximize |N[S]| - 2|S| over subsets S of 0..n-1, where n = len(rows).
+
+    ``rows`` are the adjacency rows of vertices 0..n-1 in a graph on
+    ``order`` vertices, where |N[S]| - 2|S| is the differential of S. The
+    search minimizes the Roman weight 2|S| + |uncovered|, the vertices
+    outside N[S], by ``_min_cover``; a dominator it keeps reaches at least
+    two uncovered vertices.
+
+    ``key`` says what the search finds beside the value: ``"largest"``,
+    the witness only, or ``"all"``, also every maximizer, sorted by
+    cardinality, then member tuple. Either way the witness is the first
+    maximizer of the largest cardinality in that order.
+
+    For ``"all"`` a member costs 2 and the search keeps ties. For
+    ``"largest"`` the weight, |S| and the member tuple are packed into one
+    integer (see below) whose minimum is the set sought, and the weight is
+    that minimum in whole units, rounded up.
+    """
+    if key not in ("all", "largest"):
+        raise ValueError(f"unknown differential search key {key!r}")
+    n = len(rows)
+    enumerate_all = key == "all"
+    if enumerate_all:
+        unit, price = 1, [2] * n
+    else:
+        # An uncovered vertex costs `unit` and a member v 2 units less
+        # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
+        # Of two sets of one weight the larger is kept; of two k-sets, the
+        # one holding the least vertex they do not share, which has the
+        # larger sum of 2^(n - 1 - v).
+        card = 1 << n
+        unit = (n + 1) * card
+        price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
+    counter = _NodeCounter(solver, budget)
+    best, found = _min_cover(
+        rows, order, price, unit, enumerate_all, counter, math.inf, []
+    )
     found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
     return DifferentialResult(
         order - -(-best // unit),
@@ -508,97 +562,30 @@ def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
     return all(not g.adj[v] & outside for v in bits(outside))
 
 
-class _DominatingSets:
-    """Set-cover branch and bound over the dominating sets of one graph.
-
-    Every search spends from one node budget.
-    """
-
-    def __init__(self, g: Graph, budget: int):
-        self.full = g.full_mask
-        self.rows = g.closed_adj
-        self.counter = _NodeCounter("domination_number", budget)
-
-    def covers(self, undominated: int, allowed: int, chosen: int, limit: int) -> int | None:
-        """A dominating set ``chosen`` + T, T inside ``allowed``, |T| <= ``limit``, or None.
-
-        Branch on the undominated vertex with the fewest allowed dominators,
-        taking each of them in turn and excluding the earlier ones from the
-        later branches, so every such set lies in exactly one branch. A
-        dominator that reaches no undominated vertex is dropped: no minimum
-        set contains it. Prune when one of two lower bounds on |T| exceeds
-        ``limit``: the undominated count over the most undominated vertices
-        one vertex reaches, rounded up, and the number of undominated
-        vertices with pairwise disjoint dominators, taken fewest dominators
-        first, since each needs its own. So a set is found whenever a
-        minimum dominating set within ``limit`` exists. Each call spends one
-        node.
-        """
-        self.counter.spend()
-        if not undominated:
-            return chosen
-        rows = self.rows
-        reach = [0] * len(rows)
-        useful = 0
-        for v in bits(allowed):
-            k = (rows[v] & undominated).bit_count()
-            if k:
-                reach[v] = k
-                useful |= 1 << v
-        options = []
-        for u in bits(undominated):
-            dominators = rows[u] & useful
-            if not dominators:
-                return None
-            options.append((dominators.bit_count(), dominators))
-        options.sort()
-        packed = taken = 0
-        for _, dominators in options:
-            if not dominators & taken:
-                packed += 1
-                taken |= dominators
-        if max(packed, -(-undominated.bit_count() // max(reach))) > limit:
-            return None
-        for d in sorted(bits(options[0][1]), key=reach.__getitem__, reverse=True):
-            useful &= ~(1 << d)
-            found = self.covers(undominated & ~rows[d], useful, chosen | 1 << d, limit - 1)
-            if found is not None:
-                return found
-        return None
-
-    def minimum(self) -> int:
-        """A minimum dominating set: ask for a smaller one until there is none.
-
-        The first set is greedy: each step takes the vertex that dominates
-        the most vertices still undominated. Often it is already minimum, and
-        one search proves it.
-        """
-        rows = self.rows
-        best = 0
-        undominated = self.full
-        while undominated:
-            v = max(bits(self.full), key=lambda v: (rows[v] & undominated).bit_count())
-            best |= 1 << v
-            undominated &= ~rows[v]
-        while True:
-            smaller = self.covers(self.full, self.full, 0, best.bit_count() - 1)
-            if smaller is None:
-                return best
-            best = smaller
-
-
 def domination_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Minimum dominating set size and the minimum set the search ends on.
+    """Minimum dominating set size and the first minimum the search finds.
 
-    That is the greedy set when no smaller one exists, else the last
-    smaller set found (see ``_DominatingSets.minimum``).
+    The search (``_min_cover``, a member priced 1 and an undominated
+    vertex n + 1) starts from the greedy set, which takes in turn the
+    vertex dominating the most vertices still undominated; often it is
+    already minimum, and the search proves it.
     """
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    best = _DominatingSets(g, budget).minimum()
-    return best.bit_count(), VertexSet(g.n, best)
+    rows = g.closed_adj
+    greedy = 0
+    undominated = g.full_mask
+    while undominated:
+        v = max(range(g.n), key=lambda v: (rows[v] & undominated).bit_count())
+        greedy |= 1 << v
+        undominated &= ~rows[v]
+    counter = _NodeCounter("domination_number", budget)
+    _, found = _min_cover(
+        g.adj, g.n, [1] * g.n, g.n + 1, False, counter, greedy.bit_count(), [greedy]
+    )
+    return found[0].bit_count(), VertexSet(g.n, found[0])
 
 
 def vertex_cover_number(
@@ -752,14 +739,14 @@ class InstanceContext:
 
     @property
     def gamma(self) -> tuple[int, VertexSet]:
-        """Domination number of the instance and the minimum the search ends on."""
+        """Domination number of the instance and the first minimum the search finds."""
         return self._get(
             "gamma", lambda: domination_number(self.g, budget=self.budget)
         )
 
     @property
     def gamma_r(self) -> tuple[int, VertexSet]:
-        """Domination number of the R-graph and the minimum the search ends on."""
+        """Domination number of the R-graph and the first minimum the search finds."""
         return self._get(
             "gamma_r",
             lambda: domination_number(self.rg, budget=self.budget),
@@ -838,22 +825,9 @@ class InvariantRecord(NamedTuple):
     skipped: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "delta_min": self.delta_min,
-            "delta_max": self.delta_max,
-            "diff": self.diff,
-            "diff_r": self.diff_r,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "roman": self.roman,
-            "psi": self.psi,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "skipped": dict(sorted(self.skipped.items())),
-        }
+        d = {"lambda" if k == "lam" else k: v for k, v in self._asdict().items()}
+        d["skipped"] = dict(sorted(self.skipped.items()))
+        return d
 
 
 def full_record(g: Graph, budget: int = DEFAULT_BUDGET) -> InvariantRecord:

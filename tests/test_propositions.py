@@ -311,7 +311,8 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
     # Calls are counted per (search, graph, key): domination_number runs on
     # R(K7), the differential searches and independence_number on K7
     # itself. At 30 units both keys of differential_of_r run out on K7 (the
-    # "largest" one needs 33).
+    # "largest" one needs 33), and so does domination on R(K7), whose first
+    # node alone is charged 36.
     import gdiff.solvers as solvers
 
     calls = {}
@@ -443,12 +444,12 @@ def test_p02_projects_the_search_set_onto_v(monkeypatch):
 
 
 def test_budget_notes_name_the_search():
-    # At 5 nodes every search runs out on C_9 (domination on R(C_9), which
-    # needs 10), and each skip note starts with the solver that ran out.
+    # At 5 units every search runs out on C_9 (domination on R(C_9), which
+    # needs 282), and each skip note starts with the solver that ran out.
     # The note ends with the units spent; the searches are deterministic.
     reports = run_all(cycle(9), ["P02", "P04", "P07", "P11"], budget=5)
     spent = (
-        ("domination_number", 6),
+        ("domination_number", 37),
         ("differential_of_r", 10),
         ("differential_exact", 19),
         ("independence_number", 6),

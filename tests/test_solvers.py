@@ -1,5 +1,6 @@
 import functools
 import pytest
+from pathlib import Path
 from random import Random
 
 from gdiff.census import connected_census
@@ -50,6 +51,8 @@ from oracles import (
     random_graphs,
     sparse_connected_graphs,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # -- differential -------------------------------------------------------------
@@ -417,18 +420,26 @@ def test_domination_of_cycles_and_paths():
 
 
 def test_domination_budget_is_the_nodes_of_one_search():
-    # One search answers, so a budget of exactly the nodes an unbounded run
-    # spends answers with the same set, and one node less runs out.
-    import gdiff.solvers as solvers
-
+    # One search answers, and each node is charged its work: one unit plus
+    # one per allowed and per undominated vertex. So a budget of exactly the
+    # units an unbounded run spends answers with the same set, and one unit
+    # less runs out having spent them all.
     g = build_r(cycle(9))
-    search = solvers._DominatingSets(g, DEFAULT_BUDGET)
-    best = search.minimum()
-    nodes = search.counter.nodes
-    assert nodes == 10
-    assert domination_number(g, budget=nodes) == (5, VertexSet(g.n, best))
-    with pytest.raises(BudgetExceededError):
-        domination_number(g, budget=nodes - 1)
+    answer = domination_number(g)
+    assert answer == (5, VertexSet(g.n, 0b11010101))
+    assert domination_number(g, budget=282) == answer
+    with pytest.raises(BudgetExceededError, match="budget of 281 after 282 units$"):
+        domination_number(g, budget=281)
+
+
+def test_domination_of_r_on_a_dense_random_graph_is_bounded():
+    # R(G) of a connected G(64, 0.2), 64 + 383 vertices: a minimum
+    # dominating set needs a long search, and since its nodes are charged
+    # their work a budget of 10^6 units stops it within seconds.
+    g = parse_graph6((FIXTURES / "gnp64_domination.g6").read_text().strip())
+    assert (g.n, g.is_connected) == (64, True)
+    with pytest.raises(BudgetExceededError, match="^domination_number search exceeded"):
+        domination_number(build_r(g), budget=10**6)
 
 
 def test_domination_on_large_sparse_graphs():
@@ -532,7 +543,7 @@ def test_independence_takes_low_degree_vertices_without_branching():
 
 
 def test_enclaveless_and_domination_budget():
-    # a budget of 5 nodes: R(C_9) needs 10, cycle(9) only 1
+    # a budget of 5 units: R(C_9) needs 282, cycle(9) 19
     for solver in (domination_number, enclaveless_number):
         with pytest.raises(BudgetExceededError):
             solver(build_r(cycle(9)), budget=5)
