@@ -27,8 +27,25 @@ least code, and the labelings that reach it, collected by the same search
 without the twin rule, are exactly its automorphisms. Two neighbourhood
 masks in one orbit of that group give isomorphic extensions, so each
 representative is extended only by the masks that are least in their
-orbit. Each level is sorted by canonical form, so the stream depends only
-on the classes, not on the order in which extensions happen to find them.
+orbit.
+
+Most classes are still reached from several representatives, so an
+extension is canonicalized only when its new vertex x could be the vertex
+that a canonical deletion removes (McKay's canonical augmentation). A
+vertex v beats x when removing v leaves the graph connected and v has a
+larger profile than x; the extension gets a ``Graph`` and a
+``canonical_form`` call only when no vertex beats x. This loses no class.
+Take a class C, and let c be a vertex of C with the greatest profile among
+those whose removal leaves C connected. C - c is isomorphic to some
+representative P, and the isomorphism carries N(c) to a mask of P whose
+orbit holds a least mask. That extension is isomorphic to C by a map that
+sends c to x. Profiles and connectivity are invariant under isomorphism,
+so x has the greatest profile among the vertices of the extension whose
+removal leaves it connected, and the extension is kept. Ties in profile
+keep extensions from more than one representative; the set of forms
+merges them. Each level is sorted by canonical form, so the stream depends
+only on the classes, not on the order in which extensions happen to find
+them.
 graph6 writes the code left-aligned in 6-bit groups of a fixed number for
 the order, so sorting the forms of one order sorts their codes: a level is
 in ascending order of code and of graph6, and a representative's form is
@@ -41,9 +58,20 @@ from functools import lru_cache
 from itertools import groupby
 
 from .codecs import _graph6, parse_graph6
-from .core import Graph, bits
+from .core import Graph, _reach, bits
 
 CANONICAL_MAX = 8
+
+
+def _profile(
+    adj: tuple[int, ...] | list[int], degree: list[int], v: int
+) -> tuple[int, tuple[int, ...]]:
+    """Vertex v's profile: its degree, then its neighbours' degrees, largest first.
+
+    Isomorphisms keep profiles. Canonical labelings list the vertices by
+    profile, and generation keeps an extension by its new vertex's profile.
+    """
+    return degree[v], tuple(sorted([degree[u] for u in bits(adj[v])], reverse=True))
 
 
 def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -60,10 +88,7 @@ def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tup
     # adjacent[v][u]: 1 when u and v are adjacent
     adjacent = [[row >> u & 1 for u in range(n)] for row in adj]
     degree = [row.bit_count() for row in adj]
-    profile = [
-        (degree[v], tuple(sorted([d for d, a in zip(degree, adjacent[v]) if a], reverse=True)))
-        for v in range(n)
-    ]
+    profile = [_profile(adj, degree, v) for v in range(n)]
     ordered = sorted(range(n), key=profile.__getitem__, reverse=True)
     blocks = [list(block) for _, block in groupby(ordered, key=profile.__getitem__)]
     # members[j]: the vertices that may take position j, those with its profile
@@ -158,6 +183,37 @@ def _orbit_least_masks(rep: Graph) -> list[int]:
     return least
 
 
+def _is_non_cut(rows: list[int], v: int) -> bool:
+    """True when removing v leaves the graph of adjacency rows ``rows`` connected."""
+    rest = (1 << len(rows)) - 1 & ~(1 << v)
+    return _reach(rows, rest & -rest, rest) == rest
+
+
+def _new_vertex_unbeaten(rows: list[int]) -> bool:
+    """True when no vertex beats the last one, x, the vertex an extension adds.
+
+    A vertex v beats x when removing v leaves the graph connected and v
+    has a larger profile than x. The degrees are compared first, the
+    neighbour degrees only when two degrees tie, and the connectivity test
+    runs only for a vertex that would beat x.
+    """
+    x = len(rows) - 1
+    degree = [row.bit_count() for row in rows]
+    x_degree = degree[x]
+    x_profile = None
+    for v in range(x):
+        if degree[v] < x_degree:
+            continue
+        if degree[v] == x_degree:
+            if x_profile is None:
+                x_profile = _profile(rows, degree, x)
+            if _profile(rows, degree, v) <= x_profile:
+                continue
+        if _is_non_cut(rows, v):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def connected_census(n: int) -> tuple[Graph, ...]:
     """One canonically labeled graph per connected class of order n, cached per process.
@@ -174,5 +230,6 @@ def connected_census(n: int) -> tuple[Graph, ...]:
         for nbrs in _orbit_least_masks(g):
             rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
             rows.append(nbrs)
-            forms.add(canonical_form(Graph(n, tuple(rows))))
+            if _new_vertex_unbeaten(rows):
+                forms.add(canonical_form(Graph(n, tuple(rows))))
     return tuple(parse_graph6(form) for form in sorted(forms))

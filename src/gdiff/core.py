@@ -54,6 +54,15 @@ def _union(rows: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _reach(rows: tuple[int, ...] | list[int], start: int, within: int) -> int:
+    """The vertices of ``within`` joined to ``start`` by paths inside ``within``."""
+    reached = frontier = start
+    while frontier:
+        frontier = _union(rows, frontier) & within & ~reached
+        reached |= frontier
+    return reached
+
+
 def mask_of(members: Iterable[int]) -> int:
     """Pack an iterable of vertex indices into a bitmask."""
     m = 0
@@ -261,11 +270,7 @@ class Graph:
         components = []
         remaining = self.full_mask
         while remaining:
-            comp = remaining & -remaining
-            frontier = comp
-            while frontier:
-                frontier = _union(self.adj, frontier) & ~comp
-                comp |= frontier
+            comp = _reach(self.adj, remaining & -remaining, remaining)
             components.append(VertexSet(self.n, comp))
             remaining &= ~comp
         return len(components) == 1, components

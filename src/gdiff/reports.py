@@ -9,6 +9,13 @@ and comes last, because the runtime is known only at the end. Each other
 member is written byte for byte as ``json.dumps(document, indent=2,
 sort_keys=True)`` writes it and is a pure function of the inputs and
 flags, so two runs with equal flags produce byte-identical bodies.
+
+A report row always has the same five keys, so the rows of ``reports`` are
+written from one template rather than by the json encoder: the sorted keys
+are literals, strings go through ``encode_basestring_ascii`` (the function
+json itself uses for ``ensure_ascii``) and witness members through
+``str``. The tests pin the template's bytes to ``json.dumps``. Records,
+the summary and the header go through the encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from json.encoder import encode_basestring_ascii as _string
 from typing import TextIO
 
 from .propositions import CensusSummary, CheckReport
@@ -38,6 +46,28 @@ def _member(value) -> str:
     return _ENCODER.encode(value).replace("\n", "\n  ")
 
 
+def _witness_sets(sets: list[list[int]]) -> str:
+    """``witness_sets`` as ``_member`` writes it in a report row."""
+    if not sets:
+        return "[]"
+    items = [
+        "[\n          " + ",\n          ".join(map(str, s)) + "\n        ]" if s else "[]"
+        for s in sets
+    ]
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def _report_item(row: dict) -> str:
+    """A report row as ``_member`` writes it in the ``reports`` array, from its one template."""
+    return (
+        f'    {{\n      "instance_g6": {_string(row["instance_g6"])},\n'
+        f'      "note": {_string(row["note"])},\n'
+        f'      "prop": {_string(row["prop"])},\n'
+        f'      "status": {_string(row["status"])},\n'
+        f'      "witness_sets": {_witness_sets(row["witness_sets"])}\n    }}'
+    )
+
+
 def record_row(g6: str, record: InvariantRecord) -> dict:
     return {"instance_g6": g6, **record.to_dict()}
 
@@ -48,14 +78,18 @@ class JsonWriter:
     def __init__(self, out: TextIO, member: str):
         self.out = out
         self.head = f"{{\n  {json.dumps(member)}: ["
+        self.report_rows = member == "reports"
         self.started = False
 
     def rows(self, rows: list[dict]) -> None:
-        """Append rows to the array; the rows are encoded in one call."""
+        """Append rows to the array with one write."""
         if not rows:
             return
-        # "[\n    {...},\n    {...}\n  ]" as a member: keep the items.
-        items = _member(rows)[2:-4]
+        if self.report_rows:
+            items = ",\n".join(map(_report_item, rows))
+        else:
+            # "[\n    {...},\n    {...}\n  ]" as a member: keep the items.
+            items = _member(rows)[2:-4]
         self.out.write((",\n" if self.started else self.head + "\n") + items)
         self.started = True
 

@@ -27,12 +27,12 @@ def test_census_counts_match_oracle():
         assert len(connected_census(n)) == count
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; order 8 takes about 8 s")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; order 8 takes about 3 s")
 def test_census_counts_order8():
     assert len(connected_census(8)) == 11117
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; about 13 s, 4 s once order 8 is generated")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; about 7 s, 4 s once order 8 is generated")
 def test_census_order8_full_space_checks_answer():
     # P03, P06 and P09 read the differential of R(G) over its full subset
     # space; on the census up to order 8 none of them is skipped or fails.
@@ -100,24 +100,30 @@ def test_census_is_deterministic():
     assert first == second
 
 
-def test_census_builds_each_level_once(monkeypatch):
-    # Level n extends the cached level n - 1, so a census of orders 3..6
-    # canonicalizes the orbit-least extensions of each of orders 1..5 once.
-    calls = 0
+def _kept_extensions(monkeypatch, nmax: int) -> list[Graph]:
+    """The extensions that censuses of orders 3..nmax, in turn, canonicalize."""
+    kept = []
 
-    def counting(g):
-        nonlocal calls
-        calls += 1
+    def recording(g):
+        kept.append(g)
         return canonical_form(g)
 
-    monkeypatch.setattr(census, "canonical_form", counting)
+    monkeypatch.setattr(census, "canonical_form", recording)
     connected_census.cache_clear()
     try:
-        for n in range(3, 7):
+        for n in range(3, nmax + 1):
             connected_census(n)
     finally:
         connected_census.cache_clear()
-    assert calls == 388
+    return kept
+
+
+def test_census_builds_each_level_once(monkeypatch):
+    # Level n extends the cached level n - 1, so a census of orders 3..6
+    # looks at the orbit-least extensions of each of orders 1..5 once, and
+    # canonicalizes the 144 of them whose new vertex no other vertex beats
+    # (388 extensions in all).
+    assert len(_kept_extensions(monkeypatch, 6)) == 144
 
 
 def test_canonical_form_examples():
@@ -230,3 +236,36 @@ def test_orbit_least_masks_reach_every_extension_class():
             assert {forms[nbrs] for nbrs in least} == set(forms.values())
             level.update(forms.values())
         assert sorted(level) == [write_graph6(g) for g in connected_census(n + 1)]
+
+
+def _profile(h: nx.Graph, v: int) -> tuple[int, list[int]]:
+    return h.degree(v), sorted((h.degree(u) for u in h[v]), reverse=True)
+
+
+def test_kept_extensions_lose_no_class(monkeypatch):
+    # The extensions the deletion rule keeps reach the same classes as all
+    # orbit-least extensions of the level below.
+    kept = _kept_extensions(monkeypatch, 6)
+    for n in range(2, 7):
+        everything = {
+            canonical_form(_extension(g, nbrs))
+            for g in connected_census(n - 1)
+            for nbrs in _orbit_least_masks(g)
+        }
+        assert {canonical_form(h) for h in kept if h.n == n} == everything
+
+
+def test_kept_extensions_add_a_greatest_non_cut_vertex(monkeypatch):
+    # An orbit-least extension is kept exactly when its new vertex, the last,
+    # has the greatest (degree, neighbour degrees) profile among the vertices
+    # whose removal leaves the graph connected; networkx finds the cut vertices.
+    kept = {(h.n, h.adj) for h in _kept_extensions(monkeypatch, 7)}
+    for n in range(2, 8):
+        for g in connected_census(n - 1):
+            for nbrs in _orbit_least_masks(g):
+                h = _extension(g, nbrs)
+                nxh = nx.Graph(h.edges())
+                non_cut = set(range(n)) - set(nx.articulation_points(nxh))
+                assert n - 1 in non_cut
+                greatest = max(_profile(nxh, v) for v in non_cut)
+                assert ((n, h.adj) in kept) == (_profile(nxh, n - 1) == greatest)

@@ -298,7 +298,7 @@ def test_census_order7_summary_fixture_matches_the_pin():
     assert counts == CENSUS_ORDER7[0]
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 20 s")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 11 s")
 def test_census_order8_is_pinned():
     # All 18 checks on the 12,111 connected graphs of order 3-8.
     assert census_body(8) == CENSUS_ORDER8

@@ -4,7 +4,7 @@ import re
 
 from gdiff.codecs import write_graph6
 from gdiff.families import complete_bipartite, cycle, path, star, wheel
-from gdiff.propositions import CensusSummary, run_all
+from gdiff.propositions import CensusSummary, CheckReport, run_all, run_census
 from gdiff.reports import CsvWriter, JsonWriter, record_row, reports_to_csv, reports_to_json
 from gdiff.solvers import full_record
 
@@ -92,3 +92,22 @@ def test_whole_document_forms_match_the_streamed_writers():
     writer.close()
     assert out.getvalue() == reports_to_csv(reports)
     assert out.getvalue().splitlines()[0] == "prop,instance_g6,status,witness_sets,note"
+
+
+def test_report_rows_from_the_template_equal_json_dumps():
+    # Report rows are written from a template, not by the json encoder; on
+    # every report of the order 3-6 census and on synthetic rows with
+    # escapes, non-ASCII notes, empty and multi-digit witness sets and P17's
+    # labels, the text is still the one json.dumps writes.
+    _, census_reports = run_census(6)
+    synthetic = [
+        CheckReport("P01", "C~", "fail", (), 'quote " backslash \\ newline \n tab \t bell \x07'),
+        CheckReport("P02", "Bw", "pass", ((),), "τ(G) = ∂(R(G)) ≥ 0"),
+        CheckReport("P03", "Bw", "vacuous", ((10, 123, 4567), (), (0,)), ""),
+        CheckReport("P17", "E?~o", "fail", ((0, 3), (2, 0, 1, 0, 0, 1)), "diff + roman = 7 != n = 6"),
+    ]
+    for reports in (census_reports, synthetic):
+        rows = [r.row() for r in reports]
+        text = _stream("reports", [rows]).getvalue()
+        header = json.loads(text)["header"]
+        assert text == _dumps({"reports": rows, "header": header})
