@@ -205,9 +205,13 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v].bit_count()
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted pairs, in lexicographic order."""
-        return [(v, u) for v in range(self.n) for u in bits(self.adj[v]) if u > v]
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((v, u) for v in range(self.n) for u in bits(self.adj[v]) if u > v)
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """All edges as sorted pairs, in lexicographic order; listed once per graph."""
+        return self._edges
 
     # -- validation helpers -------------------------------------------------
 

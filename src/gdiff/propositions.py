@@ -13,9 +13,11 @@ inside V (``InstanceContext.diff_r_sizes``), so P03, P06 and P09 decide from
 those alone; R(G) itself is built only by the checks that inspect it.
 The lemma in ``solvers`` also says that the largest differential set of
 R(G) inside V dominates G, so P04 checks that one set and enumerates none.
-P02 moves each edge-vertex v_ab of the minimum dominating set of R(G) that
-P11's search found onto the lower end a of its edge, as N[v_ab] lies inside
-N[a], and checks that the moved set is a dominating set of the same size.
+P02 reads the minimum dominating set of R(G) that P11's search found. That
+search runs over the sets inside V alone, which hold a minimum since
+N[v_ab] lies inside N[a] (the V lemma in ``solvers``). So P02 checks that
+the found set lies inside V and dominates R(G); that its size is gamma(R(G))
+rests on the lemma, not on a second search.
 P13 calls a differential set S inside V maximal when no one vertex of R(G)
 added to it keeps the value, and decides that from G and the list of those
 sets. S is a maximizer over all of R(G) (see ``diff_r_sizes``). Adding the
@@ -27,7 +29,7 @@ iff C(S) is non-empty. A vertex w of V keeps it iff S + w is in the list.
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
 P01  structural identities of the R-graph construction
-P02  some minimum dominating set of R(G) lies inside V: the found one moved onto V
+P02  some minimum dominating set of R(G) lies inside V: the one the search finds
 P03  V contains a differential set of R(G) of every realized cardinality
 P04  some differential set of R(G) inside V dominates G: the largest one does
 P05  min degree >= 2 forces every differential set inside V to dominate G
@@ -139,13 +141,12 @@ def _p01(ctx):
 
 @_register("P02", "minimum dominating set of R(G) inside V", _connected3)
 def _p02(ctx):
+    # The search runs over the sets inside V, which hold a minimum (the
+    # lemma in ``solvers``), so a found set that dominates R(G) is one.
     _, dom = ctx.gamma_r
-    g, edges = ctx.g, ctx.g.edges()
-    # N[v_ab] = {v_ab, a, b} lies inside N[a], so a can replace v_ab.
-    inside = tuple(sorted({v if v < g.n else edges[v - g.n][0] for v in dom}))
-    if len(inside) == len(dom) and is_dominating(ctx.rg, inside):
-        return PASS, (inside,), ""
-    return FAIL, (dom.members, inside), "the projected set is not a minimum dominating set inside V"
+    if not dom.mask >> ctx.g.n and is_dominating(ctx.rg, dom):
+        return PASS, (dom.members,), ""
+    return FAIL, (dom.members,), "the set found is not a dominating set of R(G) inside V"
 
 
 @_register("P03", "differential set of R(G) inside V of every realized size", _connected3)

@@ -10,15 +10,16 @@ For a graph of order n:
   coverage lower bound; one search finds the value and the first maximizer
   of the largest cardinality, and its ``key`` says whether it also
   enumerates every maximizer (``"all"``) or not (``"largest"``). It serves
-  G, and every enumeration over V for R(G);
-* the differential of R(G), key ``"largest"``: a maximum-weight choice of
-  G's vertices and non-pendant edges (the lemma below), by the memoized
-  weighted search ``_ChoiceSearch``;
+  G;
+* the differential of R(G): a maximum-weight choice of G's vertices and
+  non-pendant edges (the lemma below), by the memoized weighted search
+  ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
+  optimal choices and their closure (below);
 * domination: ``_min_cover`` from the greedy set, with a member priced 1
   and an undominated vertex n + 1, so every vertex must be covered and a
   packing lower bound joins the coverage one (after Fomin, Grandoni and
   Kratsch, J. ACM 56, 2009, and van Rooij and Bodlaender, Discrete Appl.
-  Math. 159, 2011);
+  Math. 159, 2011); on R(G) it searches the sets inside V alone (below);
 * independence: ``_ChoiceSearch`` with every vertex an item of weight 1.
 
 The lemma. Let G be connected of order n >= 3 with m edges, S a subset of
@@ -41,6 +42,25 @@ worth 3, and the first maximizer of the largest cardinality is the choice
 of largest weight, then smallest |T|, then whose S has the smallest member
 tuple (``differential_of_r``).
 
+The maximizers. The two moves above need only that S is a maximizer: a
+T-vertex with two T-neighbours, or the degree-1 end of an edge of G[T],
+goes into S and the value stays. Each move shrinks T, so from any
+maximizer they lead, through maximizers, to one whose T is 1-dependent
+with no pendant edge: a choice, of the largest weight. Read backwards,
+every maximizer is reached from an optimal choice by moving one vertex at a
+time from S into T with the value kept at its maximum, and every set so
+reached is a maximizer. So the maximizers are exactly the closure of the
+optimal choices under that move (``_r_maximizers``).
+
+The V lemma. In R(G), N[v_ab] = {v_ab, a, b} lies inside N[a], so putting
+a in place of each edge-vertex v_ab of a dominating set keeps it
+dominating and no larger: some minimum dominating set lies inside V, and
+gamma(R(G)) is the least size of a set inside V that dominates R(G).
+``InstanceContext.gamma_r`` searches only those, over R(G)'s rows for V.
+Such a set is a vertex cover of G, since v_ab has no other dominator, and a
+vertex cover dominates V, G being connected of order >= 3; so gamma(R(G))
+= tau (P11).
+
 P15 follows. I alone, with M empty, gives diff(R(G)) >= m - n + 2 alpha =
 lambda. I plus one end of each M-edge is independent, so 2|I| + 3|M| <=
 2 alpha + |M|, and |M| <= |T| / 2 = (n - mu) / 2 for the witness, whose S
@@ -59,10 +79,9 @@ MK-systems", 1977) and lambda = m - n + 2 alpha. The witnesses of the first
 three are the Roman labeling of the differential witness (see
 ``roman_labeling``), the complement of the independence witness and the
 minimum dominating set witness. The oracles in tests/ check the identities
-against the definitions. The differential of R(G) comes from a search
-over subsets of V with R(G)'s rows, built from G; its differential sets over
-the full subset space follow from the sets inside V (see
-``InstanceContext.diff_r_sizes``).
+against the definitions. The differential of R(G) comes from the choice
+search on G; its differential sets over the full subset space follow from
+the sets inside V (see ``InstanceContext.diff_r_sizes``).
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple, which keeps reports reproducible. A differential
@@ -285,7 +304,7 @@ def _max_differential(
     best, found = _min_cover(
         rows, order, price, unit, enumerate_all, counter, math.inf, []
     )
-    found.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
+    found = _card_lex(found, n)
     return DifferentialResult(
         order - -(-best // unit),
         VertexSet(n, max(found, key=int.bit_count)),
@@ -521,23 +540,26 @@ def differential_of_r(
     """Differential of R(g) over subsets of V(g), as sets of g's vertices.
 
     It requires a connected g of order at least 3; R(g) itself is never
-    built. ``"all"`` runs ``_max_differential`` over V with R(g)'s rows.
-    ``"largest"`` runs ``_ChoiceSearch`` on g (see the lemma in the module
-    docstring): a vertex alone weighs 2 and a non-pendant edge 3. With
-    A = (n + 1) 2^n as the unit, each v in T ties at -(2^n + 2^(n - 1 - v)),
-    so the largest key has the largest weight, then the smallest |T|, then
-    the T whose complement has the smallest member tuple: it is the first
-    maximizer of the largest cardinality, and its ties, mod 2^n, spell T.
+    built. Both keys run ``_ChoiceSearch`` on g (see the lemma in the module
+    docstring): a vertex alone weighs 2 and a non-pendant edge 3.
+    ``"all"`` lists the maximizers from that search's optima
+    (``_r_maximizers``). For ``"largest"``, with A = (n + 1) 2^n as the
+    unit, each v in T ties at -(2^n + 2^(n - 1 - v)), so the largest key
+    has the largest weight, then the smallest |T|, then the T whose
+    complement has the smallest member tuple: it is the first maximizer of
+    the largest cardinality, and its ties, mod 2^n, spell T.
     """
     _require_r_base(g)
-    if key != "largest":
-        return _max_differential(r_v_rows(g), g.n + g.m, key, budget, "differential_of_r")
+    if key not in ("all", "largest"):
+        raise ValueError(f"unknown differential search key {key!r}")
     n = g.n
+    pairable = sum(1 << v for v, row in enumerate(g.adj) if row & row - 1)
+    counter = _NodeCounter("differential_of_r", budget)
+    if key == "all":
+        return _r_maximizers(g, pairable, counter)
     card = 1 << n
     unit = (n + 1) * card
     tie = [-card - (1 << n - 1 - v) for v in range(n)]
-    pairable = sum(1 << v for v, row in enumerate(g.adj) if row & row - 1)
-    counter = _NodeCounter("differential_of_r", budget)
     best = _ChoiceSearch(g.adj, 2, 3, tie, unit, pairable, counter, 1).best(g.full_mask)
     chosen = _reversed_bits(-best % card, n)
     return DifferentialResult(
@@ -545,9 +567,94 @@ def differential_of_r(
     )
 
 
+def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> DifferentialResult:
+    """Every maximizer of the differential of R(g) inside V (see the closure
+    in the module docstring), sorted by cardinality, then member tuple.
+
+    One ``_ChoiceSearch`` without ties has the choice weights as keys, so
+    its memo answers ``best(U, r - 1) == r`` exactly when the largest weight
+    of a choice on G[U] is r. A walk branches on the lowest undecided vertex
+    v: alone in T, paired with each pairable undecided neighbour, or in S
+    when it has an undecided neighbour (else v alone in T would add 2); it
+    descends where the memo confirms the weight still to place, so it ends
+    on the optimal choices alone. The closure then moves one vertex at a
+    time from S into T where the value stays. Each walk node spends one unit plus one per undecided vertex, and
+    each set the closure takes up one plus one per vertex of g, the vertices
+    they examine.
+    """
+    adj, full = g.adj, g.full_mask
+    best = _ChoiceSearch(adj, 2, 3, [0] * g.n, 1, pairable, counter, 1).best
+    top = best(full)
+    optima = []
+    walk = [(full, top, full)]  # undecided, weight still to place, S so far
+    while walk:
+        undecided, left, s = walk.pop()
+        counter.spend(1 + undecided.bit_count())
+        if not undecided:
+            optima.append(s)
+            continue
+        low = undecided & -undecided
+        around = adj[low.bit_length() - 1] & undecided
+        rest = undecided & ~(around | low)
+        if best(rest, left - 3) == left - 2:
+            walk.append((rest, left - 2, s ^ low))
+        # A pair weighs 3, so it fits only where at least 3 is left.
+        if low & pairable and left >= 3:
+            for u in bits(around & pairable):
+                part = rest & ~adj[u]
+                if best(part, left - 4) == left - 3:
+                    walk.append((part, left - 3, s ^ low ^ 1 << u))
+        if around and best(undecided ^ low, left - 1) == left:
+            walk.append((undecided ^ low, left, s))
+    # Moving w from S into T gains 2 and loses its edges into T, itself if
+    # it has no neighbour left in S, and each T-neighbour whose one
+    # S-neighbour it was (a ``private`` one); the value stays when they
+    # cancel.
+    found = set(optima)
+    closing = optima
+    while closing:
+        s = closing.pop()
+        counter.spend(1 + g.n)
+        t = full ^ s
+        private = 0
+        rest = t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = adj[low.bit_length() - 1] & s
+            if not near & near - 1:
+                private |= low
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            loss = (row & t).bit_count()
+            if loss > 2:
+                continue
+            loss += (row & private).bit_count() + (not row & s)
+            if loss == 2 and s ^ low not in found:
+                found.add(s ^ low)
+                closing.append(s ^ low)
+    ordered = _card_lex(found, g.n)
+    return DifferentialResult(
+        g.m - g.n + top,
+        VertexSet(g.n, max(ordered, key=int.bit_count)),
+        counter.nodes,
+        all_sets=tuple(VertexSet(g.n, m) for m in ordered),
+    )
+
+
 def _reversed_bits(packed: int, n: int) -> int:
     """The mask holding v exactly where ``packed`` holds bit n - 1 - v."""
     return int(format(packed, f"0{n}b")[::-1], 2)
+
+
+def _card_lex(masks: Iterable[int], n: int) -> list[int]:
+    """Subsets of 0..n-1 sorted by cardinality, then member tuple: of two
+    k-sets, the one holding the least vertex they do not share, whose bits
+    reversed are the larger number, comes first."""
+    return sorted(masks, key=lambda m: (m.bit_count(), -_reversed_bits(m, n)))
 
 
 def is_dominating(g: Graph, s: VertexSet | Iterable[int]) -> bool:
@@ -565,27 +672,35 @@ def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
 def domination_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
-    """Minimum dominating set size and the first minimum the search finds.
-
-    The search (``_min_cover``, a member priced 1 and an undominated
-    vertex n + 1) starts from the greedy set, which takes in turn the
-    vertex dominating the most vertices still undominated; often it is
-    already minimum, and the search proves it.
-    """
+    """Minimum dominating set size and the first minimum the search finds
+    (``_dominate`` over all of g's rows)."""
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    rows = g.closed_adj
+    return _dominate(g.adj, g.n, budget)
+
+
+def _dominate(rows: tuple[int, ...], order: int, budget: int) -> tuple[int, VertexSet]:
+    """The size of a least S among vertices 0..k-1, k = len(rows), that
+    dominates a graph on ``order`` vertices whose rows for them are
+    ``rows``, and the first such S found.
+
+    ``_min_cover`` with a member priced 1 and an undominated vertex
+    ``order`` + 1 starts from the greedy set, which takes in turn the vertex
+    dominating the most vertices still undominated; often it is already
+    minimum, and the search proves it.
+    """
+    closed = [row | 1 << v for v, row in enumerate(rows)]
     greedy = 0
-    undominated = g.full_mask
+    undominated = (1 << order) - 1
     while undominated:
-        v = max(range(g.n), key=lambda v: (rows[v] & undominated).bit_count())
+        v = max(range(len(rows)), key=lambda v: (closed[v] & undominated).bit_count())
         greedy |= 1 << v
-        undominated &= ~rows[v]
+        undominated &= ~closed[v]
     counter = _NodeCounter("domination_number", budget)
     _, found = _min_cover(
-        g.adj, g.n, [1] * g.n, g.n + 1, False, counter, greedy.bit_count(), [greedy]
+        rows, order, [1] * len(rows), order + 1, False, counter, greedy.bit_count(), [greedy]
     )
-    return found[0].bit_count(), VertexSet(g.n, found[0])
+    return found[0].bit_count(), VertexSet(order, found[0])
 
 
 def vertex_cover_number(
@@ -746,10 +861,11 @@ class InstanceContext:
 
     @property
     def gamma_r(self) -> tuple[int, VertexSet]:
-        """Domination number of the R-graph and the first minimum the search finds."""
+        """Domination number of the R-graph and the first minimum the search
+        finds inside V, where some minimum lies (see the module docstring)."""
+        g = self.g
         return self._get(
-            "gamma_r",
-            lambda: domination_number(self.rg, budget=self.budget),
+            "gamma_r", lambda: _dominate(r_v_rows(g), g.n + g.m, self.budget)
         )
 
     @property

@@ -188,6 +188,12 @@ def test_vertexset_algebra():
         VertexSet.of(3, [5])
 
 
+def test_edges_are_listed_once_per_graph():
+    g = Graph.from_edges(4, [(2, 3), (0, 2), (1, 0)])
+    assert g.edges() == ((0, 1), (0, 2), (2, 3))
+    assert g.edges() is g.edges()
+
+
 def test_relabel_preserves_structure():
     rng = Random(23)
     g = random_graph(rng, 6)

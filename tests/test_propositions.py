@@ -276,7 +276,7 @@ CENSUS_ORDER8 = (
         "P17": {"pass": 12111},
         "P18": {"fail": 1, "vacuous": 12110},
     },
-    "f0b9ef2b3ea03925e3632c8d0973a6bfd4ec9d6ccb5c2d84c9e27b0e3d32de0d",
+    "5e2298fc567a0560a9dd8bc1337f11bebd235dae88c7772178b2707418d8f179",
 )
 
 
@@ -308,18 +308,19 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
     # A search that runs out of budget is cached with its error: run_all
     # starts each search at most once per graph and key, and every check
     # that needs it gets the note it would get in a context of its own.
-    # Calls are counted per (search, graph, key): domination_number runs on
-    # R(K7), the differential searches and independence_number on K7
-    # itself. At 30 units both keys of differential_of_r run out on K7 (the
-    # "largest" one needs 33), and so does domination on R(K7), whose first
-    # node alone is charged 36.
+    # Calls are counted per (search, graph, key): the domination search
+    # runs over R(K7)'s rows for V, the differential searches and
+    # independence_number on K7 itself. At 30 units both keys of
+    # differential_of_r run out on K7 (the "largest" one needs 33), and so
+    # does the domination search, whose first node alone is charged 36.
     import gdiff.solvers as solvers
 
     calls = {}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            key = (fn.__name__, write_graph6(args[0]), *args[1:2])
+            subject = args[0] if fn.__name__ == "_dominate" else write_graph6(args[0])
+            key = (fn.__name__, subject, *args[1:2])
             calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
 
@@ -327,7 +328,7 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
 
     g = complete(7)
     alone = [run_proposition(pid, g, budget=30).row() for pid in PROPOSITIONS]
-    searches = ("differential_exact", "differential_of_r", "domination_number", "independence_number")
+    searches = ("differential_exact", "differential_of_r", "_dominate", "independence_number")
     for name in searches:
         monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     shared = run_all(g, budget=30)
@@ -373,33 +374,37 @@ def test_p02_p11_witnesses_on_census():
 
 
 def test_p02_p11_run_one_domination_search(monkeypatch):
-    # P02 reads the witness of the domination search on R(G) that P11 needs
-    # for its value: one domination search per graph, and P02 alone needs
-    # no independence search.
+    # P02 reads the witness of the domination search that P11 needs for its
+    # value: one search per graph, over the n rows of R(G) for V in a graph
+    # of n + m vertices, never domination_number on R(G); and P02 alone
+    # needs no independence search.
     import gdiff.solvers as solvers
 
     calls = []
 
     def counting(fn):
-        def wrapper(g, *args, **kwargs):
-            calls.append((fn.__name__, write_graph6(g)))
-            return fn(g, *args, **kwargs)
+        def wrapper(subject, *args, **kwargs):
+            if fn.__name__ == "_dominate":
+                calls.append((fn.__name__, len(subject), args[0]))
+            else:
+                calls.append((fn.__name__, write_graph6(subject)))
+            return fn(subject, *args, **kwargs)
 
         return wrapper
 
-    for name in ("domination_number", "independence_number"):
+    for name in ("_dominate", "domination_number", "independence_number"):
         monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     graphs = [g for n in range(3, 6) for g in connected_census(n)]
     graphs += [cycle(9), wheel(8), kprime(3), complete_bipartite(2, 5)]
     for g in graphs:
         calls.clear()
         assert run_proposition("P02", g).status == "pass"
-        assert calls == [("domination_number", write_graph6(build_r(g)))]
+        assert calls == [("_dominate", g.n, g.n + g.m)]
         calls.clear()
         p02, p11 = run_all(g, ["P02", "P11"])
         assert (p02.status, p11.status) == ("pass", "pass")
         assert sorted(calls) == [
-            ("domination_number", write_graph6(build_r(g))),
+            ("_dominate", g.n, g.n + g.m),
             ("independence_number", write_graph6(g)),
         ]
 
@@ -420,36 +425,37 @@ def test_p02_p11_pass_beyond_the_census():
         checked += 1
 
 
-def test_p02_projects_the_search_set_onto_v(monkeypatch):
-    # Stand-in searches reach the projection: the census searches all end
-    # inside V. In R(K_3), V = {0, 1, 2} and 3, 4, 5 are the edge-vertices
-    # of (0, 1), (0, 2) and (1, 2).
+def test_p02_checks_the_set_found_inside_v(monkeypatch):
+    # Stand-in searches reach both failures: a set that leaves a vertex of
+    # R(G) undominated, and one with an edge-vertex. In R(K_3), V = {0, 1, 2}
+    # and 3, 4, 5 are the edge-vertices of (0, 1), (0, 2) and (1, 2).
     import gdiff.solvers as solvers
 
     def stand_in(*members):
-        return lambda g, budget: (2, VertexSet(g.n, sum(1 << v for v in members)))
+        mask = sum(1 << v for v in members)
+        return lambda rows, order, budget: (len(members), VertexSet(order, mask))
 
-    # the minimum {0, 5}: edge-vertex 5 moves to 1, the lower end of (1, 2)
-    monkeypatch.setattr(solvers, "domination_number", stand_in(0, 5))
+    # {0, 1} covers every edge of K_3, so it dominates R(K_3)
+    monkeypatch.setattr(solvers, "_dominate", stand_in(0, 1))
     report = run_proposition("P02", complete(3))
     assert (report.status, report.witness_sets) == ("pass", ((0, 1),))
-    # {0, 3} leaves 5 undominated and moves onto {0}
-    monkeypatch.setattr(solvers, "domination_number", stand_in(0, 3))
-    report = run_proposition("P02", complete(3))
-    assert (report.status, report.witness_sets, report.note) == (
-        "fail",
-        ((0, 3), (0,)),
-        "the projected set is not a minimum dominating set inside V",
-    )
+    note = "the set found is not a dominating set of R(G) inside V"
+    # {0} leaves the edge-vertex 5 undominated; {0, 5} dominates R(K_3)
+    # but holds an edge-vertex
+    for members in ((0,), (0, 5)):
+        monkeypatch.setattr(solvers, "_dominate", stand_in(*members))
+        report = run_proposition("P02", complete(3))
+        assert (report.status, report.witness_sets, report.note) == ("fail", (members,), note)
 
 
 def test_budget_notes_name_the_search():
-    # At 5 units every search runs out on C_9 (domination on R(C_9), which
-    # needs 282), and each skip note starts with the solver that ran out.
-    # The note ends with the units spent; the searches are deterministic.
+    # At 5 units every search runs out on C_9 (domination on R(C_9) inside
+    # V, whose first node is charged 1 + 9 + 18), and each skip note starts
+    # with the solver that ran out. The note ends with the units spent; the
+    # searches are deterministic.
     reports = run_all(cycle(9), ["P02", "P04", "P07", "P11"], budget=5)
     spent = (
-        ("domination_number", 37),
+        ("domination_number", 28),
         ("differential_of_r", 10),
         ("differential_exact", 19),
         ("independence_number", 6),

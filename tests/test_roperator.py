@@ -63,6 +63,15 @@ def test_validate_r_detects_bad_u_degree():
     assert "u-degree" in validate_r(path(3), Graph(5, tuple(rows)))
 
 
+def test_validate_r_detects_another_base_on_v():
+    # C_6 and two triangles share order, size and degrees, so only the
+    # edge-vertices, the subgraph on V and connectivity tell R(C_6) apart.
+    triangles = complete(3).disjoint_union(complete(3))
+    assert validate_r(cycle(6), build_r(triangles)) == [
+        "u-degree", "induced-subgraph", "connectivity"
+    ]
+
+
 def test_validate_r_detects_wrong_counts():
     # wrong base: K3 has one edge more than P3
     violations = validate_r(complete(3), build_r(path(3)))

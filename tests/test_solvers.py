@@ -1,4 +1,5 @@
 import functools
+import os
 import pytest
 from pathlib import Path
 from random import Random
@@ -141,20 +142,24 @@ def test_differential_of_r_known_values():
 
 
 def test_differential_of_r_modes_agree():
-    # the search over V with R(G)'s rows built from G against the differential
-    # in R(G) of every subset of V, computed from G by the oracle: same
-    # value, witness and maximizers in cardinality-then-lexicographic order
-    graphs = [g for n in range(3, 7) for g in connected_census(n)]
-    rng = Random(101)
-    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(40)]
-    for g in graphs:
-        in_r = naive_r_differentials(g)
-        value = max(in_r)
-        expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
-        vres = differential_of_r(g, "all")
-        assert vres.value == value, write_graph6(g)
-        assert vres.witness.mask == first_of_largest(expected)
-        assert [s.mask for s in vres.all_sets] == expected
+    # The "all" list of differential_of_r, read from the choice search's
+    # optima and their closure, against the differential in R(G) of every
+    # subset of V, computed from G by the oracle, and against the Roman
+    # enumeration over R(G)'s rows for V, which shares no code with it: the
+    # same value, witness and maximizers in cardinality-then-lexicographic
+    # order.
+    for g, in_r in r_oracle_cases():
+        check_r_maximizers(g, in_r)
+
+
+def check_r_maximizers(g, in_r):
+    value = max(in_r)
+    expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
+    res = differential_of_r(g, "all")
+    roman = _max_differential(r_v_rows(g), g.n + g.m, "all", DEFAULT_BUDGET, "differential_of_r")
+    assert [s.mask for s in res.all_sets] == expected, write_graph6(g)
+    assert (res.value, res.witness.mask) == (value, first_of_largest(expected))
+    assert (roman.value, roman.witness, roman.all_sets) == (res.value, res.witness, res.all_sets)
 
 
 def test_differential_searches_match_the_oracles_beyond_order_10():
@@ -247,6 +252,32 @@ def test_largest_r_searches_agree_beyond_the_oracle():
         assert (res.value, res.witness) == (roman.value, roman.witness), write_graph6(g)
 
 
+def test_gamma_r_inside_v_matches_the_search_over_r():
+    # gamma(R(G)) from the search over the sets inside V alone, against
+    # domination_number over all n + m vertices of R(G) and against tau(G)
+    # = n - alpha, from the independence search: equal by the V lemma in
+    # the solvers docstring. The witness lies inside V and dominates R(G).
+    for g, _ in r_oracle_cases():
+        check_gamma_r(g)
+
+
+def check_gamma_r(g):
+    ctx = InstanceContext(g)
+    gamma, witness = ctx.gamma_r
+    r = build_r(g)
+    assert gamma == domination_number(r)[0] == ctx.tau[0], write_graph6(g)
+    assert (witness.n, len(witness), witness.mask >> g.n) == (r.n, gamma, 0)
+    assert is_dominating(r, witness)
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 30 s")
+def test_r_searches_on_the_order8_census():
+    # Both checks above on the 11,117 connected graphs of order 8.
+    for g in connected_census(8):
+        check_r_maximizers(g, naive_r_differentials(g))
+        check_gamma_r(g)
+
+
 def test_mu_matches_the_oracle():
     # mu and its witness, from the largest-maximizer search alone, against
     # the differential in R(G) of every subset of V
@@ -333,13 +364,15 @@ def test_r_differential_sets_match_the_exhaustive_search():
 
 def test_differential_of_r_budget_bounds_the_work():
     # Each node is charged the vertices it examines, not 1, so a budget
-    # bounds the time: diff(R(K'_21)) runs out of 10^6 nodes in well under a
-    # second instead of running for minutes. The "largest" search over
-    # R(C64) visits about a thousand nodes, but each is charged for its
+    # bounds the time: listing the maximizers of R(C64), of which there
+    # are millions, runs out of 10^6 units in well under a second, while
+    # R(K'_21)'s one maximizer is listed within 10^4. The "largest" search
+    # over R(C64) visits about a thousand nodes, but each is charged for its
     # passes over up to the 64 vertices of C64, so it runs out of 10^4
     # units and answers in 10^6.
-    with pytest.raises(BudgetExceededError):
-        differential_of_r(kprime(21), "all", budget=10**6)
+    with pytest.raises(BudgetExceededError, match="^differential_of_r search exceeded"):
+        differential_of_r(cycle(64), "all", budget=10**6)
+    assert len(differential_of_r(kprime(21), "all", budget=10**4).all_sets) == 1
     with pytest.raises(BudgetExceededError):
         differential_of_r(cycle(64), budget=10**4)
     assert differential_of_r(cycle(64), budget=10**6).value == 64
