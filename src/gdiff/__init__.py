@@ -9,102 +9,78 @@ harness re-verifies the structural propositions relating them on every
 small connected graph.
 """
 
-from .census import canonical_form, connected_census
-from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
-from .core import (
-    CAPACITY,
-    BudgetExceededError,
-    CapacityError,
-    DegreeStats,
-    Graph,
-    VertexSet,
-)
-from .families import (
-    FamilySpec,
-    complete,
-    complete_bipartite,
-    cycle,
-    empty_graph,
-    generate,
-    kprime,
-    path,
-    star,
-    star_plus_edge,
-    wheel,
-)
-from .propositions import (
-    PROPOSITIONS,
-    CensusSummary,
-    CheckReport,
-    run_all,
-    run_census,
-    run_proposition,
-)
-from .roperator import build_r, validate_r
-from .solvers import (
-    DEFAULT_BUDGET,
-    DifferentialResult,
-    InvariantRecord,
-    differential_exact,
-    differential_of_r,
-    domination_number,
-    enclaveless_number,
-    full_record,
-    independence_number,
-    is_dominating,
-    is_vertex_cover,
-    mu_invariant,
-    roman_domination_number,
-    vertex_cover_number,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CAPACITY",
-    "DEFAULT_BUDGET",
-    "BudgetExceededError",
-    "CapacityError",
-    "CensusSummary",
-    "CheckReport",
-    "DegreeStats",
-    "DifferentialResult",
-    "FamilySpec",
-    "FormatError",
-    "Graph",
-    "InvariantRecord",
-    "PROPOSITIONS",
-    "VertexSet",
-    "build_r",
-    "canonical_form",
-    "complete",
-    "complete_bipartite",
-    "connected_census",
-    "cycle",
-    "differential_exact",
-    "differential_of_r",
-    "domination_number",
-    "empty_graph",
-    "enclaveless_number",
-    "full_record",
-    "generate",
-    "independence_number",
-    "is_dominating",
-    "is_vertex_cover",
-    "kprime",
-    "mu_invariant",
-    "parse_edgelist",
-    "parse_graph6",
-    "path",
-    "roman_domination_number",
-    "run_all",
-    "run_census",
-    "run_proposition",
-    "star",
-    "star_plus_edge",
-    "validate_r",
-    "vertex_cover_number",
-    "wheel",
-    "write_edgelist",
-    "write_graph6",
-]
+# Each public name and the module that defines it. Importing the package
+# loads none of them: a name's module is imported on its first read, so a
+# command pays only for the modules it runs.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "census": ("canonical_form", "connected_census"),
+        "codecs": ("FormatError", "parse_edgelist", "parse_graph6", "write_edgelist", "write_graph6"),
+        "core": (
+            "CAPACITY",
+            "DEFAULT_BUDGET",
+            "BudgetExceededError",
+            "CapacityError",
+            "DegreeStats",
+            "Graph",
+            "VertexSet",
+        ),
+        "families": (
+            "FamilySpec",
+            "complete",
+            "complete_bipartite",
+            "cycle",
+            "empty_graph",
+            "generate",
+            "kprime",
+            "path",
+            "star",
+            "star_plus_edge",
+            "wheel",
+        ),
+        "propositions": (
+            "PROPOSITIONS",
+            "CensusSummary",
+            "CheckReport",
+            "run_all",
+            "run_census",
+            "run_proposition",
+        ),
+        "roperator": ("build_r", "validate_r"),
+        "solvers": (
+            "DifferentialResult",
+            "InvariantRecord",
+            "differential_exact",
+            "differential_of_r",
+            "domination_number",
+            "enclaveless_number",
+            "full_record",
+            "independence_number",
+            "is_dominating",
+            "is_vertex_cover",
+            "mu_invariant",
+            "roman_domination_number",
+            "vertex_cover_number",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

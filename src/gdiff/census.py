@@ -50,17 +50,22 @@ graph6 writes the code left-aligned in 6-bit groups of a fixed number for
 the order, so sorting the forms of one order sorts their codes: a level is
 in ascending order of code and of graph6, and a representative's form is
 its own graph6.
+
+``census_runs`` runs the proposition checks over the census, serially or
+in a pool of worker processes, one instance's reports at a time.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
+from typing import Iterator
 
-from .codecs import _graph6, parse_graph6
-from .core import Graph, _reach, bits
-
-CANONICAL_MAX = 8
+from .codecs import _graph6, parse_graph6, write_graph6
+from .core import CANONICAL_MAX, DEFAULT_BUDGET, Graph, _reach, bits
+from .propositions import PROPOSITIONS, CheckReport, run_all
 
 
 def _profile(
@@ -233,3 +238,61 @@ def connected_census(n: int) -> tuple[Graph, ...]:
             if _new_vertex_unbeaten(rows):
                 forms.add(canonical_form(Graph(n, tuple(rows))))
     return tuple(parse_graph6(form) for form in sorted(forms))
+
+
+# Instances per task of a census worker process, and tasks in flight per worker.
+CENSUS_BATCH = 8
+BATCHES_PER_WORKER = 4
+
+
+def _census_worker(g6s: list[str], prop_ids: list[str], budget: int) -> list[list[CheckReport]]:
+    return [run_all(parse_graph6(g6), prop_ids, budget) for g6 in g6s]
+
+
+def census_runs(
+    n_max: int,
+    prop_ids: list[str] | None = None,
+    jobs: int = 1,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[list[CheckReport]]:
+    """``run_all``'s reports on each connected census graph of order 3..n_max.
+
+    The arguments are checked at the call. The census is generated and
+    checked as the result is iterated, one instance's reports at a time,
+    in census order for every worker count. ``jobs`` is capped at the
+    CPUs this process may run on; above 1, a process pool of that many
+    workers checks batches of instances, a bounded number ahead.
+    """
+    if not 3 <= n_max <= CANONICAL_MAX:
+        raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
+    ids = list(prop_ids) if prop_ids else list(PROPOSITIONS)
+    for pid in ids:
+        if pid not in PROPOSITIONS:
+            raise ValueError(f"unknown proposition id {pid!r}")
+    instances = (g for n in range(3, n_max + 1) for g in connected_census(n))
+    jobs = min(jobs, _available_cpus())
+    if jobs > 1:
+        return _pooled_runs(instances, ids, jobs, budget)
+    return (run_all(g, ids, budget) for g in instances)
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled_runs(instances, ids: list[str], jobs: int, budget: int) -> Iterator[list[CheckReport]]:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    batches = iter(lambda: [write_graph6(g) for g in islice(instances, CENSUS_BATCH)], [])
+    pending: deque = deque()
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        for batch in batches:
+            pending.append(pool.submit(_census_worker, batch, ids, budget))
+            if len(pending) == BATCHES_PER_WORKER * jobs:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()

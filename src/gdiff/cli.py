@@ -10,6 +10,10 @@ Subcommands:
 Options are spelled in full: a prefix of one is a usage error. Exit codes:
 0 all pass, 1 at least one failed check, 2 usage or parse error, 3 a search
 budget was exhausted.
+
+Each command imports the modules it runs when it runs, so parsing the
+arguments loads only ``core`` and ``codecs``, and ``family``, ``roper``
+and ``compute`` never load the checks or the census.
 """
 
 from __future__ import annotations
@@ -20,14 +24,8 @@ import sys
 import time
 from pathlib import Path
 
-from .census import CANONICAL_MAX
 from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
-from .core import BudgetExceededError, CapacityError, Graph
-from .families import FamilySpec
-from .propositions import PROPOSITIONS, CensusSummary, census_runs, run_all
-from .reports import CsvWriter, JsonWriter, record_row
-from .roperator import build_r
-from .solvers import DEFAULT_BUDGET, full_record
+from .core import CANONICAL_MAX, DEFAULT_BUDGET, BudgetExceededError, CapacityError, Graph
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -138,14 +136,20 @@ def _emit_graphs(args, graphs: list[Graph]) -> None:
 
 
 def _writer(args, out, member: str):
+    from .reports import CsvWriter, JsonWriter
+
     return JsonWriter(out, member) if args.report_format == "json" else CsvWriter(out)
 
 
-def _family_spec(args) -> FamilySpec:
+def _family_spec(args):
+    from .families import FamilySpec
+
     return FamilySpec(kind=args.kind, n=args.n, p=args.p, q=args.q, r=args.r)
 
 
 def _parse_props(value: str) -> list[str]:
+    from .propositions import PROPOSITIONS
+
     if value == "all":
         return list(PROPOSITIONS)
     ids = [token.strip().upper() for token in value.split(",") if token.strip()]
@@ -190,11 +194,16 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "roper":
+        from .roperator import build_r
+
         graphs = _read_graphs(args)
         _emit_graphs(args, [build_r(g) for g in graphs])
         return EXIT_OK
 
     if args.command == "compute":
+        from .reports import record_row
+        from .solvers import full_record
+
         graphs = _read_graphs(args)
         skipped_budget = False
         with _open_output(args) as out:
@@ -210,9 +219,16 @@ def _dispatch(args) -> int:
         prop_ids = _parse_props(args.props)
         summary = None
         if args.command == "census":
+            from .census import census_runs
+            from .propositions import CensusSummary
+
             runs = census_runs(args.nmax, prop_ids, jobs=args.jobs, budget=args.budget)
             summary = CensusSummary(n_min=3, n_max=args.nmax)
         else:
+            from .propositions import run_all
+
+            if args.kind and args.input != "-":
+                raise ValueError("--kind and --input cannot be used together")
             graphs = [_family_spec(args).build()] if args.kind else _read_graphs(args)
             runs = (run_all(g, prop_ids, args.budget) for g in graphs)
         # census --csv writes its summary table alone

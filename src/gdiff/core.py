@@ -27,6 +27,13 @@ from typing import Iterable, Iterator, NamedTuple
 #: such as R(G), may be larger.
 CAPACITY = 64
 
+#: Units of work each exact search may spend before it raises
+#: BudgetExceededError: the solvers' default and the CLI's ``--budget``.
+DEFAULT_BUDGET = 10_000_000
+
+#: Largest order ``census.canonical_form`` and the census accept.
+CANONICAL_MAX = 8
+
 
 class CapacityError(ValueError):
     """An input graph's order exceeds CAPACITY."""

@@ -1,4 +1,4 @@
-"""Executable proposition checks P01..P18 and the census runner.
+"""Executable proposition checks P01..P18.
 
 Each check pairs a hypothesis predicate with a verdict procedure. A check
 never evaluates its conclusion when the hypothesis fails: it reports
@@ -50,14 +50,10 @@ P18  audit: does some set attain the differential of both P_7 and R(P_7)?
 
 from __future__ import annotations
 
-import os
 import time
-from collections import deque
-from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
-from .census import CANONICAL_MAX, connected_census
-from .codecs import parse_graph6, write_graph6
+from .codecs import write_graph6
 from .core import BudgetExceededError, Graph, VertexSet, bits
 from .families import (
     complete_bipartite_parts,
@@ -530,71 +526,15 @@ class CensusSummary:
         }
 
 
-# Instances per task of a census worker process, and tasks in flight per worker.
-CENSUS_BATCH = 8
-BATCHES_PER_WORKER = 4
-
-
-def _census_worker(g6s: list[str], prop_ids: list[str], budget: int) -> list[list[CheckReport]]:
-    return [run_all(parse_graph6(g6), prop_ids, budget) for g6 in g6s]
-
-
-def census_runs(
-    n_max: int,
-    prop_ids: list[str] | None = None,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[list[CheckReport]]:
-    """``run_all``'s reports on each connected census graph of order 3..n_max.
-
-    The arguments are checked at the call. The census is generated and
-    checked as the result is iterated, one instance's reports at a time,
-    in census order for every worker count. ``jobs`` is capped at the
-    CPUs this process may run on; above 1, a process pool of that many
-    workers checks batches of instances, a bounded number ahead.
-    """
-    if not 3 <= n_max <= CANONICAL_MAX:
-        raise ValueError(f"census runs support 3 <= n_max <= {CANONICAL_MAX}")
-    ids = list(prop_ids) if prop_ids else list(PROPOSITIONS)
-    for pid in ids:
-        if pid not in PROPOSITIONS:
-            raise ValueError(f"unknown proposition id {pid!r}")
-    instances = (g for n in range(3, n_max + 1) for g in connected_census(n))
-    jobs = min(jobs, _available_cpus())
-    if jobs > 1:
-        return _pooled_runs(instances, ids, jobs, budget)
-    return (run_all(g, ids, budget) for g in instances)
-
-
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pooled_runs(instances, ids: list[str], jobs: int, budget: int) -> Iterator[list[CheckReport]]:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    batches = iter(lambda: [write_graph6(g) for g in islice(instances, CENSUS_BATCH)], [])
-    pending: deque = deque()
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-        for batch in batches:
-            pending.append(pool.submit(_census_worker, batch, ids, budget))
-            if len(pending) == BATCHES_PER_WORKER * jobs:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
-
-
 def run_census(
     n_max: int,
     prop_ids: list[str] | None = None,
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[CensusSummary, list[CheckReport]]:
-    """Every report of ``census_runs`` in one list, with their counts."""
+    """Every report of ``census.census_runs`` in one list, with their counts."""
+    from .census import census_runs
+
     summary = CensusSummary(n_min=3, n_max=n_max)
     reports: list[CheckReport] = []
     for chunk in census_runs(n_max, prop_ids, jobs, budget):

@@ -24,10 +24,11 @@ import io
 import json
 import time
 from json.encoder import encode_basestring_ascii as _string
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .propositions import CensusSummary, CheckReport
-from .solvers import InvariantRecord
+if TYPE_CHECKING:  # names for annotations only: compute never loads the checks
+    from .propositions import CensusSummary, CheckReport
+    from .solvers import InvariantRecord
 
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 

@@ -98,10 +98,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .core import BudgetExceededError, Graph, VertexSet, _union, bits
+from .core import DEFAULT_BUDGET, BudgetExceededError, Graph, VertexSet, _union, bits
 from .roperator import build_r, r_v_rows
-
-DEFAULT_BUDGET = 10_000_000
 
 #: Largest set of undecided vertices that ``_ChoiceSearch`` searches
 #: without its bound and component split.
@@ -845,12 +843,16 @@ class InstanceContext:
         matching loses. So the value is diff_r's, and the differential sets
         are A + E' with A among diff_r's sets and E' one edge-vertex at each
         of any vertices of the exterior C(A): |A| to |A| + |C(A)| members.
+        C(A) is the vertices of V - A with no neighbour in A; the maximizers
+        repeat a few (|A|, |C(A)|) pairs, so the ranges are expanded once each.
         """
-        return {
-            k
+        adj = self.g.adj
+        full = self.g.full_mask
+        pairs = {
+            (len(a), sum(not adj[v] & a.mask for v in bits(full & ~a.mask)))
             for a in self.diff_r("all").all_sets
-            for k in range(len(a), len(a) + len(self.g.exterior(a)) + 1)
         }
+        return {k for size, exterior in pairs for k in range(size, size + exterior + 1)}
 
     @property
     def gamma(self) -> tuple[int, VertexSet]:

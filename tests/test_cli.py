@@ -6,8 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gdiff.cli as cli_module
-from gdiff import propositions
+from gdiff import census, propositions, solvers
 from gdiff.cli import cli
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.families import KINDS, complete_bipartite, wheel
@@ -182,10 +181,10 @@ def test_unreadable_and_unwritable_paths_are_usage_errors(tmp_path, capsys, monk
     def refuse(*args, **kwargs):
         raise AssertionError("work done before --out was opened")
 
-    monkeypatch.setattr(propositions, "connected_census", refuse)
-    for module in (cli_module, propositions):
+    monkeypatch.setattr(census, "connected_census", refuse)
+    for module in (census, propositions):
         monkeypatch.setattr(module, "run_all", refuse)
-    monkeypatch.setattr(cli_module, "full_record", refuse)
+    monkeypatch.setattr(solvers, "full_record", refuse)
     g6 = write_graph6(wheel(5)) + "\n"
     for argv in (
         ["census", "--nmax", "4"],
@@ -197,6 +196,18 @@ def test_unreadable_and_unwritable_paths_are_usage_errors(tmp_path, capsys, monk
         code, out, err = run_cli(capsys, monkeypatch, [*argv, "--out", str(missing)], stdin=g6)
         assert (code, out) == (2, "") and err.startswith("gdiff: error: "), argv
     assert not missing.parent.exists()
+
+
+def test_kind_with_input_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # --kind names the graph verify checks, so an --input beside it would go
+    # unread: it is refused, whether or not the file exists.
+    given = tmp_path / "wheel.g6"
+    given.write_text(write_graph6(wheel(5)) + "\n")
+    for path in (given, tmp_path / "missing.g6"):
+        args = ["verify", "--kind", "cycle", "--n", "5", "--input", str(path)]
+        code, out, err = run_cli(capsys, monkeypatch, args)
+        assert (code, out) == (2, ""), path
+        assert err.startswith("gdiff: error: ") and "--kind" in err and "--input" in err
 
 
 def test_usage_error(capsys, monkeypatch):
@@ -341,7 +352,7 @@ def test_census_streams_one_write_per_instance(monkeypatch):
     # The first instance's reports are written before the second is checked,
     # and the 8 instances of orders 3-4 take one write each, plus the tail.
     checked = []
-    run_all = propositions.run_all
+    run_all = census.run_all
 
     def counting(*args, **kwargs):
         checked.append(1)
@@ -357,7 +368,7 @@ def test_census_streams_one_write_per_instance(monkeypatch):
             return super().write(text)
 
     stream = Stream()
-    monkeypatch.setattr(propositions, "run_all", counting)
+    monkeypatch.setattr(census, "run_all", counting)
     monkeypatch.setattr("sys.stdout", stream)
     assert cli(["census", "--nmax", "4", "--props", "P01,P11"]) == 0
     assert stream.checked_at_writes == [1, 2, 3, 4, 5, 6, 7, 8, 8]

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from random import Random
 
-from gdiff import propositions
-from gdiff.census import connected_census
+from gdiff import census, propositions
+from gdiff.census import census_runs, connected_census
 from gdiff.codecs import parse_graph6, write_graph6
 from gdiff.core import VertexSet
 from gdiff.families import (
@@ -25,7 +25,6 @@ from gdiff.families import (
 from gdiff.propositions import (
     PROPOSITIONS,
     CensusSummary,
-    census_runs,
     run_all,
     run_census,
     run_proposition,
@@ -604,7 +603,7 @@ def test_census_nmax5_no_failures():
 
 def test_census_parallel_matches_serial(monkeypatch):
     # Batches of 3 make 10 batches at order 5, more than the 8 kept in flight.
-    monkeypatch.setattr(propositions, "CENSUS_BATCH", 3)
+    monkeypatch.setattr(census, "CENSUS_BATCH", 3)
     serial_summary, serial = run_census(5, ["P01", "P11", "P17"], jobs=1)
     parallel_summary, parallel = run_census(5, ["P01", "P11", "P17"], jobs=2)
     assert [r.row() for r in serial] == [r.row() for r in parallel]
@@ -633,12 +632,12 @@ def test_census_workers_are_capped_at_the_available_cpus(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    assert propositions._available_cpus() >= 1
+    assert census._available_cpus() >= 1
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     serial = [r.row() for chunk in census_runs(4, ["P01", "P04"]) for r in chunk]
     for cpus, made in ((3, [3]), (1, [])):
         sizes.clear()
-        monkeypatch.setattr(propositions, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(census, "_available_cpus", lambda: cpus)
         runs = census_runs(4, ["P01", "P04"], jobs=10**6)
         assert [r.row() for chunk in runs for r in chunk] == serial
         assert sizes == made

@@ -4,7 +4,8 @@ The benchmark (its tracer, its runner and its reference maker) looks gdiff's
 names up by name; keep them.
 Every command-line option must be read by the subcommand that takes it,
 and README's option table must list exactly the options each one takes.
-Importing the CLI leaves the process pool out, and `python -m gdiff.cli` runs the CLI.
+Importing the CLI leaves the process pool out, each command loads only the
+gdiff modules it runs, and `python -m gdiff.cli` runs the CLI.
 """
 
 import argparse
@@ -18,6 +19,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import gdiff
 import gdiff.cli as cli_module
 from gdiff.codecs import write_graph6
 from gdiff.families import wheel
@@ -36,12 +40,17 @@ RUN_READS = (
 )
 
 
-def test_traced_names_exist():
+def _traced():
+    """bench/tracer.py's TRACED: the (module, function) pairs it wraps."""
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.TRACED
-    for module_name, fn_name in tracer.TRACED:
+    return tracer.TRACED
+
+
+def test_traced_names_exist():
+    for module_name, fn_name in _traced():
         module = importlib.import_module(f"gdiff.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"gdiff.{module_name}.{fn_name}"
 
@@ -172,3 +181,73 @@ def test_module_entry_point_runs_the_cli():
     done = run("P01")
     assert (done.returncode, done.stdout) == (0, "prop,pass,fail,vacuous,skipped,total\nP01,2,0,0,0,2\n")
     assert run("P99").returncode == 2
+
+
+def _modules_after(code: str) -> set[str]:
+    """The gdiff modules a fresh interpreter holds after running ``code``."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(sorted(m[6:] for m in sys.modules if m.startswith('gdiff.')), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    return set(ast.literal_eval(done.stderr.splitlines()[-1]))
+
+
+def _cli_run(argv: list[str]) -> str:
+    """Code that runs the CLI on ``argv`` and fails unless it exits 0."""
+    return f"import gdiff.cli; assert gdiff.cli.cli({argv!r}) == 0"
+
+
+def test_imports_load_no_command_modules():
+    # The package namespace is lazy, and parsing the arguments needs only
+    # the graph type and the codecs.
+    assert _modules_after("import gdiff") == set()
+    assert _modules_after("import gdiff.cli") == {"cli", "codecs", "core"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    given = tmp_path / "wheel.g6"
+    given.write_text(write_graph6(wheel(5)) + "\n")
+    left_out = {
+        ("family", "--kind", "wheel", "--n", "5"): {"solvers", "propositions", "census", "reports"},
+        ("roper", "--input", str(given)): {"solvers", "propositions", "census", "families", "reports"},
+        ("compute", "--input", str(given)): {"propositions", "census", "families"},
+        ("verify", "--props", "all", "--input", str(given)): {"census"},
+    }
+    for argv, modules in left_out.items():
+        loaded = _modules_after(_cli_run(list(argv)))
+        assert not loaded & modules, argv
+
+
+def test_traced_runs_load_every_traced_module(tmp_path):
+    # bench/run.py imports gdiff.census and gdiff.cli, runs a workload's
+    # command once untraced, and only then wraps the functions in TRACED,
+    # reading each of their modules from sys.modules.
+    given = tmp_path / "wheel.g6"
+    given.write_text(write_graph6(wheel(5)) + "\n")
+    traced = {module for module, _ in _traced()}
+    for argv in (
+        ["census", "--nmax", "3", "--props", "P01"],
+        ["verify", "--props", "P01", "--input", str(given)],
+        ["compute", "--json", "--input", str(given)],
+    ):
+        loaded = _modules_after("import gdiff.census\n" + _cli_run(argv))
+        assert traced <= loaded, (argv, traced - loaded)
+
+
+def test_package_namespace_is_lazy():
+    # Each public name is read from the module that defines it, on first use.
+    for name in gdiff.__all__:
+        value = getattr(gdiff, name)
+        module = importlib.import_module(f"gdiff.{gdiff._MODULE_OF[name]}")
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(gdiff.__all__) <= set(dir(gdiff))
+    with pytest.raises(AttributeError):
+        gdiff.no_such_name
+    namespace = {}
+    exec("from gdiff import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(gdiff.__all__)
