@@ -164,9 +164,13 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(adj):
-            for u in bits(row):
-                if not adj[u] >> v & 1:
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+                row ^= low
         # The cached properties below are stored in the same __dict__.
         self.__dict__.update(n=n, adj=adj)
 

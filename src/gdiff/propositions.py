@@ -15,9 +15,21 @@ The lemma in ``solvers`` also says that the largest differential set of
 R(G) inside V dominates G, so P04 checks that one set and enumerates none.
 P02 reads the minimum dominating set of R(G) that P11's search found. That
 search runs over the sets inside V alone, which hold a minimum since
-N[v_ab] lies inside N[a] (the V lemma in ``solvers``). So P02 checks that
-the found set lies inside V and dominates R(G); that its size is gamma(R(G))
-rests on the lemma, not on a second search.
+N[v_ab] lies inside N[a], and there the sets that dominate R(G) are G's
+vertex covers (the V lemma in ``solvers``), so it is a search for a least
+cover of G's edges. P02 checks that the found set lies inside V and
+dominates R(G); that its size is gamma(R(G)) rests on the lemma, not on a
+second search.
+P12 follows from four numbers: n, m, tau and diff(G), with diff(R(G)) to
+compare. Let G be connected of order n >= 3 and S a vertex cover of it,
+T = V - S. T is independent and each of its vertices has a neighbour, so
+B(S) = T in G, and in R(G) B(S) is T plus every edge-vertex, each edge
+having an end in S. So diff_G(S) = n - 2|S| and diff_R(S) = m + n - 2|S|.
+As n - 2|S| <= n - 2 tau <= diff(G), some cover attains diff(G) exactly
+when n - 2 tau = diff(G), and those that do are the minimum covers, each
+giving m + n - 2 tau in R(G). So P12 holds exactly when n - 2 tau = diff(G)
+implies diff(R(G)) = m + n - 2 tau, and is vacuous otherwise; a fail lists
+the cover V - (alpha witness). It enumerates nothing and builds no R(G).
 P13 calls a differential set S inside V maximal when no one vertex of R(G)
 added to it keeps the value, and decides that from G and the list of those
 sets. S is a maximizer over all of R(G) (see ``diff_r_sizes``). Adding the
@@ -25,6 +37,9 @@ edge-vertex v_ab costs 2 when ab has an end in S, and otherwise changes the
 value by -1 + |{a, b} & C(S)|. A maximizer has no edge inside C(S), so some
 edge-vertex keeps the value iff an edge joins B(S) to C(S): on a connected G,
 iff C(S) is non-empty. A vertex w of V keeps it iff S + w is in the list.
+So one pass over each listed mask reads N(S), the largest number of
+neighbours a vertex of B(S) has inside B(S), and maximality: C(S) empty and
+no S + w among the listed masks.
 
 Registry overview (R(G) is laid out as in ``roperator``: V = 0..n-1, then U):
 
@@ -54,7 +69,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .codecs import write_graph6
-from .core import BudgetExceededError, Graph, VertexSet, bits
+from .core import BudgetExceededError, Graph, VertexSet, _union, bits
 from .families import (
     complete_bipartite_parts,
     is_complete,
@@ -65,13 +80,7 @@ from .families import (
     wheel_apex,
 )
 from .roperator import validate_r
-from .solvers import (
-    DEFAULT_BUDGET,
-    InstanceContext,
-    is_dominating,
-    is_vertex_cover,
-    roman_labeling,
-)
+from .solvers import DEFAULT_BUDGET, InstanceContext, is_dominating, roman_labeling
 
 PASS = "pass"
 FAIL = "fail"
@@ -125,6 +134,11 @@ def _connected3(ctx: InstanceContext) -> bool:
 def _min_degree2(ctx: InstanceContext) -> bool:
     stats = ctx.g.degree_stats()
     return _connected3(ctx) and stats.minimum is not None and stats.minimum >= 2
+
+
+def _recognized(ctx: InstanceContext, recognizer):
+    """``recognizer(G)``, run once per instance on the context's cache."""
+    return ctx.cached(recognizer, lambda: recognizer(ctx.g))
 
 
 @_register("P01", "structural identities of the R-graph", lambda ctx: ctx.g.n >= 3)
@@ -183,7 +197,7 @@ def _p05(ctx):
 
 @_register("P06", "min degree >= 2 forces |Y| >= |X| across differential sets", _min_degree2)
 def _p06(ctx):
-    biggest_x = ctx.diff("all").witness
+    biggest_x = ctx.diff().witness
     # A smallest differential set of R(G) is the first set inside V (see
     # diff_r_sizes).
     smallest_y = ctx.diff_r("all").all_sets[0]
@@ -200,7 +214,7 @@ def _p06(ctx):
 def _p07(ctx):
     n = ctx.g.n
     delta_max = ctx.g.degree_stats().maximum
-    diff = ctx.diff("all").value
+    diff = ctx.diff().value
     clauses = []
     if (delta_max == n - 1) != (diff == n - 2):
         clauses.append("(a)")
@@ -233,14 +247,13 @@ def _p08(ctx):
 def _p09_applies(ctx):
     if not _connected3(ctx):
         return False
-    parts = complete_bipartite_parts(ctx.g)
+    parts = _recognized(ctx, complete_bipartite_parts)
     return parts is not None and len(parts[0]) < len(parts[1]) and ctx.g.n >= 4
 
 
 @_register("P09", "unique differential set of R(K_{p,q}) is the smaller part", _p09_applies)
 def _p09(ctx):
-    parts = complete_bipartite_parts(ctx.g)
-    p_set = parts[0]
+    p_set = _recognized(ctx, complete_bipartite_parts)[0]
     # A differential set of R(G) is one inside V, A, plus up to |C(A)|
     # edge-vertices, so it is unique iff A is and C(A) is empty.
     sets = ctx.diff_r("all").all_sets
@@ -260,8 +273,8 @@ def _p10_applies(ctx):
         return False
     return (
         is_complete(ctx.g)
-        or wheel_apex(ctx.g) is not None
-        or complete_bipartite_parts(ctx.g) is not None
+        or _recognized(ctx, wheel_apex) is not None
+        or _recognized(ctx, complete_bipartite_parts) is not None
     )
 
 
@@ -286,11 +299,11 @@ def _p10(ctx):
             got = r.set_differential(VertexSet(r.n, (1 << k) - 1))
             if got != want:
                 problems.append(f"complete case |S|={k}: got {got}, expected {want}")
-    if wheel_apex(g) is not None:
+    if _recognized(ctx, wheel_apex) is not None:
         expected = 2 * n - 3
         if diff_r != expected:
             problems.append(f"wheel: got {diff_r}, expected {expected}")
-    parts = complete_bipartite_parts(g)
+    parts = _recognized(ctx, complete_bipartite_parts)
     if parts is not None:
         p, q = len(parts[0]), len(parts[1])
         expected = q * (p + 1) - p
@@ -316,52 +329,65 @@ def _p11(ctx):
 
 @_register("P12", "differential-attaining vertex covers are differential sets of R", _connected3)
 def _p12(ctx):
-    # A cover that attains diff(G) is a maximizer, so the enumerated
-    # differential sets of G are the only candidates.
+    # Four numbers decide it (see the module docstring): some vertex cover
+    # attains diff(G) iff n - 2 tau = diff(G), and each gives m + n - 2 tau.
     g = ctx.g
-    res = ctx.diff("all")
-    diff_r = ctx.diff_r().value
-    r = ctx.rg
-    qualifying = 0
-    for s in res.all_sets:
-        if not is_vertex_cover(g, s):
-            continue
-        qualifying += 1
-        value = r.set_differential(VertexSet(r.n, s.mask))
-        if value != diff_r:
-            return (
-                FAIL,
-                (s.members,),
-                f"cover attains diff(G) but gives {value} != diff(R) = {diff_r}",
-            )
-    if qualifying == 0:
+    tau, cover = ctx.tau
+    diff = ctx.diff().value
+    if g.n - 2 * tau != diff:
         return VACUOUS, (), "no vertex cover attains the differential of G"
-    return PASS, (), f"{qualifying} qualifying cover(s)"
+    value = g.m + g.n - 2 * tau
+    diff_r = ctx.diff_r().value
+    if value != diff_r:
+        return (
+            FAIL,
+            (cover.members,),
+            f"cover attains diff(G) but gives {value} != diff(R) = {diff_r}",
+        )
+    return PASS, (), f"n - 2 tau = diff(G) = {diff} and m + n - 2 tau = diff(R) = {diff_r}"
 
 
-def _maximal(g: Graph, s: VertexSet, masks: set[int]) -> bool:
-    """No vertex of R(G) added to S keeps the value; ``masks``: all the sets."""
-    outside = bits(g.full_mask & ~s.mask)
-    return not g.exterior(s) and not any(s.mask | 1 << w in masks for w in outside)
+def _boundaries(g: Graph, sets: tuple[VertexSet, ...]):
+    """For each differential set S inside V of the list ``sets``: B(S) as a
+    mask, the largest number of neighbours a vertex of B(S) has in B(S), and
+    whether S is maximal (C(S) is empty and no S + w is listed)."""
+    adj, full = g.adj, g.full_mask
+    masks = {s.mask for s in sets}
+    for s in sets:
+        smask = s.mask
+        near = _union(adj, smask)
+        bound = near & ~smask
+        inner = 0
+        rest = bound
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = (adj[low.bit_length() - 1] & bound).bit_count()
+            if k > inner:
+                inner = k
+        maximal = not full & ~(near | smask)
+        rest = full & ~smask
+        while maximal and rest:
+            low = rest & -rest
+            rest ^= low
+            maximal = smask | low not in masks
+        yield s, bound, inner, maximal
 
 
 @_register("P13", "boundaries of differential sets inside V are 2-dependent", _connected3)
 def _p13(ctx):
-    g = ctx.g
     res = ctx.diff_r("all")
-    masks = {s.mask for s in res.all_sets}
-    for s in res.all_sets:
-        bound = g.boundary(s)
-        if not g.is_k_dependent(bound, 2):
-            return FAIL, (s.members, bound.members), "boundary is not 2-dependent"
-        maximal = _maximal(g, s, masks)
-        if maximal and not g.is_k_dependent(bound, 1):
+    mu = len(res.witness)
+    for s, bound, inner, maximal in _boundaries(ctx.g, res.all_sets):
+        if inner > 2:
+            return FAIL, (s.members, tuple(bits(bound))), "boundary is not 2-dependent"
+        if maximal and inner > 1:
             return (
                 FAIL,
-                (s.members, bound.members),
+                (s.members, tuple(bits(bound))),
                 "maximal differential set with boundary not 1-dependent",
             )
-        if len(s) == len(res.witness) and not maximal:
+        if len(s) == mu and not maximal:
             return (
                 FAIL,
                 (s.members,),
@@ -401,22 +427,21 @@ def _p15(ctx):
 def _p16_applies(ctx):
     if not _connected3(ctx):
         return False
-    parts = complete_bipartite_parts(ctx.g)
+    parts = _recognized(ctx, complete_bipartite_parts)
     if parts is not None and 2 * len(parts[0]) == len(parts[1]) and len(parts[0]) >= 2:
         return True
-    return kprime_order(ctx.g) is not None
+    return _recognized(ctx, kprime_order) is not None
 
 
 @_register("P16", "both bounds are attained on the matched bipartite families", _p16_applies)
 def _p16(ctx):
     diff_r = ctx.diff_r().value
     lam = ctx.lam
-    parts = complete_bipartite_parts(ctx.g)
-    if parts is not None:
+    if _recognized(ctx, complete_bipartite_parts) is not None:
         if diff_r == lam:
             return PASS, (), f"lower bound tight: diff_r = lambda = {lam}"
         return FAIL, (), f"diff_r = {diff_r} != lambda = {lam}"
-    r = kprime_order(ctx.g)
+    r = _recognized(ctx, kprime_order)
     expected = lam + (3 * r - ctx.mu) // 2
     if diff_r == expected:
         return PASS, (), f"upper bound tight: diff_r = {diff_r}"
@@ -427,7 +452,7 @@ def _p16(ctx):
 def _p17(ctx):
     # gamma_R = n - diff (Bermudo, Fernau and Sigarreta): check the certificate
     # it rests on, the Roman labeling of a differential set.
-    g, res = ctx.g, ctx.diff("all")
+    g, res = ctx.g, ctx.diff()
     labels = roman_labeling(g, res.witness)
     roman = sum(labels)
     twos = sum(1 << v for v, lab in enumerate(labels) if lab == 2)
@@ -443,12 +468,15 @@ def _p17(ctx):
 def _p18(ctx):
     g = ctx.g
     r = ctx.rg
-    res = ctx.diff("all")
-    diff_g = res.value
     diff_r = ctx.diff_r().value
+    subsets = [VertexSet(g.n, mask) for mask in range(1 << g.n)]
+    diff_g = max(map(g.set_differential, subsets))
+    maximizers = sorted(
+        (s for s in subsets if g.set_differential(s) == diff_g), key=lambda s: (len(s), s.members)
+    )
     common = [
         s.members
-        for s in res.all_sets
+        for s in maximizers
         if r.set_differential(VertexSet(r.n, s.mask)) == diff_r
     ]
     searched = f"searched all {1 << g.n} subsets of V(P_7)"
@@ -460,7 +488,7 @@ def _p18(ctx):
         )
     return (
         FAIL,
-        tuple(s.members for s in res.all_sets),
+        tuple(s.members for s in maximizers),
         f"no common differential set: diff(P_7)={diff_g}, diff(R(P_7))={diff_r}; "
         f"{searched}; every differential set of P_7 listed as witness",
     )

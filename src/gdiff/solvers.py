@@ -15,11 +15,12 @@ For a graph of order n:
   non-pendant edges (the lemma below), by the memoized weighted search
   ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
   optimal choices and their closure (below);
-* domination: ``_min_cover`` from the greedy set, with a member priced 1
-  and an undominated vertex n + 1, so every vertex must be covered and a
-  packing lower bound joins the coverage one (after Fomin, Grandoni and
-  Kratsch, J. ACM 56, 2009, and van Rooij and Bodlaender, Discrete Appl.
-  Math. 159, 2011); on R(G) it searches the sets inside V alone (below);
+* domination: ``_min_cover`` over the closed neighbourhoods from the
+  greedy set, with a member priced 1 and an undominated vertex n + 1, so
+  every vertex must be covered and a packing lower bound joins the
+  coverage one (after Fomin, Grandoni and Kratsch, J. ACM 56, 2009, and
+  van Rooij and Bodlaender, Discrete Appl. Math. 159, 2011); on R(G) the
+  same search covers G's edges with G's vertices (the V lemma below);
 * independence: ``_ChoiceSearch`` with every vertex an item of weight 1.
 
 The lemma. Let G be connected of order n >= 3 with m edges, S a subset of
@@ -56,10 +57,14 @@ The V lemma. In R(G), N[v_ab] = {v_ab, a, b} lies inside N[a], so putting
 a in place of each edge-vertex v_ab of a dominating set keeps it
 dominating and no larger: some minimum dominating set lies inside V, and
 gamma(R(G)) is the least size of a set inside V that dominates R(G).
-``InstanceContext.gamma_r`` searches only those, over R(G)'s rows for V.
-Such a set is a vertex cover of G, since v_ab has no other dominator, and a
-vertex cover dominates V, G being connected of order >= 3; so gamma(R(G))
-= tau (P11).
+Let G be connected of order n >= 3 and S a subset of V. The only
+dominators of v_ab inside V are a and b, so S dominates every edge-vertex
+exactly when S is a vertex cover of G. A vertex cover dominates V too: a
+vertex v outside it has a neighbour, G being connected of order >= 2, and
+that neighbour is in the cover, since the edge to it has an end there. So
+the sets inside V that dominate R(G) are G's vertex covers, and
+gamma(R(G)) = tau (P11). ``InstanceContext.gamma_r`` searches for a least
+cover of G's edges: v covers the edges at v.
 
 P15 follows. I alone, with M empty, gives diff(R(G)) >= m - n + 2 alpha =
 lambda. I plus one end of each M-edge is independent, so 2|I| + 3|M| <=
@@ -96,10 +101,10 @@ returning a partial answer.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, Graph, VertexSet, _union, bits
-from .roperator import build_r, r_v_rows
+from .roperator import build_r
 
 #: Largest set of undecided vertices that ``_ChoiceSearch`` searches
 #: without its bound and component split.
@@ -140,33 +145,35 @@ class _NodeCounter:
 
 
 def _min_cover(
-    rows: tuple[int, ...], order: int, price: list[int], unit: int, ties: bool,
+    covers: Sequence[int], order: int, price: list[int], unit: int, ties: bool,
     counter: _NodeCounter, best: float, found: list[int],
 ) -> tuple[float, list[int]]:
-    """The least cost of a subset S of 0..n-1, n = len(rows), and its sets.
+    """The least cost of a subset S of 0..n-1, n = len(covers), and its sets.
 
-    ``rows`` are the adjacency rows of vertices 0..n-1 in a graph on
-    ``order`` vertices. The cost of S is the sum of its members' ``price``,
-    which the caller lists cheapest first, plus ``unit`` for each vertex
-    outside N[S]. The callers give the cost model: a member costs 2 and an
-    uncovered vertex 1 for the Roman weight 2|S| + |V - N[S]| (see
-    ``_max_differential``), a member 1 and an uncovered vertex n + 1 for
-    domination. Set-cover branch and bound: branch on an uncovered vertex
-    with the fewest allowed dominators, taking each of them in turn by
+    ``covers[v]`` is the set of elements 0..order-1 that candidate v
+    covers: N[v] for domination and the differential, the edges at v for a
+    vertex cover (see ``InstanceContext.gamma_r``). The cost of S is the sum
+    of its members' ``price``, which the caller lists cheapest first, plus
+    ``unit`` for each element S leaves uncovered. The callers give the cost
+    model: a member costs 2 and an uncovered vertex 1 for the Roman weight
+    2|S| + |V - N[S]| (see ``_max_differential``), a member 1 and an
+    uncovered element order + 1 for domination and covers. Set-cover branch
+    and bound: branch on an uncovered element with the fewest allowed
+    dominators, the candidates covering it, taking each of them in turn by
     reach and excluding the earlier ones from the later branches; the last
-    branch leaves the vertex uncovered and forbids all of them. So every S
+    branch leaves the element uncovered and forbids all of them. So every S
     is reached in exactly one branch. A dominator is kept while its price
-    is at most ``unit`` times the uncovered vertices it reaches, and a
-    vertex with no kept dominator pays ``unit``. The bound adds to the cost
+    is at most ``unit`` times the uncovered elements it reaches, and an
+    element with no kept dominator pays ``unit``. The bound adds to the cost
     so far the cheapest prices paired with the largest reaches, stopping at
     the first member that pays at least ``unit`` times what it covers, and
-    ``unit`` for every uncovered vertex left. When ``unit`` exceeds every
+    ``unit`` for every uncovered element left. When ``unit`` exceeds every
     price, the bound is also at least the cheapest prices of as many
-    uncovered vertices with pairwise disjoint dominators, taken fewest
+    uncovered elements with pairwise disjoint dominators, taken fewest
     dominators first, since each pays for a member of its own or its
     ``unit`` (the packing bound of van Rooij and Bodlaender, Discrete Appl.
     Math. 159, 2011); the search then branches on the first of them, and
-    otherwise on the lowest-index vertex with the fewest dominators. The
+    otherwise on the lowest-index element with the fewest dominators. The
     last branch is entered only when the cost so far plus ``unit`` can
     still beat ``best``, or, with ``ties``, tie it.
 
@@ -174,16 +181,17 @@ def _min_cover(
     prunes when the bound meets the incumbent, or, with ``ties``, exceeds
     it, keeping every set of the least cost in the order found; without
     ``ties`` ``found`` holds the first set of the least cost. Each call
-    spends one unit plus one per allowed and per uncovered vertex, the work
-    it does.
+    spends one unit plus one per allowed candidate and per uncovered
+    element, the work it does.
     """
-    n = len(rows)
-    closed = [rows[v] | 1 << v for v in range(n)]
-    # On ``order`` = n the rows are a whole graph's, so they are symmetric.
-    dominators = closed if order == n else [0] * order
-    for v in range(n if order > n else 0):
-        for u in bits(closed[v]):
-            dominators[u] |= 1 << v
+    n = len(covers)
+    dominators = [0] * order
+    for v, row in enumerate(covers):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            dominators[low.bit_length() - 1] |= bit
+            row ^= low
     must_cover = unit > max(price)
 
     def search(uncovered: int, allowed: int, chosen: int, cost: int) -> None:
@@ -197,12 +205,12 @@ def _min_cover(
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            k = (closed[v] & uncovered).bit_count()
+            k = (covers[v] & uncovered).bit_count()
             if price[v] <= unit * k:
                 reach[v] = k
                 prices.append(price[v])
                 useful |= low
-                reached |= closed[v]
+                reached |= covers[v]
         cost += unit * (uncovered & ~reached).bit_count()
         uncovered &= reached
         if not uncovered:
@@ -254,7 +262,7 @@ def _min_cover(
         leave = cost + unit < best + ties
         for d in sorted(bits(candidates), key=reach.__getitem__, reverse=True):
             useful &= ~(1 << d)
-            search(uncovered & ~closed[d], useful, chosen | 1 << d, cost + price[d])
+            search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d])
         if leave:
             search(uncovered ^ branch, useful, chosen, cost + unit)
 
@@ -299,8 +307,9 @@ def _max_differential(
         unit = (n + 1) * card
         price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
     counter = _NodeCounter(solver, budget)
+    closed = [row | 1 << v for v, row in enumerate(rows)]
     best, found = _min_cover(
-        rows, order, price, unit, enumerate_all, counter, math.inf, []
+        closed, order, price, unit, enumerate_all, counter, math.inf, []
     )
     found = _card_lex(found, n)
     return DifferentialResult(
@@ -671,34 +680,33 @@ def domination_number(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
     """Minimum dominating set size and the first minimum the search finds
-    (``_dominate`` over all of g's rows)."""
+    (``_dominate`` over the closed neighbourhoods of g)."""
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    return _dominate(g.adj, g.n, budget)
+    found = _dominate(g.closed_adj, g.n, budget)
+    return found.bit_count(), VertexSet(g.n, found)
 
 
-def _dominate(rows: tuple[int, ...], order: int, budget: int) -> tuple[int, VertexSet]:
-    """The size of a least S among vertices 0..k-1, k = len(rows), that
-    dominates a graph on ``order`` vertices whose rows for them are
-    ``rows``, and the first such S found.
+def _dominate(covers: Sequence[int], order: int, budget: int) -> int:
+    """A least S among candidates 0..k-1, k = len(covers), whose ``covers``
+    together hold all of 0..order-1: the first such S found, as a mask.
 
-    ``_min_cover`` with a member priced 1 and an undominated vertex
-    ``order`` + 1 starts from the greedy set, which takes in turn the vertex
-    dominating the most vertices still undominated; often it is already
-    minimum, and the search proves it.
+    ``_min_cover`` with a member priced 1 and an uncovered element
+    ``order`` + 1 starts from the greedy set, which takes in turn the
+    candidate covering the most elements still uncovered; often it is
+    already minimum, and the search proves it.
     """
-    closed = [row | 1 << v for v, row in enumerate(rows)]
     greedy = 0
-    undominated = (1 << order) - 1
-    while undominated:
-        v = max(range(len(rows)), key=lambda v: (closed[v] & undominated).bit_count())
+    uncovered = (1 << order) - 1
+    while uncovered:
+        v = max(range(len(covers)), key=lambda v: (covers[v] & uncovered).bit_count())
         greedy |= 1 << v
-        undominated &= ~closed[v]
+        uncovered &= ~covers[v]
     counter = _NodeCounter("domination_number", budget)
     _, found = _min_cover(
-        rows, order, [1] * len(rows), order + 1, False, counter, greedy.bit_count(), [greedy]
+        covers, order, [1] * len(covers), order + 1, False, counter, greedy.bit_count(), [greedy]
     )
-    return found[0].bit_count(), VertexSet(order, found[0])
+    return found[0]
 
 
 def vertex_cover_number(
@@ -803,7 +811,9 @@ class InstanceContext:
         self.budget = budget
         self._cache: dict[object, object] = {}
 
-    def _get(self, key, fn):
+    def cached(self, key, fn):
+        """``fn()``, computed once per context and kept under ``key``; a budget
+        error is kept too and raised again to every later reader."""
         if key not in self._cache:
             try:
                 self._cache[key] = fn()
@@ -817,11 +827,11 @@ class InstanceContext:
         done = self._cache.get((name, "all"))
         if key == "largest" and isinstance(done, DifferentialResult):
             return done
-        return self._get((name, key), lambda: search(self.g, key, self.budget))
+        return self.cached((name, key), lambda: search(self.g, key, self.budget))
 
     @property
     def rg(self) -> Graph:
-        return self._get("rg", lambda: build_r(self.g))
+        return self.cached("rg", lambda: build_r(self.g))
 
     def diff(self, key: str = "largest") -> DifferentialResult:
         """Differential of the instance by the search ``key``."""
@@ -857,23 +867,37 @@ class InstanceContext:
     @property
     def gamma(self) -> tuple[int, VertexSet]:
         """Domination number of the instance and the first minimum the search finds."""
-        return self._get(
+        return self.cached(
             "gamma", lambda: domination_number(self.g, budget=self.budget)
         )
 
     @property
     def gamma_r(self) -> tuple[int, VertexSet]:
         """Domination number of the R-graph and the first minimum the search
-        finds inside V, where some minimum lies (see the module docstring)."""
+        finds inside V, as a set of R(G).
+
+        It requires a connected base of order at least 3. There the sets
+        inside V that dominate R(G) are G's vertex covers (the V lemma in
+        the module docstring), so the search covers G's edges: vertex v
+        covers the edges at v.
+        """
         g = self.g
-        return self._get(
-            "gamma_r", lambda: _dominate(r_v_rows(g), g.n + g.m, self.budget)
-        )
+
+        def search():
+            _require_r_base(g)
+            covers = [0] * g.n
+            for i, (a, b) in enumerate(g.edges()):
+                covers[a] |= 1 << i
+                covers[b] |= 1 << i
+            found = _dominate(covers, g.m, self.budget)
+            return found.bit_count(), VertexSet(g.n + g.m, found)
+
+        return self.cached("gamma_r", search)
 
     @property
     def alpha(self) -> tuple[int, VertexSet]:
         """Independence number of the instance and its witness."""
-        return self._get(
+        return self.cached(
             "alpha", lambda: independence_number(self.g, budget=self.budget)
         )
 

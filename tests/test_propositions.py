@@ -11,7 +11,7 @@ from random import Random
 from gdiff import census, propositions
 from gdiff.census import census_runs, connected_census
 from gdiff.codecs import parse_graph6, write_graph6
-from gdiff.core import VertexSet
+from gdiff.core import VertexSet, bits
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -32,6 +32,7 @@ from gdiff.propositions import (
 from gdiff.reports import JsonWriter
 from gdiff.roperator import build_r
 from gdiff.solvers import (
+    DEFAULT_BUDGET,
     DifferentialResult,
     InstanceContext,
     differential_exact,
@@ -42,6 +43,8 @@ from gdiff.solvers import (
 )
 
 from oracles import (
+    naive_differential,
+    naive_independence,
     naive_minimum_dominating_sets,
     naive_p12,
     random_connected_graph,
@@ -250,7 +253,7 @@ CENSUS_ORDER7 = (
         "P17": {"pass": 994},
         "P18": {"fail": 1, "vacuous": 993},
     },
-    "ec64f410dd41b00b413eea9effe54a3040d74b6921452576de193f1da2059ed9",
+    "2041984e2b52fcd249597e2d71e286ccdd0b052ea065f3c11f2999acb085444b",
 )
 
 
@@ -275,7 +278,7 @@ CENSUS_ORDER8 = (
         "P17": {"pass": 12111},
         "P18": {"fail": 1, "vacuous": 12110},
     },
-    "5e2298fc567a0560a9dd8bc1337f11bebd235dae88c7772178b2707418d8f179",
+    "df89e4b754e9700aad96b67565b8e846a00498e522761f6e2bd285d7641ef03b",
 )
 
 
@@ -308,17 +311,18 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
     # starts each search at most once per graph and key, and every check
     # that needs it gets the note it would get in a context of its own.
     # Calls are counted per (search, graph, key): the domination search
-    # runs over R(K7)'s rows for V, the differential searches and
-    # independence_number on K7 itself. At 30 units both keys of
+    # covers K7's 21 edges with its 7 vertices, the differential searches
+    # and independence_number run on K7 itself. At 30 units both keys of
     # differential_of_r run out on K7 (the "largest" one needs 33), and so
-    # does the domination search, whose first node alone is charged 36.
+    # does the domination search: its first node is charged 1 + 7 + 21 and
+    # its second node more than the one unit left.
     import gdiff.solvers as solvers
 
     calls = {}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            subject = args[0] if fn.__name__ == "_dominate" else write_graph6(args[0])
+            subject = tuple(args[0]) if fn.__name__ == "_dominate" else write_graph6(args[0])
             key = (fn.__name__, subject, *args[1:2])
             calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
@@ -374,9 +378,9 @@ def test_p02_p11_witnesses_on_census():
 
 def test_p02_p11_run_one_domination_search(monkeypatch):
     # P02 reads the witness of the domination search that P11 needs for its
-    # value: one search per graph, over the n rows of R(G) for V in a graph
-    # of n + m vertices, never domination_number on R(G); and P02 alone
-    # needs no independence search.
+    # value: one search per graph, in which G's n vertices cover its m
+    # edges, never domination_number on R(G); and P02 alone needs no
+    # independence search.
     import gdiff.solvers as solvers
 
     calls = []
@@ -398,12 +402,12 @@ def test_p02_p11_run_one_domination_search(monkeypatch):
     for g in graphs:
         calls.clear()
         assert run_proposition("P02", g).status == "pass"
-        assert calls == [("_dominate", g.n, g.n + g.m)]
+        assert calls == [("_dominate", g.n, g.m)]
         calls.clear()
         p02, p11 = run_all(g, ["P02", "P11"])
         assert (p02.status, p11.status) == ("pass", "pass")
         assert sorted(calls) == [
-            ("_dominate", g.n, g.n + g.m),
+            ("_dominate", g.n, g.m),
             ("independence_number", write_graph6(g)),
         ]
 
@@ -427,12 +431,12 @@ def test_p02_p11_pass_beyond_the_census():
 def test_p02_checks_the_set_found_inside_v(monkeypatch):
     # Stand-in searches reach both failures: a set that leaves a vertex of
     # R(G) undominated, and one with an edge-vertex. In R(K_3), V = {0, 1, 2}
-    # and 3, 4, 5 are the edge-vertices of (0, 1), (0, 2) and (1, 2).
+    # and 3, 4, 5 are the edge-vertices of (0, 1), (0, 2) and (1, 2). The
+    # search returns a mask, which gamma_r reads as a set of R(G).
     import gdiff.solvers as solvers
 
     def stand_in(*members):
-        mask = sum(1 << v for v in members)
-        return lambda rows, order, budget: (len(members), VertexSet(order, mask))
+        return lambda covers, order, budget: sum(1 << v for v in members)
 
     # {0, 1} covers every edge of K_3, so it dominates R(K_3)
     monkeypatch.setattr(solvers, "_dominate", stand_in(0, 1))
@@ -449,12 +453,13 @@ def test_p02_checks_the_set_found_inside_v(monkeypatch):
 
 def test_budget_notes_name_the_search():
     # At 5 units every search runs out on C_9 (domination on R(C_9) inside
-    # V, whose first node is charged 1 + 9 + 18), and each skip note starts
+    # V, a cover of C_9's 9 edges by its 9 vertices, whose first node is
+    # charged 1 + 9 + 9), and each skip note starts
     # with the solver that ran out. The note ends with the units spent; the
     # searches are deterministic.
     reports = run_all(cycle(9), ["P02", "P04", "P07", "P11"], budget=5)
     spent = (
-        ("domination_number", 28),
+        ("domination_number", 19),
         ("differential_of_r", 10),
         ("differential_exact", 19),
         ("independence_number", 6),
@@ -467,16 +472,65 @@ def test_budget_notes_name_the_search():
 
 
 def test_p12_matches_the_subset_scan():
-    # P12 reads the enumerated differential sets of G instead of scanning
-    # every subset; the scan is the reference for status and count.
-    graphs = [g for n in range(3, 7) for g in connected_census(n)]
+    # P12 decides from four numbers, n - 2 tau = diff(G) and then diff(R(G))
+    # against m + n - 2 tau, instead of scanning covers; the scan of every
+    # subset is the reference for the status.
+    rng = Random(83)
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
     graphs += random_graphs(seed=83, count=60, nmin=3)
     for g in graphs:
-        report = run_proposition("P12", g)
-        status, qualifying = naive_p12(g) if g.is_connected else ("vacuous", 0)
-        assert report.status == status, write_graph6(g)
-        if status == "pass":
-            assert report.note == f"{qualifying} qualifying cover(s)"
+        check_p12(g)
+
+
+def check_p12(g):
+    report = run_proposition("P12", g)
+    status = naive_p12(g)[0] if g.is_connected else "vacuous"
+    assert report.status == status, write_graph6(g)
+    if status == "pass":
+        diff, lam = naive_differential(g), g.m - g.n + 2 * naive_independence(g)
+        assert report.note == f"n - 2 tau = diff(G) = {diff} and m + n - 2 tau = diff(R) = {lam}"
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 11 s")
+def test_p12_four_numbers_on_the_order8_census():
+    # The four-number P12 against the subset scan on the 11,117 connected
+    # graphs of order 8.
+    for g in connected_census(8):
+        check_p12(g)
+
+
+def test_p12_fail_row_lists_a_minimum_cover(monkeypatch):
+    # A stand-in search over V with differential 0 in R(G). On K_{1,3}, n -
+    # 2 tau = 4 - 2 = diff(G), so the minimum covers attain diff(G) and give
+    # m + n - 2 tau = 5 in R(G); the fail lists V - (alpha witness) = {0}.
+    _stand_in_sets(monkeypatch, 4, [[0]])
+    report = run_proposition("P12", star(4))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0,),),
+        "cover attains diff(G) but gives 5 != diff(R) = 0",
+    )
+
+
+def test_run_all_searches_the_differential_of_g_for_its_value_only(monkeypatch):
+    # No check enumerates the maximizers of diff(G): over the census of
+    # order 3-6, run_all calls differential_exact with the key "largest"
+    # alone, once per instance that needs it.
+    import gdiff.solvers as solvers
+
+    keys = []
+    search = solvers.differential_exact
+
+    def recording(g, key="largest", budget=DEFAULT_BUDGET):
+        keys.append(key)
+        return search(g, key, budget)
+
+    monkeypatch.setattr(solvers, "differential_exact", recording)
+    graphs = [g for n in range(3, 7) for g in connected_census(n)]
+    for g in graphs:
+        run_all(g)
+    assert keys == ["largest"] * len(graphs)
 
 
 def test_p04_certificate_agrees_with_the_enumeration():
@@ -509,23 +563,28 @@ def test_p04_fails_when_the_largest_set_does_not_dominate(monkeypatch):
 
 
 def test_p13_maximality_matches_the_r_graph_scan():
-    # P13 decides maximality from G and the list of differential sets inside
-    # V; the reference adds each vertex of R(G) outside S and evaluates it.
+    # P13 reads each listed set S inside V as masks of G: B(S), its largest
+    # inner degree, and maximality from C(S) and the list. The references
+    # are the set primitives on G and, for maximality, adding each vertex
+    # of R(G) outside S and evaluating it.
     rng = Random(107)
     graphs = [g for n in range(3, 8) for g in connected_census(n)]
     graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
     outcomes = set()
     for g in graphs:
         res = differential_of_r(g, "all")
-        masks = {s.mask for s in res.all_sets}
         r = build_r(g)
-        for s in res.all_sets:
+        profiles = list(propositions._boundaries(g, res.all_sets))
+        assert [p[0] for p in profiles] == list(res.all_sets)
+        for s, bound, inner, maximal in profiles:
             scan = all(
                 r.set_differential(VertexSet(r.n, s.mask | 1 << w)) < res.value
                 for w in range(r.n)
                 if w not in s
             )
-            assert propositions._maximal(g, s, masks) == scan, (write_graph6(g), s)
+            assert bound == g.boundary(s).mask
+            assert inner == max((g.adj[v] & bound).bit_count() for v in bits(bound))
+            assert maximal == scan, (write_graph6(g), s)
             outcomes.add(scan)
     assert outcomes == {True, False}
 

@@ -270,7 +270,7 @@ def check_gamma_r(g):
     assert is_dominating(r, witness)
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 30 s")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 11 s")
 def test_r_searches_on_the_order8_census():
     # Both checks above on the 11,117 connected graphs of order 8.
     for g in connected_census(8):
