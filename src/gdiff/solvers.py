@@ -14,7 +14,9 @@ For a graph of order n:
 * the differential of R(G): a maximum-weight choice of G's vertices and
   non-pendant edges (the lemma below), by the memoized weighted search
   ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
-  optimal choices and their closure (below);
+  optimal choices and their closure (below), and the walk that lists the
+  optimal choices reads the largest weight on at most ``SMALL_PART``
+  undecided vertices from an exact memo that its own branching fills;
 * domination: ``_min_cover`` over the closed neighbourhoods from the
   greedy set, with a member priced 1 and an undominated vertex n + 1, so
   every vertex must be covered and a packing lower bound joins the
@@ -86,7 +88,10 @@ three are the Roman labeling of the differential witness (see
 minimum dominating set witness. The oracles in tests/ check the identities
 against the definitions. The differential of R(G) comes from the choice
 search on G; its differential sets over the full subset space follow from
-the sets inside V (see ``InstanceContext.diff_r_sizes``).
+the sets inside V (see ``InstanceContext.diff_r_sizes``). One pass over
+the list of those sets takes each one's boundary and exterior in G
+(``InstanceContext.diff_r_partitions``), and the sizes and every check
+that reads the list read that pass.
 
 Ties among searched witnesses are broken toward the lexicographically
 smallest member tuple, which keeps reports reproducible. A differential
@@ -107,7 +112,8 @@ from .core import DEFAULT_BUDGET, BudgetExceededError, Graph, VertexSet, _union,
 from .roperator import build_r
 
 #: Largest set of undecided vertices that ``_ChoiceSearch`` searches
-#: without its bound and component split.
+#: without its bound and component split, and that the walk of
+#: ``_r_maximizers`` reads from its exact memo.
 SMALL_PART = 12
 
 
@@ -197,7 +203,7 @@ def _min_cover(
     def search(uncovered: int, allowed: int, chosen: int, cost: int) -> None:
         nonlocal best, found
         counter.spend(1 + allowed.bit_count() + uncovered.bit_count())
-        reach = {}
+        ranked = []  # (-reach, v) of each kept dominator
         prices = []
         useful = reached = 0
         rest = allowed
@@ -207,7 +213,7 @@ def _min_cover(
             v = low.bit_length() - 1
             k = (covers[v] & uncovered).bit_count()
             if price[v] <= unit * k:
-                reach[v] = k
+                ranked.append((-k, v))
                 prices.append(price[v])
                 useful |= low
                 reached |= covers[v]
@@ -222,9 +228,11 @@ def _min_cover(
         # Prices come cheapest first and reaches largest first, so each
         # further member gains no more than the one before; stop at the
         # first that pays at least what it covers.
+        ranked.sort()
         left = uncovered.bit_count()
         bound = cost
-        for p, k in zip(prices, sorted(reach.values(), reverse=True)):
+        for p, (k, _) in zip(prices, ranked):
+            k = -k
             if k > left:
                 k = left
             if p >= unit * k:
@@ -259,10 +267,13 @@ def _min_cover(
                 k = options.bit_count()
                 if k < fewest:
                     branch, candidates, fewest = low, options, k
+                    if k == 1:
+                        break
         leave = cost + unit < best + ties
-        for d in sorted(bits(candidates), key=reach.__getitem__, reverse=True):
-            useful &= ~(1 << d)
-            search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d])
+        for _, d in ranked:
+            if candidates >> d & 1:
+                useful &= ~(1 << d)
+                search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d])
         if leave:
             search(uncovered ^ branch, useful, chosen, cost + unit)
 
@@ -578,20 +589,60 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     """Every maximizer of the differential of R(g) inside V (see the closure
     in the module docstring), sorted by cardinality, then member tuple.
 
-    One ``_ChoiceSearch`` without ties has the choice weights as keys, so
-    its memo answers ``best(U, r - 1) == r`` exactly when the largest weight
-    of a choice on G[U] is r. A walk branches on the lowest undecided vertex
-    v: alone in T, paired with each pairable undecided neighbour, or in S
-    when it has an undecided neighbour (else v alone in T would add 2); it
-    descends where the memo confirms the weight still to place, so it ends
-    on the optimal choices alone. The closure then moves one vertex at a
-    time from S into T where the value stays. Each walk node spends one unit plus one per undecided vertex, and
-    each set the closure takes up one plus one per vertex of g, the vertices
-    they examine.
+    A walk branches on the lowest undecided vertex v: alone in T, paired
+    with each pairable undecided neighbour, or in S when it has an
+    undecided neighbour (else v alone in T would add 2). It descends where
+    the largest weight of a choice on the vertices still undecided is the
+    weight still to place, so it ends on the optimal choices alone. For a
+    set U of at most ``SMALL_PART`` vertices that weight is a lookup in an
+    exact memo filled by the walk's own branching, which also gives the top
+    value when g has at most ``SMALL_PART`` vertices. A larger U asks one
+    ``_ChoiceSearch`` without ties, whose keys are the choice weights, so
+    ``best(U, r - 1) == r`` exactly when the largest weight of a choice on
+    G[U] is r. The closure then moves one vertex at a time from S into T
+    where the value stays. Each walk node spends one unit plus one per
+    undecided vertex, and each set the closure takes up one plus one per
+    vertex of g, the vertices they examine. Each memo node spends one unit:
+    it reads one row and makes one lookup per branch, at most
+    ``SMALL_PART`` + 1 of them.
     """
     adj, full = g.adj, g.full_mask
-    best = _ChoiceSearch(adj, 2, 3, [0] * g.n, 1, pairable, counter, 1).best
-    top = best(full)
+    search = _ChoiceSearch(adj, 2, 3, [0] * g.n, 1, pairable, counter, 1).best
+    exact = {0: 0}
+
+    def weight(undecided: int) -> int:
+        # The largest weight of a choice on G[undecided], by the walk's
+        # branching.
+        known = exact.get(undecided)
+        if known is None:
+            counter.spend(1)
+            low = undecided & -undecided
+            around = adj[low.bit_length() - 1] & undecided
+            rest = undecided & ~(around | low)
+            known = 2 + weight(rest)
+            mates = around & pairable if low & pairable else 0
+            while mates:
+                mate = mates & -mates
+                mates ^= mate
+                value = 3 + weight(rest & ~adj[mate.bit_length() - 1])
+                if value > known:
+                    known = value
+            if around:
+                value = weight(undecided ^ low)
+                if value > known:
+                    known = value
+            exact[undecided] = known
+        return known
+
+    def fits(undecided: int, left: int) -> bool:
+        # Whether the largest weight of a choice on G[undecided] is ``left``.
+        if undecided.bit_count() > SMALL_PART:
+            return search(undecided, left - 1) == left
+        # Most reads hit the memo; reading it here saves the walk a call.
+        known = exact.get(undecided)
+        return (weight(undecided) if known is None else known) == left
+
+    top = weight(full) if g.n <= SMALL_PART else search(full)
     optima = []
     walk = [(full, top, full)]  # undecided, weight still to place, S so far
     while walk:
@@ -603,15 +654,15 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
         low = undecided & -undecided
         around = adj[low.bit_length() - 1] & undecided
         rest = undecided & ~(around | low)
-        if best(rest, left - 3) == left - 2:
+        if fits(rest, left - 2):
             walk.append((rest, left - 2, s ^ low))
         # A pair weighs 3, so it fits only where at least 3 is left.
         if low & pairable and left >= 3:
             for u in bits(around & pairable):
                 part = rest & ~adj[u]
-                if best(part, left - 4) == left - 3:
+                if fits(part, left - 3):
                     walk.append((part, left - 3, s ^ low ^ 1 << u))
-        if around and best(undecided ^ low, left - 1) == left:
+        if around and fits(undecided ^ low, left):
             walk.append((undecided ^ low, left, s))
     # Moving w from S into T gains 2 and loses its edges into T, itself if
     # it has no neighbour left in S, and each T-neighbour whose one
@@ -671,9 +722,8 @@ def is_dominating(g: Graph, s: VertexSet | Iterable[int]) -> bool:
 
 def is_vertex_cover(g: Graph, s: VertexSet | Iterable[int]) -> bool:
     """True iff every edge has at least one end in S."""
-    smask = g._coerce(s)
-    outside = g.full_mask & ~smask
-    return all(not g.adj[v] & outside for v in bits(outside))
+    outside = g.full_mask & ~g._coerce(s)
+    return not _union(g.adj, outside) & outside
 
 
 def domination_number(
@@ -842,6 +892,25 @@ class InstanceContext:
         return self._differential("diff_r", differential_of_r, key)
 
     @property
+    def diff_r_partitions(self) -> tuple[tuple[VertexSet, int, int], ...]:
+        """Each differential set A of the R-graph inside V, in ``diff_r("all")``'s
+        order, with its boundary B(A) and exterior C(A) in G as masks.
+
+        One pass over the list takes N(A) once per set; ``diff_r_sizes`` and
+        the checks that read every set (P03, P05, P13 and P14) read it.
+        """
+
+        def partitions():
+            adj, full = self.g.adj, self.g.full_mask
+            out = []
+            for a in self.diff_r("all").all_sets:
+                near = _union(adj, a.mask)
+                out.append((a, near & ~a.mask, full & ~(near | a.mask)))
+            return tuple(out)
+
+        return self.cached("diff_r_partitions", partitions)
+
+    @property
     def diff_r_sizes(self) -> set[int]:
         """Every size of a differential set of the R-graph over all its subsets.
 
@@ -853,16 +922,15 @@ class InstanceContext:
         matching loses. So the value is diff_r's, and the differential sets
         are A + E' with A among diff_r's sets and E' one edge-vertex at each
         of any vertices of the exterior C(A): |A| to |A| + |C(A)| members.
-        C(A) is the vertices of V - A with no neighbour in A; the maximizers
-        repeat a few (|A|, |C(A)|) pairs, so the ranges are expanded once each.
+        The maximizers repeat a few (|A|, |C(A)|) pairs, so the ranges are
+        expanded once each.
         """
-        adj = self.g.adj
-        full = self.g.full_mask
-        pairs = {
-            (len(a), sum(not adj[v] & a.mask for v in bits(full & ~a.mask)))
-            for a in self.diff_r("all").all_sets
-        }
-        return {k for size, exterior in pairs for k in range(size, size + exterior + 1)}
+
+        def sizes():
+            pairs = {(len(a), c.bit_count()) for a, _, c in self.diff_r_partitions}
+            return {k for size, c in pairs for k in range(size, size + c + 1)}
+
+        return self.cached("diff_r_sizes", sizes)
 
     @property
     def gamma(self) -> tuple[int, VertexSet]:

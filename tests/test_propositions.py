@@ -39,6 +39,7 @@ from gdiff.solvers import (
     differential_of_r,
     domination_number,
     is_dominating,
+    is_vertex_cover,
     mu_invariant,
 )
 
@@ -209,6 +210,38 @@ def test_p08_builds_no_r_graph(monkeypatch):
     monkeypatch.setattr(solvers, "build_r", refuse)
     for g in (star(6), star_plus_edge(6), wheel(7), complete(12)):
         assert run_proposition("P08", g).status == "pass"
+
+
+def test_set_checks_build_no_r_graph_when_they_pass(monkeypatch):
+    # P02 reads gamma(R(G))'s set as a cover of G's edges, and P03, P05,
+    # P13 and P14 read the sets inside V with their boundaries and
+    # exteriors in G, so none builds R(G) on its way to a pass.
+    import gdiff.solvers as solvers
+
+    def refuse(g):
+        raise AssertionError("a check built R(G)")
+
+    monkeypatch.setattr(solvers, "build_r", refuse)
+    for g in (star(6), wheel(7), complete(6), cycle(24)):
+        for pid in ("P02", "P03", "P05", "P13", "P14"):
+            # P05 needs minimum degree 2, which a star does not have.
+            want = "vacuous" if pid == "P05" and g.degree_stats().minimum < 2 else "pass"
+            assert run_proposition(pid, g).status == want, (pid, write_graph6(g))
+
+
+def test_the_lemmas_of_p02_and_p14_on_the_census():
+    # For every S inside V of each census graph of order 3-7: R(G)'s
+    # exterior of S is C(S) plus one edge-vertex per edge of G[V - S] (P14),
+    # and S dominates R(G) iff it covers G's edges (P02, the V lemma).
+    for g in [g for n in range(3, 8) for g in connected_census(n)]:
+        r = build_r(g)
+        edges = g.edges()
+        for mask in range(1 << g.n):
+            s = VertexSet(g.n, mask)
+            inside = sum(1 for a, b in edges if not (mask >> a | mask >> b) & 1)
+            in_r = VertexSet(r.n, mask)
+            assert len(r.exterior(in_r)) == len(g.exterior(s)) + inside
+            assert is_vertex_cover(g, s) == is_dominating(r, in_r)
 
 
 def census_body(n_max):
@@ -572,9 +605,14 @@ def test_p13_maximality_matches_the_r_graph_scan():
     graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
     outcomes = set()
     for g in graphs:
-        res = differential_of_r(g, "all")
+        ctx = InstanceContext(g)
+        res = ctx.diff_r("all")
         r = build_r(g)
-        profiles = list(propositions._boundaries(g, res.all_sets))
+        partitions = ctx.diff_r_partitions
+        assert [(b, c) for _, b, c in partitions] == [
+            (g.boundary(s).mask, g.exterior(s).mask) for s in res.all_sets
+        ]
+        profiles = list(propositions._boundaries(g, partitions))
         assert [p[0] for p in profiles] == list(res.all_sets)
         for s, bound, inner, maximal in profiles:
             scan = all(
@@ -621,6 +659,18 @@ def test_p13_fail_rows(monkeypatch):
         "fail",
         ((1,),),
         "maximum-cardinality differential set is not maximal",
+    )
+
+
+def test_p05_fail_row(monkeypatch):
+    # C_5 and {0}: C({0}) = {2, 3} is not empty, so {0} does not dominate,
+    # and the first listed set that fails is reported.
+    _stand_in_sets(monkeypatch, 5, [[0, 2], [0]])
+    report = run_proposition("P05", cycle(5))
+    assert (report.status, report.witness_sets, report.note) == (
+        "fail",
+        ((0,),),
+        "differential set inside V does not dominate",
     )
 
 

@@ -252,6 +252,29 @@ def test_largest_r_searches_agree_beyond_the_oracle():
         assert (res.value, res.witness) == (roman.value, roman.witness), write_graph6(g)
 
 
+def test_r_maximizers_agree_beyond_the_oracle():
+    # The walk behind differential_of_r(g, "all") reads its exact memo for
+    # parts of at most SMALL_PART vertices and the choice search above
+    # that. Against the Roman enumeration over V with R(G)'s rows, which
+    # shares no code with it, on sparse and denser connected graphs of
+    # order 13-20, where the walk crosses SMALL_PART: the same value,
+    # witness and maximizers.
+    rng = Random(157)
+    graphs = sparse_connected_graphs(163, range(13, 21))
+    while len(graphs) < 20:
+        g = random_graph(rng, rng.randint(13, 20), rng.uniform(0.2, 0.4))
+        if g.is_connected:
+            graphs.append(g)
+    for g in graphs:
+        roman = _max_differential(
+            r_v_rows(g), g.n + g.m, "all", DEFAULT_BUDGET, "differential_of_r"
+        )
+        res = differential_of_r(g, "all")
+        assert (res.value, res.witness, res.all_sets) == (
+            roman.value, roman.witness, roman.all_sets
+        ), write_graph6(g)
+
+
 def test_gamma_r_inside_v_matches_the_search_over_r():
     # gamma(R(G)) from the search over the sets inside V alone, against
     # domination_number over all n + m vertices of R(G) and against tau(G)
