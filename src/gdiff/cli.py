@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import sys
 import time
-from pathlib import Path
 
 from .codecs import FormatError, parse_edgelist, parse_graph6, write_edgelist, write_graph6
 from .core import CANONICAL_MAX, DEFAULT_BUDGET, BudgetExceededError, CapacityError, Graph
@@ -104,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(args) -> str:
     if args.input == "-":
         return sys.stdin.read()
-    return Path(args.input).read_text()
+    with open(args.input) as f:
+        return f.read()
 
 
 def _read_graphs(args) -> list[Graph]:
@@ -241,7 +241,7 @@ def _dispatch(args) -> int:
                 if summary is not None:
                     summary.add(reports)
                 if keep_rows:
-                    writer.rows([r.row() for r in reports])
+                    writer.reports(reports)
             writer.close(args.command, time.perf_counter() - start, summary)
         return _report_exit(statuses)
 

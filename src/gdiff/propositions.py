@@ -534,12 +534,12 @@ def _run_with_ctx(check: PropositionCheck, ctx: InstanceContext, instance: str) 
     except BudgetExceededError as exc:
         status, witnesses, note = SKIPPED, (), f"budget: {exc}"
     return CheckReport(
-        prop_id=check.prop_id,
-        instance=instance,
-        status=status,
-        witness_sets=tuple(tuple(w) for w in witnesses),
-        note=note,
-        elapsed=time.perf_counter() - start,
+        check.prop_id,
+        instance,
+        status,
+        tuple(map(tuple, witnesses)) if witnesses else (),
+        note,
+        time.perf_counter() - start,
     )
 
 

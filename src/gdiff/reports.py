@@ -14,8 +14,10 @@ A report row always has the same five keys, so the rows of ``reports`` are
 written from one template rather than by the json encoder: the sorted keys
 are literals, strings go through ``encode_basestring_ascii`` (the function
 json itself uses for ``ensure_ascii``) and witness members through
-``str``. The tests pin the template's bytes to ``json.dumps``. Records,
-the summary and the header go through the encoder.
+``str``. ``JsonWriter.reports`` fills the template from each
+``CheckReport``'s fields, with no row dict between. The tests pin the
+template's bytes to ``json.dumps``. Records, the summary and the header go
+through the encoder.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _member(value) -> str:
     return _ENCODER.encode(value).replace("\n", "\n  ")
 
 
-def _witness_sets(sets: list[list[int]]) -> str:
+def _witness_sets(sets: tuple[tuple[int, ...], ...]) -> str:
     """``witness_sets`` as ``_member`` writes it in a report row."""
     if not sets:
         return "[]"
@@ -58,14 +60,14 @@ def _witness_sets(sets: list[list[int]]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _report_item(row: dict) -> str:
+def _report_item(prop: str, instance: str, status: str, witness_sets, note: str) -> str:
     """A report row as ``_member`` writes it in the ``reports`` array, from its one template."""
     return (
-        f'    {{\n      "instance_g6": {_string(row["instance_g6"])},\n'
-        f'      "note": {_string(row["note"])},\n'
-        f'      "prop": {_string(row["prop"])},\n'
-        f'      "status": {_string(row["status"])},\n'
-        f'      "witness_sets": {_witness_sets(row["witness_sets"])}\n    }}'
+        f'    {{\n      "instance_g6": {_string(instance)},\n'
+        f'      "note": {_string(note)},\n'
+        f'      "prop": {_string(prop)},\n'
+        f'      "status": {_string(status)},\n'
+        f'      "witness_sets": {_witness_sets(witness_sets)}\n    }}'
     )
 
 
@@ -79,18 +81,24 @@ class JsonWriter:
     def __init__(self, out: TextIO, member: str):
         self.out = out
         self.head = f"{{\n  {json.dumps(member)}: ["
-        self.report_rows = member == "reports"
         self.started = False
 
     def rows(self, rows: list[dict]) -> None:
-        """Append rows to the array with one write."""
-        if not rows:
-            return
-        if self.report_rows:
-            items = ",\n".join(map(_report_item, rows))
-        else:
+        """Append rows to the array with one write, through the encoder."""
+        if rows:
             # "[\n    {...},\n    {...}\n  ]" as a member: keep the items.
-            items = _member(rows)[2:-4]
+            self._write(_member(rows)[2:-4])
+
+    def reports(self, reports: list[CheckReport]) -> None:
+        """Append check reports to the ``reports`` array with one write, each
+        written into the row template from its fields, with no row dict."""
+        if reports:
+            self._write(",\n".join([
+                _report_item(prop, instance, status, witness_sets, note)
+                for prop, instance, status, witness_sets, note, _ in reports
+            ]))
+
+    def _write(self, items: str) -> None:
         self.out.write((",\n" if self.started else self.head + "\n") + items)
         self.started = True
 
@@ -120,6 +128,9 @@ class CsvWriter:
     def __init__(self, out: TextIO):
         self.out = out
         self.started = False
+
+    def reports(self, reports: list[CheckReport]) -> None:
+        self.rows([r.row() for r in reports])
 
     def rows(self, rows: list[dict]) -> None:
         if not rows:
@@ -173,8 +184,10 @@ def reports_to_json(
     summary: CensusSummary | None = None,
     runtime: float | None = None,
 ) -> str:
-    rows = [r.row() for r in reports]
-    return _document(JsonWriter(io.StringIO(), "reports"), rows, command, runtime, summary)
+    writer = JsonWriter(io.StringIO(), "reports")
+    writer.reports(reports)
+    writer.close(command, runtime, summary)
+    return writer.out.getvalue()
 
 
 def reports_to_csv(reports: list[CheckReport]) -> str:

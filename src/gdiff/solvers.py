@@ -9,8 +9,8 @@ For a graph of order n:
   fewest dominators, where the last branch leaves it uncovered, pruned by a
   coverage lower bound; one search finds the value and the first maximizer
   of the largest cardinality, and its ``key`` says whether it also
-  enumerates every maximizer (``"all"``) or not (``"largest"``). It serves
-  G;
+  enumerates every maximizer (``"all"``) or not (``"largest"``, which also
+  keeps the uncovered set a 2-packing, below). It serves G;
 * the differential of R(G): a maximum-weight choice of G's vertices and
   non-pendant edges (the lemma below), by the memoized weighted search
   ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
@@ -67,6 +67,26 @@ that neighbour is in the cover, since the edge to it has an end there. So
 the sets inside V that dominate R(G) are G's vertex covers, and
 gamma(R(G)) = tau (P11). ``InstanceContext.gamma_r`` searches for a least
 cover of G's edges: v covers the edges at v.
+
+The 2-packing rule. The ``"largest"`` search minimizes one packed cost
+(see ``_max_differential``): with card = 2^n and the unit (n + 1) card, an
+uncovered vertex costs one unit and a member v costs 2 units - card -
+2^(n - 1 - v). Let S be the minimum and U = V - N[S] the vertices it
+leaves uncovered. If some z outside S had two vertices of U in N[z], S + z
+would pay 2 units - card - 2^(n - 1 - z) for z and save at least 2 units
+on the vertices z covers, so it would cost card + 2^(n - 1 - z) less than
+S: a contradiction. So no closed neighbourhood holds two vertices of
+U: U is a 2-packing (Cockayne, Dreyer, Hedetniemi and Hedetniemi, "Roman
+domination in graphs", Discrete Math. 278, 2004). The search leaves a
+vertex u uncovered in its last branch at u, and when no kept dominator of
+u is left; from then on every vertex of N[N[u]] - u must end covered, so
+it gets no last branch (and so is branched on sooner), and a node that
+leaves one uncovered ends. Every S is reached in exactly one branch and
+the cut branches hold no S with a 2-packing U, so the minimum, the
+witness, is the one the search without the rule finds. The ``"all"`` search cannot use the rule. Its cost is the
+Roman weight itself, and there S + z, for a z with exactly two vertices of
+U in N[z], weighs what S weighs: both are maximizers, the list must hold
+both, and the rule would cut S.
 
 P15 follows. I alone, with M empty, gives diff(R(G)) >= m - n + 2 alpha =
 lambda. I plus one end of each M-edge is independent, so 2|I| + 3|M| <=
@@ -151,16 +171,22 @@ class _NodeCounter:
 
 
 def _min_cover(
-    covers: Sequence[int], order: int, price: list[int], unit: int, ties: bool,
-    counter: _NodeCounter, best: float, found: list[int],
+    covers: Sequence[int], dominators: Sequence[int], price: list[int], unit: int,
+    ties: bool, counter: _NodeCounter, best: float, found: list[int],
+    packing: bool = False,
 ) -> tuple[float, list[int]]:
     """The least cost of a subset S of 0..n-1, n = len(covers), and its sets.
 
-    ``covers[v]`` is the set of elements 0..order-1 that candidate v
-    covers: N[v] for domination and the differential, the edges at v for a
-    vertex cover (see ``InstanceContext.gamma_r``). The cost of S is the sum
-    of its members' ``price``, which the caller lists cheapest first, plus
-    ``unit`` for each element S leaves uncovered. The callers give the cost
+    ``covers[v]`` is the set of elements 0..order-1, order =
+    len(``dominators``), that candidate v covers: N[v] for domination and
+    the differential, the edges at v for a vertex cover (see
+    ``InstanceContext.gamma_r``). ``dominators`` is its transpose, which
+    the caller passes as it has it: ``dominators[u]`` holds exactly the
+    candidates v whose ``covers[v]`` holds u, N[u] again for closed
+    neighbourhoods and the two ends of an edge. The cost of S is the sum
+    of its members' ``price``, which the caller lists cheapest first and
+    all between the same two multiples of ``unit``, plus ``unit`` for each
+    element S leaves uncovered. The callers give the cost
     model: a member costs 2 and an uncovered vertex 1 for the Roman weight
     2|S| + |V - N[S]| (see ``_max_differential``), a member 1 and an
     uncovered element order + 1 for domination and covers. Set-cover branch
@@ -183,6 +209,17 @@ def _min_cover(
     last branch is entered only when the cost so far plus ``unit`` can
     still beat ``best``, or, with ``ties``, tie it.
 
+    With ``packing``, the caller vouches that the least cost leaves its
+    uncovered elements a 2-packing: no candidate covers two of them. So once
+    an element u is left uncovered, by the last branch or for want of a kept
+    dominator, every other element that shares a dominator with u must end
+    covered: a node that leaves one of them uncovered ends, and an element
+    that must be covered gets no last branch, so the search branches on the
+    lowest-index element with the fewest branches, its dominators plus the
+    last branch if it has one. Those elements are the union of ``covers``
+    over ``dominators[u]``, N[N[u]] for closed neighbourhoods, taken when u
+    is first left uncovered.
+
     The search starts from the incumbent ``best``, reached by ``found``. It
     prunes when the bound meets the incumbent, or, with ``ties``, exceeds
     it, keeping every set of the least cost in the order found; without
@@ -191,18 +228,28 @@ def _min_cover(
     element, the work it does.
     """
     n = len(covers)
-    dominators = [0] * order
-    for v, row in enumerate(covers):
-        bit = 1 << v
-        while row:
-            low = row & -row
-            dominators[low.bit_length() - 1] |= bit
-            row ^= low
     must_cover = unit > max(price)
+    units, budget = counter.nodes, counter.budget
+    sharing = [-1] * len(dominators)  # filled as each element is first left uncovered
+    # Every price lies between the same two multiples of ``unit``, so for a
+    # whole number k, price[v] <= unit * k exactly when k >= least, and
+    # price[v] >= unit * k exactly when k <= most.
+    least, most = -(-price[0] // unit), price[0] // unit
+    assert (-(-price[-1] // unit), price[-1] // unit) == (least, most)
 
-    def search(uncovered: int, allowed: int, chosen: int, cost: int) -> None:
-        nonlocal best, found
-        counter.spend(1 + allowed.bit_count() + uncovered.bit_count())
+    def shared(low: int) -> int:
+        u = low.bit_length() - 1
+        if sharing[u] < 0:
+            sharing[u] = _union(covers, dominators[u]) & ~low
+        return sharing[u]
+
+    def search(uncovered: int, allowed: int, chosen: int, cost: int, forced: int) -> None:
+        # ``forced``: the elements the 2-packing rule keeps from being left
+        # uncovered.
+        nonlocal best, found, units
+        units += 1 + allowed.bit_count() + uncovered.bit_count()
+        if units > budget:
+            counter.spend(units - counter.nodes)
         ranked = []  # (-reach, v) of each kept dominator
         prices = []
         useful = reached = 0
@@ -212,13 +259,22 @@ def _min_cover(
             rest ^= low
             v = low.bit_length() - 1
             k = (covers[v] & uncovered).bit_count()
-            if price[v] <= unit * k:
+            if k >= least:
                 ranked.append((-k, v))
                 prices.append(price[v])
                 useful |= low
                 reached |= covers[v]
-        cost += unit * (uncovered & ~reached).bit_count()
-        uncovered &= reached
+        left = uncovered & ~reached
+        if left:
+            cost += unit * left.bit_count()
+            uncovered ^= left
+            if packing:
+                while left:
+                    low = left & -left
+                    if low & forced:
+                        return
+                    left ^= low
+                    forced |= shared(low)
         if not uncovered:
             if cost < best:
                 best, found = cost, [chosen]
@@ -235,7 +291,7 @@ def _min_cover(
             k = -k
             if k > left:
                 k = left
-            if p >= unit * k:
+            if k <= most:
                 break
             bound += p
             left -= k
@@ -245,9 +301,12 @@ def _min_cover(
             return
         if must_cover:
             options = []
-            for u in bits(uncovered):
-                d = dominators[u] & useful
-                options.append((d.bit_count(), d, 1 << u))
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                d = dominators[low.bit_length() - 1] & useful
+                options.append((d.bit_count(), d, low))
             options.sort()
             packed = taken = 0
             for _, d, _ in options:
@@ -258,26 +317,31 @@ def _min_cover(
                 return
             _, candidates, branch = options[0]
         else:
-            fewest = n + 1
+            # The branches an element makes: one per dominator, and the
+            # last one unless it must end covered.
+            fewest = n + 2
             rest = uncovered
             while rest:
                 low = rest & -rest
                 rest ^= low
                 options = dominators[low.bit_length() - 1] & useful
-                k = options.bit_count()
+                k = options.bit_count() + (not low & forced)
                 if k < fewest:
                     branch, candidates, fewest = low, options, k
                     if k == 1:
                         break
-        leave = cost + unit < best + ties
+        leave = cost + unit < best + ties and not branch & forced
         for _, d in ranked:
             if candidates >> d & 1:
                 useful &= ~(1 << d)
-                search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d])
+                search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d], forced)
         if leave:
-            search(uncovered ^ branch, useful, chosen, cost + unit)
+            if packing:
+                forced |= shared(branch)
+            search(uncovered ^ branch, useful, chosen, cost + unit, forced)
 
-    search((1 << order) - 1, (1 << n) - 1, 0, 0)
+    search((1 << len(dominators)) - 1, (1 << n) - 1, 0, 0, 0)
+    counter.nodes = units
     return best, found
 
 
@@ -317,10 +381,13 @@ def _max_differential(
         card = 1 << n
         unit = (n + 1) * card
         price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
-    counter = _NodeCounter(solver, budget)
     closed = [row | 1 << v for v, row in enumerate(rows)]
+    # Rows of a whole graph are symmetric: N[u] dominates u.
+    dominators = closed if order == n else _transpose(closed, order)
+    counter = _NodeCounter(solver, budget)
     best, found = _min_cover(
-        closed, order, price, unit, enumerate_all, counter, math.inf, []
+        closed, dominators, price, unit, enumerate_all, counter, math.inf, [],
+        packing=not enumerate_all,
     )
     found = _card_lex(found, n)
     return DifferentialResult(
@@ -703,6 +770,18 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     )
 
 
+def _transpose(rows: Sequence[int], order: int) -> list[int]:
+    """Column u of ``rows`` for each u in 0..order-1: the rows holding u."""
+    columns = [0] * order
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return columns
+
+
 def _reversed_bits(packed: int, n: int) -> int:
     """The mask holding v exactly where ``packed`` holds bit n - 1 - v."""
     return int(format(packed, f"0{n}b")[::-1], 2)
@@ -733,28 +812,37 @@ def domination_number(
     (``_dominate`` over the closed neighbourhoods of g)."""
     if g.n == 0:
         raise ValueError("domination is undefined on the empty graph")
-    found = _dominate(g.closed_adj, g.n, budget)
+    closed = g.closed_adj
+    found = _dominate(closed, closed, budget)
     return found.bit_count(), VertexSet(g.n, found)
 
 
-def _dominate(covers: Sequence[int], order: int, budget: int) -> int:
+def _dominate(covers: Sequence[int], dominators: Sequence[int], budget: int) -> int:
     """A least S among candidates 0..k-1, k = len(covers), whose ``covers``
-    together hold all of 0..order-1: the first such S found, as a mask.
+    together hold all of 0..order-1, order = len(``dominators``), the
+    transpose of ``covers`` (see ``_min_cover``): the first such S found,
+    as a mask.
 
     ``_min_cover`` with a member priced 1 and an uncovered element
     ``order`` + 1 starts from the greedy set, which takes in turn the
-    candidate covering the most elements still uncovered; often it is
+    first candidate covering the most elements still uncovered; often it is
     already minimum, and the search proves it.
     """
+    order = len(dominators)
     greedy = 0
     uncovered = (1 << order) - 1
     while uncovered:
-        v = max(range(len(covers)), key=lambda v: (covers[v] & uncovered).bit_count())
-        greedy |= 1 << v
-        uncovered &= ~covers[v]
+        most = -1
+        for v, row in enumerate(covers):
+            k = (row & uncovered).bit_count()
+            if k > most:
+                pick, most = v, k
+        greedy |= 1 << pick
+        uncovered &= ~covers[pick]
     counter = _NodeCounter("domination_number", budget)
     _, found = _min_cover(
-        covers, order, [1] * len(covers), order + 1, False, counter, greedy.bit_count(), [greedy]
+        covers, dominators, [1] * len(covers), order + 1, False, counter,
+        greedy.bit_count(), [greedy],
     )
     return found[0]
 
@@ -954,10 +1042,12 @@ class InstanceContext:
         def search():
             _require_r_base(g)
             covers = [0] * g.n
+            ends = []
             for i, (a, b) in enumerate(g.edges()):
                 covers[a] |= 1 << i
                 covers[b] |= 1 << i
-            found = _dominate(covers, g.m, self.budget)
+                ends.append(1 << a | 1 << b)
+            found = _dominate(covers, ends, self.budget)
             return found.bit_count(), VertexSet(g.n + g.m, found)
 
         return self.cached("gamma_r", search)

@@ -1,12 +1,13 @@
 import functools
 import os
 import pytest
+from hypothesis import given, settings, strategies as st
 from pathlib import Path
 from random import Random
 
 from gdiff.census import connected_census
 from gdiff.codecs import parse_graph6, write_graph6
-from gdiff.core import BudgetExceededError, VertexSet, bits
+from gdiff.core import BudgetExceededError, Graph, VertexSet, bits
 from gdiff.families import (
     complete,
     complete_bipartite,
@@ -77,9 +78,50 @@ def test_differential_witness_is_valid():
 
 
 def test_differential_pruned_equals_naive_census():
-    for n in range(1, 7):
+    # The "largest" search, with its 2-packing rule, against the full scan
+    # on the census to order 7: the value and the witness, the first
+    # maximizer of the largest cardinality.
+    for n in range(1, 8):
         for g in connected_census(n):
-            assert differential_exact(g).value == naive_differential(g)
+            res = differential_exact(g)
+            assert res.value == naive_differential(g)
+            top = first_of_largest(card_lex_order(naive_differential_sets(g)))
+            assert res.witness.mask == top, write_graph6(g)
+
+
+def test_set_cover_units_on_the_census(monkeypatch):
+    # gamma(G) and gamma(R(G)) keep their branch order and so their units:
+    # summed over the census to order 7 they spend what they spent before
+    # the kernel took its dominator rows from the caller. The 2-packing
+    # rule only cuts the ∂(G) search, which spent 56,938 units here before.
+    import gdiff.solvers as solvers
+
+    made = []
+
+    class Recording(solvers._NodeCounter):
+        __slots__ = ()
+
+        def __init__(self, solver, budget):
+            super().__init__(solver, budget)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "_NodeCounter", Recording)
+    spent = {"diff": 0, "gamma": 0, "gamma_r": 0}
+    for n in range(1, 8):
+        for g in connected_census(n):
+            searches = {
+                "diff": lambda: differential_exact(g),
+                "gamma": lambda: domination_number(g),
+                "gamma_r": lambda: InstanceContext(g).gamma_r,
+            }
+            for name, search in searches.items():
+                if name == "gamma_r" and n < 3:
+                    continue
+                made.clear()
+                search()
+                spent[name] += made[-1].nodes
+    assert (spent["gamma"], spent["gamma_r"]) == (17_595, 48_200)
+    assert spent["diff"] < 56_938
 
 
 def test_differential_pruned_equals_naive_random():
@@ -299,6 +341,87 @@ def test_r_searches_on_the_order8_census():
     for g in connected_census(8):
         check_r_maximizers(g, naive_r_differentials(g))
         check_gamma_r(g)
+
+
+# -- the set-cover kernel at order 64 and under relabeling ----------------------
+
+
+def relabeled(g, perm):
+    """``g`` with each vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+@functools.cache
+def kernel_values(g6):
+    """diff, gamma and gamma(R(G)) of the graph with graph6 ``g6``."""
+    g = parse_graph6(g6)
+    return differential_exact(g).value, domination_number(g)[0], InstanceContext(g).gamma_r[0]
+
+
+def check_kernel_relabeled(g, perm):
+    # The kernel's three callers keep their values on the relabeled graph,
+    # and each witness attains its value there.
+    h = relabeled(g, perm)
+    diff, gamma, gamma_r = kernel_values(write_graph6(g))
+    res = differential_exact(h)
+    assert res.value == diff, (write_graph6(g), perm)
+    assert h.set_differential(res.witness) == diff
+    found, dominating = domination_number(h)
+    assert found == gamma == len(dominating)
+    assert is_dominating(h, dominating)
+    found, cover = InstanceContext(h).gamma_r
+    assert found == gamma_r == len(cover)
+    assert is_dominating(build_r(h), cover)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_answers_are_invariant_under_relabeling(data):
+    kind = data.draw(st.sampled_from([cycle, path, wheel]))
+    g = kind(32)
+    check_kernel_relabeled(g, data.draw(st.permutations(range(g.n))))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_answers_on_random_graphs_are_invariant_under_relabeling(data):
+    # Dense G(n, 1/2) and sparse G(n, 3 / (n - 1)) connected graphs.
+    n = data.draw(st.integers(3, 24))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if data.draw(st.booleans()):
+        g = random_connected_graph(Random(seed), n)
+    else:
+        g = sparse_connected_graphs(seed, [n])[0]
+    check_kernel_relabeled(g, data.draw(st.permutations(range(n))))
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 6 s")
+@settings(max_examples=3, deadline=None, database=None, derandomize=True)
+@given(perm=st.permutations(range(64)))
+def test_kernel_relabeling_on_the_order64_fixture(perm):
+    g = parse_graph6((FIXTURES / "gnp64_domination.g6").read_text().strip())
+    check_kernel_relabeled(g, perm)
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 15 s")
+def test_differential_answers_order64_graphs():
+    # The 2-packing rule keeps each G(64, p) search within half the default
+    # budget (G(64, 0.1) with seed 1 spent 9.92 M units without it), and it
+    # answers the sparse order-64 graphs of seeds 1 and 2, where the search
+    # without it ran out. The G(64, p) values are the ones the search found
+    # without the rule.
+    values = iter([42, 42, 43, 48, 47, 48, 50, 50, 52, 54, 54, 54])
+    for p in (0.1, 0.15, 0.2, 0.3):
+        for seed in (1, 2, 3):
+            g = random_graph(Random(seed), 64, p)
+            res = differential_exact(g, budget=5 * 10**6)
+            assert res.value == next(values), (p, seed)
+            assert g.set_differential(res.witness) == res.value
+    for seed in (1, 2):
+        g = sparse_connected_graphs(seed, [64])[0]
+        res = differential_exact(g)
+        assert res.value == 30, seed
+        assert g.set_differential(res.witness) == 30
 
 
 def test_mu_matches_the_oracle():

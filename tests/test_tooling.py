@@ -4,7 +4,7 @@ The benchmark (its tracer, its runner and its reference maker) looks gdiff's
 names up by name; keep them.
 Every command-line option must be read by the subcommand that takes it,
 and README's option table must list exactly the options each one takes.
-Importing the CLI leaves the process pool out, each command loads only the
+Importing the CLI leaves the process pool and pathlib out, each command loads only the
 gdiff modules it runs, and `python -m gdiff.cli` runs the CLI.
 """
 
@@ -167,6 +167,19 @@ def test_cli_import_leaves_out_modules_most_runs_do_not_need():
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_pathlib():
+    # --input is read with open, so start-up does not import pathlib and,
+    # through it, urllib.parse, ipaddress and fnmatch. Without site (-S),
+    # whose .pth files may import pathlib themselves.
+    unneeded = ("pathlib", "urllib.parse", "ipaddress", "fnmatch")
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import gdiff.cli; "
+        f"print(sorted(m for m in {unneeded!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
