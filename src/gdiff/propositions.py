@@ -79,15 +79,6 @@ from typing import Callable, NamedTuple
 
 from .codecs import write_graph6
 from .core import BudgetExceededError, Graph, VertexSet, bits
-from .families import (
-    complete_bipartite_parts,
-    is_complete,
-    is_path,
-    kprime_order,
-    star_center,
-    star_plus_edge_center,
-    wheel_apex,
-)
 from .roperator import validate_r
 from .solvers import (
     DEFAULT_BUDGET,
@@ -145,6 +136,118 @@ def _register(prop_id: str, title: str, applies):
         return fn
 
     return deco
+
+
+# -- family recognizers --------------------------------------------------------
+#
+# The checks' hypotheses name families. These recognize membership under any
+# labeling, directly from degrees and adjacency, so they work at any order
+# (unlike the canonical form, capped at census.CANONICAL_MAX).
+
+
+def is_complete(g: Graph) -> bool:
+    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
+
+
+def is_cycle(g: Graph) -> bool:
+    return (
+        g.n >= 3
+        and g.is_connected
+        and all(row.bit_count() == 2 for row in g.adj)
+    )
+
+
+def is_path(g: Graph) -> bool:
+    if g.n == 1:
+        return g.m == 0
+    if g.n < 2 or not g.is_connected:
+        return False
+    degrees = sorted(row.bit_count() for row in g.adj)
+    return degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])
+
+
+def star_center(g: Graph) -> int | None:
+    """Center of K_{1,n-1}, or None."""
+    if g.n < 2 or g.m != g.n - 1:
+        return None
+    for v, row in enumerate(g.adj):
+        if row.bit_count() == g.n - 1:
+            return v
+    return None
+
+
+def star_plus_edge_center(g: Graph) -> int | None:
+    """Center of a star with one extra leaf-leaf edge, or None."""
+    if g.n < 3 or g.m != g.n:
+        return None
+    for v, row in enumerate(g.adj):
+        if row.bit_count() == g.n - 1:
+            rest, _ = g.induced_subgraph(VertexSet(g.n, g.full_mask & ~(1 << v)))
+            if rest.m == 1:
+                return v
+    return None
+
+
+def complete_bipartite_parts(g: Graph) -> tuple[VertexSet, VertexSet] | None:
+    """The bipartition of K_{p,q} (smaller part first), or None."""
+    if g.n < 2 or not g.is_connected:
+        return None
+    color = [-1] * g.n
+    color[0] = 0
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        for u in bits(g.adj[v]):
+            if color[u] == -1:
+                color[u] = 1 - color[v]
+                queue.append(u)
+            elif color[u] == color[v]:
+                return None
+    a = VertexSet.of(g.n, (v for v in range(g.n) if color[v] == 0))
+    b = a.complement()
+    if g.m != len(a) * len(b):
+        return None
+    if (len(a), min(a.members or (g.n,))) > (len(b), min(b.members or (g.n,))):
+        a, b = b, a
+    return a, b
+
+
+def wheel_apex(g: Graph) -> int | None:
+    """Apex of a wheel (cycle plus a universal vertex), or None."""
+    if g.n < 4:
+        return None
+    for v, row in enumerate(g.adj):
+        if row.bit_count() == g.n - 1:
+            rim, _ = g.induced_subgraph(VertexSet(g.n, g.full_mask & ~(1 << v)))
+            if is_cycle(rim):
+                return v
+    return None
+
+
+def kprime_order(g: Graph) -> int | None:
+    """The r for which g is K_{r,2r} plus a matching on the large part, or None."""
+    if g.n % 3 or g.n < 6:
+        return None
+    r = g.n // 3
+    p_mask = 0
+    q_mask = 0
+    for v, row in enumerate(g.adj):
+        d = row.bit_count()
+        if d == 2 * r:
+            p_mask |= 1 << v
+        elif d == r + 1:
+            q_mask |= 1 << v
+        else:
+            return None
+    if p_mask.bit_count() != r or q_mask.bit_count() != 2 * r:
+        return None
+    for v in bits(p_mask):
+        if g.adj[v] != q_mask:
+            return None
+    for v in bits(q_mask):
+        if (g.adj[v] & q_mask).bit_count() != 1:
+            return None
+    return r
 
 
 def _connected3(ctx: InstanceContext) -> bool:

@@ -12,22 +12,15 @@ from __future__ import annotations
 from .core import Graph
 
 
-def r_v_rows(g: Graph) -> tuple[int, ...]:
-    """R(g)'s rows for V: N_G(v) plus bit n + i for each edge i of ``g.edges()`` at v.
-
-    Plain integers, so a search over V can use them without building R(g).
-    """
-    rows = list(g.adj)
-    for i, (a, b) in enumerate(g.edges()):
-        rows[a] |= 1 << g.n + i
-        rows[b] |= 1 << g.n + i
-    return tuple(rows)
-
-
 def build_r(g: Graph) -> Graph:
     """Construct R(g): V = 0..n-1, then vertex n + i for edge i of ``g.edges()``."""
-    rows = r_v_rows(g) + tuple(1 << a | 1 << b for a, b in g.edges())
-    return Graph(len(rows), rows)
+    edges = g.edges()
+    rows = list(g.adj)
+    for i, (a, b) in enumerate(edges):
+        rows[a] |= 1 << g.n + i
+        rows[b] |= 1 << g.n + i
+    rows += [1 << a | 1 << b for a, b in edges]
+    return Graph(len(rows), tuple(rows))
 
 
 def validate_r(g: Graph, r: Graph) -> list[str]:

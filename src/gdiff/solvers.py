@@ -4,13 +4,14 @@ Every solver is an exhaustive search; no heuristics, no approximation.
 For a graph of order n:
 
 * differential: by gamma_R = n - diff, a minimum of the Roman weight
-  2|T| + |V - N[T]| (``_max_differential``) by the weighted set-cover
-  branch and bound ``_min_cover``: branch on an uncovered vertex with the
-  fewest dominators, where the last branch leaves it uncovered, pruned by a
-  coverage lower bound; one search finds the value and the first maximizer
-  of the largest cardinality, and its ``key`` says whether it also
-  enumerates every maximizer (``"all"``) or not (``"largest"``, which also
-  keeps the uncovered set a 2-packing, below). It serves G;
+  2|T| + |V - N[T]| (``differential_exact``) by the weighted set-cover
+  branch and bound ``_min_cover`` over G's closed neighbourhoods: branch on
+  an uncovered vertex with the fewest dominators, where the last branch
+  leaves it uncovered, pruned by a coverage lower bound; one search finds
+  the value and the first maximizer of the largest cardinality, and its
+  ``key`` says whether it also enumerates every maximizer (``"all"``) or
+  not (``"largest"``, which also keeps the uncovered set a 2-packing,
+  below);
 * the differential of R(G): a maximum-weight choice of G's vertices and
   non-pendant edges (the lemma below), by the memoized weighted search
   ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
@@ -69,7 +70,7 @@ gamma(R(G)) = tau (P11). ``InstanceContext.gamma_r`` searches for a least
 cover of G's edges: v covers the edges at v.
 
 The 2-packing rule. The ``"largest"`` search minimizes one packed cost
-(see ``_max_differential``): with card = 2^n and the unit (n + 1) card, an
+(see ``differential_exact``): with card = 2^n and the unit (n + 1) card, an
 uncovered vertex costs one unit and a member v costs 2 units - card -
 2^(n - 1 - v). Let S be the minimum and U = V - N[S] the vertices it
 leaves uncovered. If some z outside S had two vertices of U in N[z], S + z
@@ -83,10 +84,14 @@ u is left; from then on every vertex of N[N[u]] - u must end covered, so
 it gets no last branch (and so is branched on sooner), and a node that
 leaves one uncovered ends. Every S is reached in exactly one branch and
 the cut branches hold no S with a 2-packing U, so the minimum, the
-witness, is the one the search without the rule finds. The ``"all"`` search cannot use the rule. Its cost is the
-Roman weight itself, and there S + z, for a z with exactly two vertices of
-U in N[z], weighs what S weighs: both are maximizers, the list must hold
-both, and the rule would cut S.
+witness, is the one the search without the rule finds. ``_min_cover`` runs
+the rule exactly when it keeps no ties. The ``"all"`` search keeps them and
+cannot use the rule. Its cost is the Roman weight itself, and there S + z,
+for a z with exactly two vertices of U in N[z], weighs what S weighs: both
+are maximizers, the list must hold both, and the rule would cut S. No check
+lists the maximizers of diff(G); ``"all"`` stays as the tests' exhaustive
+reference for the differential sets of R(G) over all its n + m vertices,
+where a scan of every subset would visit up to 2^(n + m) of them.
 
 P15 follows. I alone, with M empty, gives diff(R(G)) >= m - n + 2 alpha =
 lambda. I plus one end of each M-edge is independent, so 2|I| + 3|M| <=
@@ -95,8 +100,8 @@ has the largest cardinality mu. So lambda <= diff(R(G)) <= lambda +
 floor((n - mu) / 2).
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
-on one graph at most once and answers a one-witness differential read from
-the enumeration when that has answered. ``full_record``, the proposition checks
+on one graph at most once and answers a one-witness read of diff(R(G))
+from the enumeration when that has answered. ``full_record``, the proposition checks
 and the public one-quantity solvers all read from it. The identities live
 on it and nowhere else. Four quantities are derived instead of searched: the
 Roman domination number gamma_R = n - diff (Bermudo, Fernau and
@@ -144,7 +149,7 @@ class DifferentialResult(NamedTuple):
     ``all_sets``, every maximizer sorted by cardinality, then member tuple,
     is filled only by the ``"all"`` search. ``search_space_size`` counts
     the units the search spent, the work its nodes did (see
-    ``_max_differential`` and ``_ChoiceSearch``), for instrumentation.
+    ``differential_exact`` and ``_ChoiceSearch``), for instrumentation.
     """
 
     value: int
@@ -173,7 +178,6 @@ class _NodeCounter:
 def _min_cover(
     covers: Sequence[int], dominators: Sequence[int], price: list[int], unit: int,
     ties: bool, counter: _NodeCounter, best: float, found: list[int],
-    packing: bool = False,
 ) -> tuple[float, list[int]]:
     """The least cost of a subset S of 0..n-1, n = len(covers), and its sets.
 
@@ -188,7 +192,7 @@ def _min_cover(
     all between the same two multiples of ``unit``, plus ``unit`` for each
     element S leaves uncovered. The callers give the cost
     model: a member costs 2 and an uncovered vertex 1 for the Roman weight
-    2|S| + |V - N[S]| (see ``_max_differential``), a member 1 and an
+    2|S| + |V - N[S]| (see ``differential_exact``), a member 1 and an
     uncovered element order + 1 for domination and covers. Set-cover branch
     and bound: branch on an uncovered element with the fewest allowed
     dominators, the candidates covering it, taking each of them in turn by
@@ -209,16 +213,21 @@ def _min_cover(
     last branch is entered only when the cost so far plus ``unit`` can
     still beat ``best``, or, with ``ties``, tie it.
 
-    With ``packing``, the caller vouches that the least cost leaves its
-    uncovered elements a 2-packing: no candidate covers two of them. So once
-    an element u is left uncovered, by the last branch or for want of a kept
-    dominator, every other element that shares a dominator with u must end
-    covered: a node that leaves one of them uncovered ends, and an element
-    that must be covered gets no last branch, so the search branches on the
-    lowest-index element with the fewest branches, its dominators plus the
-    last branch if it has one. Those elements are the union of ``covers``
-    over ``dominators[u]``, N[N[u]] for closed neighbourhoods, taken when u
-    is first left uncovered.
+    Without ``ties`` the search runs the 2-packing rule: the least cost
+    must leave its uncovered elements a 2-packing, so that no candidate
+    covers two of them. The ``"largest"`` differential search proves it for
+    its packed cost (the module docstring). So once an element u is left
+    uncovered, by the last branch or for want of a kept dominator, every
+    other element that shares a dominator with u must end covered: a node
+    that leaves one of them uncovered ends, and an element that must be
+    covered gets no last branch, so the search branches on the lowest-index
+    element with the fewest branches, its dominators plus the last branch
+    if it has one. Those elements are the union of ``covers`` over
+    ``dominators[u]``, N[N[u]] for closed neighbourhoods, taken when u is
+    first left uncovered. The domination and cover searches start from a
+    full cover that costs less than ``unit``, so their least cost leaves
+    nothing uncovered: the rule holds for them, they open no last branch,
+    and it cuts nothing.
 
     The search starts from the incumbent ``best``, reached by ``found``. It
     prunes when the bound meets the incumbent, or, with ``ties``, exceeds
@@ -267,8 +276,13 @@ def _min_cover(
         left = uncovered & ~reached
         if left:
             cost += unit * left.bit_count()
+            # The bound below is at least ``cost``, so prune before the
+            # 2-packing bookkeeping; a search that must cover everything
+            # always ends here once it leaves an element uncovered.
+            if cost >= best + ties:
+                return
             uncovered ^= left
-            if packing:
+            if not ties:
                 while left:
                     low = left & -left
                     if low & forced:
@@ -336,66 +350,13 @@ def _min_cover(
                 useful &= ~(1 << d)
                 search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d], forced)
         if leave:
-            if packing:
+            if not ties:
                 forced |= shared(branch)
             search(uncovered ^ branch, useful, chosen, cost + unit, forced)
 
     search((1 << len(dominators)) - 1, (1 << n) - 1, 0, 0, 0)
     counter.nodes = units
     return best, found
-
-
-def _max_differential(
-    rows: tuple[int, ...], order: int, key: str, budget: int, solver: str
-) -> DifferentialResult:
-    """Maximize |N[S]| - 2|S| over subsets S of 0..n-1, where n = len(rows).
-
-    ``rows`` are the adjacency rows of vertices 0..n-1 in a graph on
-    ``order`` vertices, where |N[S]| - 2|S| is the differential of S. The
-    search minimizes the Roman weight 2|S| + |uncovered|, the vertices
-    outside N[S], by ``_min_cover``; a dominator it keeps reaches at least
-    two uncovered vertices.
-
-    ``key`` says what the search finds beside the value: ``"largest"``,
-    the witness only, or ``"all"``, also every maximizer, sorted by
-    cardinality, then member tuple. Either way the witness is the first
-    maximizer of the largest cardinality in that order.
-
-    For ``"all"`` a member costs 2 and the search keeps ties. For
-    ``"largest"`` the weight, |S| and the member tuple are packed into one
-    integer (see below) whose minimum is the set sought, and the weight is
-    that minimum in whole units, rounded up.
-    """
-    if key not in ("all", "largest"):
-        raise ValueError(f"unknown differential search key {key!r}")
-    n = len(rows)
-    enumerate_all = key == "all"
-    if enumerate_all:
-        unit, price = 1, [2] * n
-    else:
-        # An uncovered vertex costs `unit` and a member v 2 units less
-        # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
-        # Of two sets of one weight the larger is kept; of two k-sets, the
-        # one holding the least vertex they do not share, which has the
-        # larger sum of 2^(n - 1 - v).
-        card = 1 << n
-        unit = (n + 1) * card
-        price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
-    closed = [row | 1 << v for v, row in enumerate(rows)]
-    # Rows of a whole graph are symmetric: N[u] dominates u.
-    dominators = closed if order == n else _transpose(closed, order)
-    counter = _NodeCounter(solver, budget)
-    best, found = _min_cover(
-        closed, dominators, price, unit, enumerate_all, counter, math.inf, [],
-        packing=not enumerate_all,
-    )
-    found = _card_lex(found, n)
-    return DifferentialResult(
-        order - -(-best // unit),
-        VertexSet(n, max(found, key=int.bit_count)),
-        counter.nodes,
-        all_sets=tuple(VertexSet(n, m) for m in found) if enumerate_all else None,
-    )
 
 
 class _ChoiceSearch:
@@ -603,13 +564,46 @@ def differential_exact(
 ) -> DifferentialResult:
     """Maximize |B(S)| - |S| over all subsets S of V.
 
-    One pass finds the value and the first maximizer of the largest
-    cardinality; ``key`` ``"all"`` also enumerates every maximizer (see
-    ``_max_differential``).
+    The search minimizes the Roman weight 2|S| + |V - N[S]| by
+    ``_min_cover`` over the closed neighbourhoods; a dominator it keeps
+    reaches at least two uncovered vertices. ``key`` says what it finds
+    beside the value: ``"largest"``, the witness only, or ``"all"``, also
+    every maximizer, sorted by cardinality, then member tuple. Either way
+    the witness is the first maximizer of the largest cardinality in that
+    order.
+
+    For ``"all"`` a member costs 2 and the search keeps ties. For
+    ``"largest"`` the weight, |S| and the member tuple are packed into one
+    integer (see below) whose minimum is the set sought, and the weight is
+    that minimum in whole units, rounded up.
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    return _max_differential(g.adj, g.n, key, budget, "differential_exact")
+    if key not in ("all", "largest"):
+        raise ValueError(f"unknown differential search key {key!r}")
+    n = g.n
+    enumerate_all = key == "all"
+    if enumerate_all:
+        unit, price = 1, [2] * n
+    else:
+        # An uncovered vertex costs `unit` and a member v 2 units less
+        # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
+        # Of two sets of one weight the larger is kept; of two k-sets, the
+        # one holding the least vertex they do not share, which has the
+        # larger sum of 2^(n - 1 - v).
+        card = 1 << n
+        unit = (n + 1) * card
+        price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
+    closed = g.closed_adj
+    counter = _NodeCounter("differential_exact", budget)
+    best, found = _min_cover(closed, closed, price, unit, enumerate_all, counter, math.inf, [])
+    found = _card_lex(found, n)
+    return DifferentialResult(
+        n - -(-best // unit),
+        VertexSet(n, max(found, key=int.bit_count)),
+        counter.nodes,
+        all_sets=tuple(VertexSet(n, m) for m in found) if enumerate_all else None,
+    )
 
 
 def _require_r_base(g: Graph) -> None:
@@ -770,18 +764,6 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     )
 
 
-def _transpose(rows: Sequence[int], order: int) -> list[int]:
-    """Column u of ``rows`` for each u in 0..order-1: the rows holding u."""
-    columns = [0] * order
-    for v, row in enumerate(rows):
-        bit = 1 << v
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1] |= bit
-            row ^= low
-    return columns
-
-
 def _reversed_bits(packed: int, n: int) -> int:
     """The mask holding v exactly where ``packed`` holds bit n - 1 - v."""
     return int(format(packed, f"0{n}b")[::-1], 2)
@@ -934,14 +916,14 @@ class InstanceContext:
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
     only when a check inspects it), the differential searches and the
     domination and independence numbers instead of re-solving. ``diff`` (on
-    G) and ``diff_r`` (on R(G) over V) take the search's ``key`` (see
-    ``_max_differential``) and run each search at most once; a
-    ``"largest"`` read is answered by the enumeration (``"all"``) when that
-    has already answered, since both give the same value and witness. A
-    search that runs out of budget is not run again: its error is cached and
-    raised to every later reader of its key. A ``"largest"`` read whose
-    enumeration ran out runs its own search, which does less work and may
-    answer.
+    G) runs the ``"largest"`` search. ``diff_r`` (on R(G) over V) takes the
+    search's ``key`` (see ``differential_of_r``) and runs each search at
+    most once; a ``"largest"`` read is answered by the enumeration
+    (``"all"``) when that has already answered, since both give the same
+    value and witness. A search that runs out of budget is not run again:
+    its error is cached and raised to every later reader of its key. A
+    ``"largest"`` read whose enumeration ran out runs its own search, which
+    does less work and may answer.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -961,23 +943,21 @@ class InstanceContext:
             raise self._cache[key]
         return self._cache[key]
 
-    def _differential(self, name: str, search, key: str) -> DifferentialResult:
-        done = self._cache.get((name, "all"))
-        if key == "largest" and isinstance(done, DifferentialResult):
-            return done
-        return self.cached((name, key), lambda: search(self.g, key, self.budget))
-
     @property
     def rg(self) -> Graph:
         return self.cached("rg", lambda: build_r(self.g))
 
-    def diff(self, key: str = "largest") -> DifferentialResult:
-        """Differential of the instance by the search ``key``."""
-        return self._differential("diff", differential_exact, key)
+    def diff(self) -> DifferentialResult:
+        """Differential of the instance and its first maximizer of the largest
+        cardinality."""
+        return self.cached("diff", lambda: differential_exact(self.g, "largest", self.budget))
 
     def diff_r(self, key: str = "largest") -> DifferentialResult:
         """Differential of the R-graph over subsets of V by the search ``key``."""
-        return self._differential("diff_r", differential_of_r, key)
+        done = self._cache.get(("diff_r", "all"))
+        if key == "largest" and isinstance(done, DifferentialResult):
+            return done
+        return self.cached(("diff_r", key), lambda: differential_of_r(self.g, key, self.budget))
 
     @property
     def diff_r_partitions(self) -> tuple[tuple[VertexSet, int, int], ...]:

@@ -6,21 +6,23 @@ from gdiff.families import (
     FamilySpec,
     complete,
     complete_bipartite,
-    complete_bipartite_parts,
     cycle,
     empty_graph,
     generate,
+    kprime,
+    path,
+    star,
+    star_plus_edge,
+    wheel,
+)
+from gdiff.propositions import (
+    complete_bipartite_parts,
     is_complete,
     is_cycle,
     is_path,
-    kprime,
     kprime_order,
-    path,
-    star,
     star_center,
-    star_plus_edge,
     star_plus_edge_center,
-    wheel,
     wheel_apex,
 )
 

@@ -18,11 +18,9 @@ from gdiff.families import (
     star,
     wheel,
 )
-from gdiff.roperator import build_r, r_v_rows
+from gdiff.roperator import build_r
 from gdiff.solvers import (
-    DEFAULT_BUDGET,
     InstanceContext,
-    _max_differential,
     differential_exact,
     differential_of_r,
     domination_number,
@@ -163,15 +161,20 @@ def test_differential_budget():
 
 
 def test_differential_component_additivity():
+    # diff, gamma and alpha each add up over the two parts of a disjoint
+    # union. diff(R(G)) needs a connected base, so it has no such test.
     rng = Random(43)
+    searches = {
+        "diff": lambda g: differential_exact(g).value,
+        "gamma": lambda g: domination_number(g)[0],
+        "alpha": lambda g: independence_number(g)[0],
+    }
     for _ in range(20):
         g1 = random_graph(rng, rng.randint(1, 4))
         g2 = random_graph(rng, rng.randint(1, 4))
         both = g1.disjoint_union(g2)
-        assert (
-            differential_exact(both).value
-            == differential_exact(g1).value + differential_exact(g2).value
-        )
+        for name, search in searches.items():
+            assert search(both) == search(g1) + search(g2), (name, write_graph6(both))
 
 
 # -- differential of the R-graph ----------------------------------------------
@@ -186,10 +189,8 @@ def test_differential_of_r_known_values():
 def test_differential_of_r_modes_agree():
     # The "all" list of differential_of_r, read from the choice search's
     # optima and their closure, against the differential in R(G) of every
-    # subset of V, computed from G by the oracle, and against the Roman
-    # enumeration over R(G)'s rows for V, which shares no code with it: the
-    # same value, witness and maximizers in cardinality-then-lexicographic
-    # order.
+    # subset of V, computed from G by the oracle: the same value, witness
+    # and maximizers in cardinality-then-lexicographic order.
     for g, in_r in r_oracle_cases():
         check_r_maximizers(g, in_r)
 
@@ -198,10 +199,8 @@ def check_r_maximizers(g, in_r):
     value = max(in_r)
     expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
     res = differential_of_r(g, "all")
-    roman = _max_differential(r_v_rows(g), g.n + g.m, "all", DEFAULT_BUDGET, "differential_of_r")
     assert [s.mask for s in res.all_sets] == expected, write_graph6(g)
     assert (res.value, res.witness.mask) == (value, first_of_largest(expected))
-    assert (roman.value, roman.witness, roman.all_sets) == (res.value, res.witness, res.all_sets)
 
 
 def test_differential_searches_match_the_oracles_beyond_order_10():
@@ -243,20 +242,17 @@ def r_oracle_cases():
 
 
 def test_both_keys_give_the_first_largest_maximizer():
-    # On the rows of G and of R(G) over V, against the full scans: "largest"
-    # and "all" give the value and the same witness, the first maximizer of
-    # the largest cardinality in cardinality-then-lexicographic order.
-    for g, in_r in r_oracle_cases():
-        value_r = max(in_r)
-        cases = (
-            (g.adj, g.n, naive_differential(g), naive_differential_sets(g)),
-            (r_v_rows(g), g.n + g.m, value_r, [m for m, d in enumerate(in_r) if d == value_r]),
-        )
-        for rows, order, value, maximizers in cases:
-            top = first_of_largest(card_lex_order(maximizers))
-            for key in ("largest", "all"):
-                res = _max_differential(rows, order, key, DEFAULT_BUDGET, "differential_exact")
-                assert (res.value, res.witness.mask) == (value, top), (key, write_graph6(g))
+    # On G, against the full scans: "largest" and "all" give the value and
+    # the same witness, the first maximizer of the largest cardinality in
+    # cardinality-then-lexicographic order. test_differential_of_r_modes_agree
+    # and test_largest_r_search_matches_the_oracle check both keys of
+    # differential_of_r on the same graphs.
+    for g, _ in r_oracle_cases():
+        value = naive_differential(g)
+        top = first_of_largest(card_lex_order(naive_differential_sets(g)))
+        for key in ("largest", "all"):
+            res = differential_exact(g, key)
+            assert (res.value, res.witness.mask) == (value, top), (key, write_graph6(g))
 
 
 def test_largest_r_search_matches_the_oracle():
@@ -277,9 +273,9 @@ def test_largest_r_search_matches_the_oracle():
 
 
 def test_largest_r_searches_agree_beyond_the_oracle():
-    # The weighted choice search against the Roman search over V with
-    # R(G)'s rows, which shares no code with it, on sparse and denser
-    # connected graphs of order 13-20: the same value and witness.
+    # The weighted choice search against the scan of every subset of V on
+    # sparse and denser connected graphs of order 13-20, beyond the orders
+    # of r_oracle_cases: the same value and witness.
     rng = Random(149)
     graphs = sparse_connected_graphs(151, range(13, 21))
     while len(graphs) < 16:
@@ -287,20 +283,19 @@ def test_largest_r_searches_agree_beyond_the_oracle():
         if g.is_connected:
             graphs.append(g)
     for g in graphs:
-        roman = _max_differential(
-            r_v_rows(g), g.n + g.m, "largest", DEFAULT_BUDGET, "differential_of_r"
-        )
+        in_r = naive_r_differentials(g)
+        value = max(in_r)
+        top = first_of_largest(card_lex_order(m for m, d in enumerate(in_r) if d == value))
         res = differential_of_r(g)
-        assert (res.value, res.witness) == (roman.value, roman.witness), write_graph6(g)
+        assert (res.value, res.witness.mask) == (value, top), write_graph6(g)
 
 
 def test_r_maximizers_agree_beyond_the_oracle():
     # The walk behind differential_of_r(g, "all") reads its exact memo for
     # parts of at most SMALL_PART vertices and the choice search above
-    # that. Against the Roman enumeration over V with R(G)'s rows, which
-    # shares no code with it, on sparse and denser connected graphs of
-    # order 13-20, where the walk crosses SMALL_PART: the same value,
-    # witness and maximizers.
+    # that. Against the scan of every subset of V on sparse and denser
+    # connected graphs of order 13-20, where the walk crosses SMALL_PART:
+    # the same value, witness and maximizers.
     rng = Random(157)
     graphs = sparse_connected_graphs(163, range(13, 21))
     while len(graphs) < 20:
@@ -308,13 +303,7 @@ def test_r_maximizers_agree_beyond_the_oracle():
         if g.is_connected:
             graphs.append(g)
     for g in graphs:
-        roman = _max_differential(
-            r_v_rows(g), g.n + g.m, "all", DEFAULT_BUDGET, "differential_of_r"
-        )
-        res = differential_of_r(g, "all")
-        assert (res.value, res.witness, res.all_sets) == (
-            roman.value, roman.witness, roman.all_sets
-        ), write_graph6(g)
+        check_r_maximizers(g, naive_r_differentials(g))
 
 
 def test_gamma_r_inside_v_matches_the_search_over_r():
@@ -335,7 +324,7 @@ def check_gamma_r(g):
     assert is_dominating(r, witness)
 
 
-@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 11 s")
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 4 s")
 def test_r_searches_on_the_order8_census():
     # Both checks above on the 11,117 connected graphs of order 8.
     for g in connected_census(8):
@@ -352,26 +341,38 @@ def relabeled(g, perm):
 
 
 @functools.cache
-def kernel_values(g6):
-    """diff, gamma and gamma(R(G)) of the graph with graph6 ``g6``."""
-    g = parse_graph6(g6)
-    return differential_exact(g).value, domination_number(g)[0], InstanceContext(g).gamma_r[0]
+def original(g6):
+    """The context of the graph with graph6 ``g6``, which searches each
+    quantity once for all the relabelings of that graph."""
+    return InstanceContext(parse_graph6(g6))
 
 
-def check_kernel_relabeled(g, perm):
-    # The kernel's three callers keep their values on the relabeled graph,
-    # and each witness attains its value there.
+def check_kernel_relabeled(g, perm, choice=True):
+    # The set-cover kernel's three callers keep their values on the
+    # relabeled graph, and each witness attains its value there; with
+    # ``choice``, so do the choice search behind diff(R(G)) and the
+    # independence search.
     h = relabeled(g, perm)
-    diff, gamma, gamma_r = kernel_values(write_graph6(g))
-    res = differential_exact(h)
-    assert res.value == diff, (write_graph6(g), perm)
-    assert h.set_differential(res.witness) == diff
-    found, dominating = domination_number(h)
-    assert found == gamma == len(dominating)
+    want = original(write_graph6(g))
+    ctx = InstanceContext(h)
+    res = ctx.diff()
+    assert res.value == want.diff().value, (write_graph6(g), perm)
+    assert h.set_differential(res.witness) == res.value
+    found, dominating = ctx.gamma
+    assert found == want.gamma[0] == len(dominating)
     assert is_dominating(h, dominating)
-    found, cover = InstanceContext(h).gamma_r
-    assert found == gamma_r == len(cover)
-    assert is_dominating(build_r(h), cover)
+    found, cover = ctx.gamma_r
+    r = build_r(h)
+    assert found == want.gamma_r[0] == len(cover)
+    assert is_dominating(r, cover)
+    if not choice:
+        return
+    res = ctx.diff_r()
+    assert res.value == want.diff_r().value
+    assert r.set_differential(VertexSet(r.n, res.witness.mask)) == res.value
+    found, independent = ctx.alpha
+    assert found == want.alpha[0] == len(independent)
+    assert h.is_k_dependent(independent, 0)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -399,8 +400,9 @@ def test_kernel_answers_on_random_graphs_are_invariant_under_relabeling(data):
 @settings(max_examples=3, deadline=None, database=None, derandomize=True)
 @given(perm=st.permutations(range(64)))
 def test_kernel_relabeling_on_the_order64_fixture(perm):
+    # The set-cover searches alone: diff(R(G)) takes about 5 s on this graph.
     g = parse_graph6((FIXTURES / "gnp64_domination.g6").read_text().strip())
-    check_kernel_relabeled(g, perm)
+    check_kernel_relabeled(g, perm, choice=False)
 
 
 @pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 15 s")
@@ -440,39 +442,31 @@ def test_mu_matches_the_oracle():
 
 
 def test_diff_r_reuses_the_enumeration(monkeypatch):
-    # Once the enumeration ("all") over V, or over G, has answered, a
-    # "largest" read takes its answer from it and starts no search of its
-    # own. Where the enumeration ran out of budget, the read runs its own
-    # search once and answers; the enumeration's error stays cached.
+    # Once the enumeration ("all") over V has answered, a "largest" read
+    # takes its answer from it and starts no search of its own. Where the
+    # enumeration ran out of budget, the read runs its own search once and
+    # answers; the enumeration's error stays cached.
     import gdiff.solvers as solvers
 
     def refuse(*args, **kwargs):
         raise AssertionError("a second search ran")
 
     g = wheel(7)
-    reads = (("diff", "differential_exact"), ("diff_r", "differential_of_r"))
-    expected = {}
-    for read, _ in reads:
-        res = getattr(InstanceContext(g), read)("largest")
-        expected[read] = (res.value, res.witness)
+    alone = InstanceContext(g).diff_r("largest")
     ctx = InstanceContext(g)
     failed = InstanceContext(cycle(16), budget=1000)
-    for read, _ in reads:
-        assert getattr(ctx, read)("all").all_sets
-        with pytest.raises(BudgetExceededError):
-            getattr(failed, read)("all")
-    answered = {read: getattr(failed, read)() for read, _ in reads}
-    assert (answered["diff"].value, answered["diff_r"].value) == (5, 16)
-    assert len(answered["diff_r"].witness) == 8
-    for _, search in reads:
-        monkeypatch.setattr(solvers, search, refuse)
-    for read, want in expected.items():
-        res = getattr(ctx, read)()
-        assert (res.value, res.witness) == want, read
-        assert res is getattr(ctx, read)("all")
-        assert getattr(failed, read)() is answered[read]
-        with pytest.raises(BudgetExceededError):
-            getattr(failed, read)("all")
+    assert ctx.diff_r("all").all_sets
+    with pytest.raises(BudgetExceededError):
+        failed.diff_r("all")
+    answered = failed.diff_r()
+    assert (answered.value, len(answered.witness)) == (16, 8)
+    monkeypatch.setattr(solvers, "differential_of_r", refuse)
+    res = ctx.diff_r()
+    assert (res.value, res.witness) == (alone.value, alone.witness)
+    assert res is ctx.diff_r("all")
+    assert failed.diff_r() is answered
+    with pytest.raises(BudgetExceededError):
+        failed.diff_r("all")
     assert ctx.mu == len(ctx.diff_r("all").all_sets[-1])
 
 
@@ -537,11 +531,10 @@ def test_differential_of_r_guards():
             with pytest.raises(ValueError, match=f"unknown differential search key '{key}'"):
                 search(cycle(5), key)
     ctx = InstanceContext(cycle(5))
-    assert (ctx.diff("all").value, ctx.diff_r("all").value) == (1, 5)
-    for read in (ctx.diff, ctx.diff_r):
-        for key in ("Largest", "every", "first"):
-            with pytest.raises(ValueError, match="unknown differential search key"):
-                read(key)
+    assert (ctx.diff().value, ctx.diff_r("all").value) == (1, 5)
+    for key in ("Largest", "every", "first"):
+        with pytest.raises(ValueError, match="unknown differential search key"):
+            ctx.diff_r(key)
     # the full-space search still works on the same instance
     assert differential_exact(build_r(disconnected)).value > 0
 
