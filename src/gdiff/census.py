@@ -8,12 +8,14 @@ multiset) profile, largest first. Any isomorphism keeps profiles, so
 equal forms mean isomorphic graphs. ``canonical_form`` finds the least
 code by a depth-first search that places one vertex per position. Once
 positions 0..j are placed, column j is fixed, so the search tries at
-position j only the vertices that give the least column j, and it drops
-a partial labeling as soon as its columns exceed those of the best code
-found. When a branch that lay below the best code replaces it, the
-branch's later siblings compare against the new best again. Of two free
-twins (vertices whose rows agree but for each other) it tries one, since
-swapping them fixes the prefix and so gives the same codes.
+position j only the vertices that give the least column j, which one pass
+over the block of vertices with that position's profile finds with the
+column, and it drops a partial labeling as soon as its columns exceed
+those of the best code found. When a branch that lay below the best code
+replaces it, the branch's later siblings compare against the new best
+again. Of two free twins (vertices whose rows agree but for each other)
+it tries one, since swapping them fixes the prefix and so gives the same
+codes.
 
 Every connected graph of order k >= 2 has a vertex whose removal leaves
 it connected (any leaf of a spanning tree will do). So each order-k class
@@ -23,18 +25,37 @@ level n - 1, so a process builds each level once, from K1 up, and keeps
 one graph per canonical form (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998). Each kept graph is
 parsed from its canonical form, so the identity labeling reaches its
-least code, and the labelings that reach it, collected by the same search
-without the twin rule, are exactly its automorphisms. Two neighbourhood
-masks in one orbit of that group give isomorphic extensions, so each
-representative is extended only by the masks that are least in their
-orbit.
+least code, and the labelings that reach it are exactly its automorphisms.
+Two neighbourhood masks in one orbit of that group give isomorphic
+extensions, so each representative is extended only by the masks that are
+least in their orbit.
+
+The search reaches only some of those labelings, since it tries one of
+each set of free twins, but they and the transpositions of twins generate
+Aut. Each of them is an automorphism, so they generate a subgroup H.
+Conversely, let p be a labeling that reaches the least code. The search
+enters every node on p's path, as its columns never exceed the best
+code's, unless the twin rule cut the path: let j be the first position
+where it did, so p puts v at j where the search tried v's twin w. The
+transposition t of v and w is an automorphism and fixes the placed
+prefix, as neither is placed, so t p (t applied to each position) reaches
+the least code, agrees with p before j, puts w at j, and so is first cut,
+if at all, after j. By induction from j = n down, t p lies in H, and so
+does p = t (t p). Under a finite group the closure of a mask under the
+generators is its orbit, so ``_orbit_least_masks`` closes each mask
+through one table per generator of the image of every mask.
 
 Most classes are still reached from several representatives, so an
 extension is canonicalized only when its new vertex x could be the vertex
 that a canonical deletion removes (McKay's canonical augmentation). A
 vertex v beats x when removing v leaves the graph connected and v has a
 larger profile than x; the extension gets a ``Graph`` and a
-``canonical_form`` call only when no vertex beats x. This loses no class.
+``canonical_form`` call only when no vertex beats x. Most extensions are
+beaten on degrees alone and are dropped before their rows are built: a
+vertex v that is non-cut in the parent stays non-cut when x has a
+neighbour other than v, since x joins the connected parent minus v, and
+it then beats x when its degree after the join exceeds |N(x)|
+(``_degree_survivors``). This loses no class.
 Take a class C, and let c be a vertex of C with the greatest profile among
 those whose removal leaves C connected. C - c is isomorphic to some
 representative P, and the isomorphism carries N(c) to a mask of P whose
@@ -79,14 +100,15 @@ def _profile(
     return degree[v], tuple(sorted([degree[u] for u in bits(adj[v])], reverse=True))
 
 
-def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The columns of g's least code and, if asked, every labeling that reaches it.
+def _least_labelings(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The columns of g's least code and the labelings the search reaches it by.
 
     A labeling lists the vertex at each position. Column j of a labeling
     p holds the bits adj[p[i]][p[j]] for i < j, the first one highest, so
-    comparing columns as integers of equal width compares codes. Unless
-    ``automorphisms`` is set, the search tries one of each set of free
-    twins, so it finds the least code but not every labeling reaching it.
+    comparing columns as integers of equal width compares codes. The
+    search tries one of each set of free twins, so it finds the least code
+    but, where g has twins, not every labeling reaching it (see
+    ``_orbit_least_masks``).
     """
     n = g.n
     adj = g.adj
@@ -110,27 +132,31 @@ def _least_labelings(g: Graph, automorphisms: bool) -> tuple[list[int], list[tup
         columns so far equal the best code's; otherwise they are below it,
         or there is no best code yet. One vertex is left for position n - 1.
         """
-        free = [v for v in members[j] if not placed >> v & 1]
-        col = min([seen[v] for v in free])
         # Column j is compared before every later one, so only the vertices
-        # that give the least column can lead to the least code.
+        # that give the least column can lead to the least code: one pass
+        # over the block finds that column and them.
+        col = -1
+        for v in members[j]:
+            if not placed >> v & 1:
+                c = seen[v]
+                if c == col:
+                    chosen.append(v)
+                elif c < col or col < 0:
+                    col, chosen = c, [v]
         if tight:
             if col > best[j]:
                 return False
             tight = col == best[j]
         cols[j] = col
         if j == n - 1:
-            labeling[j] = free[0]
+            labeling[j] = chosen[0]
             if tight:
-                if automorphisms:
-                    least.append(tuple(labeling))
+                least.append(tuple(labeling))
                 return False
             best[:] = cols
-            if automorphisms:
-                least[:] = [tuple(labeling)]
+            least[:] = [tuple(labeling)]
             return True
-        chosen = [v for v in free if seen[v] == col]
-        if not automorphisms and len(chosen) > 1:
+        if len(chosen) > 1:
             # Swapping two free twins (equal rows but for each other) fixes
             # the placed prefix, so their subtrees give equal codes.
             kept = []
@@ -164,31 +190,68 @@ def canonical_form(g: Graph) -> str:
     n = g.n
     if n > CANONICAL_MAX:
         raise ValueError(f"canonical form supports order <= {CANONICAL_MAX}")
-    best, _ = _least_labelings(g, False)
+    best, _ = _least_labelings(g)
     code = 0
     for j in range(1, n):
         code = code << j | best[j]
     return _graph6(n, code)
 
 
+def _twin_transpositions(g: Graph) -> list[list[int]]:
+    """Transpositions, as vertex maps, that generate the permutations of each
+    set of twins of g (vertices whose rows agree but for each other)."""
+    swaps = []
+    for closed in (0, 1):
+        classes: dict[int, list[int]] = {}
+        for v, row in enumerate(g.adj):
+            classes.setdefault(row | closed << v, []).append(v)
+        for twins in classes.values():
+            for a, b in zip(twins, twins[1:]):
+                swap = list(range(g.n))
+                swap[a], swap[b] = b, a
+                swaps.append(swap)
+    return swaps
+
+
 def _orbit_least_masks(rep: Graph) -> list[int]:
     """The nonempty vertex masks of a representative that are least in their Aut-orbit.
 
     ``rep`` is canonically labeled, so the labelings that reach its least
-    code are its automorphisms.
+    code are its automorphisms, and those the search reaches, with the
+    twin transpositions, generate them (the module docstring). The masks
+    are closed under the generators through one table per generator of
+    the image of every mask.
     """
-    _, automorphisms = _least_labelings(rep, True)
+    n = rep.n
+    _, reached = _least_labelings(rep)
+    identity = tuple(range(n))
+    generators = [p for p in reached if p != identity] + _twin_transpositions(rep)
+    if not generators:
+        return list(range(1, 1 << n))
+    tables = []
+    for p in generators:
+        image = [0]
+        for v in range(n):
+            bit = 1 << p[v]
+            image += [m | bit for m in image]
+        tables.append(image)
     least = []
-    found: set[int] = set()
-    for mask in range(1, 1 << rep.n):
-        if mask not in found:
+    found = bytearray(1 << n)
+    for mask in range(1, 1 << n):
+        if not found[mask]:
             least.append(mask)
-            vertices = list(bits(mask))
-            found.update(sum([1 << p[v] for v in vertices]) for p in automorphisms)
+            found[mask] = 1
+            orbit = [mask]
+            for m in orbit:
+                for image in tables:
+                    m2 = image[m]
+                    if not found[m2]:
+                        found[m2] = 1
+                        orbit.append(m2)
     return least
 
 
-def _is_non_cut(rows: list[int], v: int) -> bool:
+def _is_non_cut(rows: tuple[int, ...] | list[int], v: int) -> bool:
     """True when removing v leaves the graph of adjacency rows ``rows`` connected."""
     rest = (1 << len(rows)) - 1 & ~(1 << v)
     return _reach(rows, rest & -rest, rest) == rest
@@ -219,6 +282,37 @@ def _new_vertex_unbeaten(rows: list[int]) -> bool:
     return True
 
 
+def _degree_survivors(g: Graph, masks: list[int]) -> list[int]:
+    """The masks whose extension of g no vertex beats on degrees alone.
+
+    A vertex v of g beats the new vertex x, joined to ``nbrs``, when v is
+    non-cut in g, x has a neighbour other than v, and v's degree after the
+    join exceeds |nbrs|: removing v from the extension leaves g - v,
+    connected, with x joined to it, so v is non-cut there too. No row list
+    is built for a mask so beaten; ``_new_vertex_unbeaten`` decides the rest.
+    """
+    n = g.n
+    # above[k], at[k]: the non-cut vertices of degree above k, and of degree k
+    above = [0] * (n + 1)
+    at = [0] * (n + 1)
+    for v, row in enumerate(g.adj):
+        if _is_non_cut(g.adj, v):
+            d = row.bit_count()
+            at[d] |= 1 << v
+            for k in range(d):
+                above[k] |= 1 << v
+    kept = []
+    for nbrs in masks:
+        k = nbrs.bit_count()
+        beaten = above[k] | at[k] & nbrs
+        if k == 1:
+            # x's one neighbour is not beaten: removing it cuts x off.
+            beaten &= ~nbrs
+        if not beaten:
+            kept.append(nbrs)
+    return kept
+
+
 @lru_cache(maxsize=None)
 def connected_census(n: int) -> tuple[Graph, ...]:
     """One canonically labeled graph per connected class of order n, cached per process.
@@ -232,7 +326,7 @@ def connected_census(n: int) -> tuple[Graph, ...]:
     new_bit = 1 << n - 1
     forms = set()
     for g in connected_census(n - 1):
-        for nbrs in _orbit_least_masks(g):
+        for nbrs in _degree_survivors(g, _orbit_least_masks(g)):
             rows = [row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj)]
             rows.append(nbrs)
             if _new_vertex_unbeaten(rows):

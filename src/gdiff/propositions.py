@@ -14,12 +14,15 @@ check that reads it, and so are the benchmark's per-check layers
 checks with no change in work.
 The differential sets of R(G) over its full subset space follow from those
 inside V (``InstanceContext.diff_r_sizes``), so P03, P06 and P09 decide from
-those alone. P03, P05, P13 and P14 read every set A inside V through one
+those alone. P03, P05 and P13 read every set A inside V through one
 pass (``InstanceContext.diff_r_partitions``) that gives B(A) and C(A) in G:
-A dominates G iff C(A) is empty (P05), and the exterior of A in R(G) is
-C(A) plus the edge-vertex of each edge of G[V - A], so P14 counts
-|C(A)| + e(G[V - A]) and builds R(G) only to list a failing exterior. A
-passing instance builds R(G) only in P01, P10 (complete graphs) and P18.
+A dominates G iff C(A) is empty (P05). P14 reads no list. A maximizer S
+of R(G) inside V, its boundary B_R(S) and its exterior C_R(S) partition
+the n + m vertices of R(G), and |B_R(S)| = |S| + diff(R(G)), so every
+maximizer of size mu has |C_R(S)| = n + m - 2 mu - diff(R(G)). P14 decides
+from n, m, mu and diff(R(G)), all from the ``"largest"`` search, and
+builds R(G) only to list the failing exterior of its witness. A passing
+instance builds R(G) only in P01, P10 (complete graphs) and P18.
 The lemma in ``solvers`` also says that the largest differential set of
 R(G) inside V dominates G, so P04 checks that one set and enumerates none.
 P02 reads the minimum dominating set of R(G) that P11's search found. That
@@ -78,7 +81,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .codecs import write_graph6
-from .core import BudgetExceededError, Graph, VertexSet, bits
+from .core import BudgetExceededError, Graph, VertexSet, _reach, bits
 from .roperator import validate_r
 from .solvers import (
     DEFAULT_BUDGET,
@@ -182,9 +185,8 @@ def star_plus_edge_center(g: Graph) -> int | None:
         return None
     for v, row in enumerate(g.adj):
         if row.bit_count() == g.n - 1:
-            rest, _ = g.induced_subgraph(VertexSet(g.n, g.full_mask & ~(1 << v)))
-            if rest.m == 1:
-                return v
+            # G - v keeps m - (n - 1) = 1 edge.
+            return v
     return None
 
 
@@ -218,8 +220,11 @@ def wheel_apex(g: Graph) -> int | None:
         return None
     for v, row in enumerate(g.adj):
         if row.bit_count() == g.n - 1:
-            rim, _ = g.induced_subgraph(VertexSet(g.n, g.full_mask & ~(1 << v)))
-            if is_cycle(rim):
+            # G - v is a cycle: connected, with two neighbours for each vertex.
+            rim = g.full_mask & ~(1 << v)
+            if all((g.adj[u] & rim).bit_count() == 2 for u in bits(rim)) and (
+                _reach(g.adj, rim & -rim, rim) == rim
+            ):
                 return v
     return None
 
@@ -521,24 +526,16 @@ def _p13(ctx):
 
 @_register("P14", "exterior bound for maximum differential sets inside V", _connected3)
 def _p14(ctx):
-    # C_R(S) is C(S) plus the edge-vertex of each edge of G[V - S].
+    # Every maximizer S of size mu has |C_R(S)| = n + m - 2 mu - diff(R(G))
+    # (the module docstring), so the witness stands for all of them.
     g = ctx.g
-    adj = g.adj
-    mu = len(ctx.diff_r("all").witness)
-    for s, _, ext in ctx.diff_r_partitions:
-        if len(s) != mu:
-            continue
-        t = g.full_mask & ~s.mask
-        doubled = sum((adj[v] & t).bit_count() for v in bits(t))
-        if 2 * ext.bit_count() + doubled > g.n - mu:
-            r = ctx.rg
-            ext_r = r.exterior(VertexSet(r.n, s.mask))
-            return (
-                FAIL,
-                (s.members, ext_r.members),
-                f"|C(S)| = {len(ext_r)} > ({g.n} - {mu})/2",
-            )
-    return PASS, (), ""
+    res = ctx.diff_r()
+    s, mu = res.witness, len(res.witness)
+    if 2 * (g.n + g.m - 2 * mu - res.value) <= g.n - mu:
+        return PASS, (), ""
+    r = ctx.rg
+    ext_r = r.exterior(VertexSet(r.n, s.mask))
+    return FAIL, (s.members, ext_r.members), f"|C(S)| = {len(ext_r)} > ({g.n} - {mu})/2"
 
 
 @_register("P15", "two-sided bound on the differential of R(G)", _connected3)

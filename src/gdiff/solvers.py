@@ -159,6 +159,13 @@ class DifferentialResult(NamedTuple):
 
 
 class _NodeCounter:
+    """The units a search has spent against its budget.
+
+    The searches add to ``nodes`` themselves and call ``spend`` only on the
+    charge that crosses the budget, where it raises; a method call per node
+    would cost more than the node's own work on small graphs.
+    """
+
     __slots__ = ("nodes", "budget", "solver")
 
     def __init__(self, solver: str, budget: int):
@@ -166,7 +173,7 @@ class _NodeCounter:
         self.budget = budget
         self.solver = solver
 
-    def spend(self, amount: int = 1) -> None:
+    def spend(self, amount: int) -> None:
         self.nodes += amount
         if self.nodes > self.budget:
             raise BudgetExceededError(
@@ -437,7 +444,10 @@ class _ChoiceSearch:
                 return ~known
         adj, gain, tie, pairable = self.adj, self.gain, self.tie, self.pairable
         size = undecided.bit_count()
-        self.counter.spend(1 + self.examined * size)
+        counter = self.counter
+        counter.nodes += 1 + self.examined * size
+        if counter.nodes > counter.budget:
+            counter.spend(0)
         mark = self.bounded
         taken = most = 0
         left = rest = undecided
@@ -504,7 +514,10 @@ class _ChoiceSearch:
         # In doubled units: capacity 2|E|, costs 2d and 2d - 1. A pair end
         # that beats the vertex alone per unit of cost is the first segment
         # of the vertex, and the rest of the vertex alone its second.
-        self.counter.spend(self.examined * part.bit_count())
+        counter = self.counter
+        counter.nodes += self.examined * part.bit_count()
+        if counter.nodes > counter.budget:
+            counter.spend(0)
         adj, pairable, alone, pair = self.adj, self.pairable, self.alone, self.pair
         segments = []
         capacity = 0
@@ -532,7 +545,10 @@ class _ChoiceSearch:
 
     def _component(self, within: int, v: int) -> int:
         # The vertices of ``within`` joined to v by a path inside it.
-        self.counter.spend(self.examined * within.bit_count())
+        counter = self.counter
+        counter.nodes += self.examined * within.bit_count()
+        if counter.nodes > counter.budget:
+            counter.spend(0)
         adj = self.adj
         part = adj[v] & within | 1 << v
         frontier = part ^ 1 << v
@@ -597,12 +613,16 @@ def differential_exact(
     closed = g.closed_adj
     counter = _NodeCounter("differential_exact", budget)
     best, found = _min_cover(closed, closed, price, unit, enumerate_all, counter, math.inf, [])
+    value = n - -(-best // unit)
+    if not enumerate_all:
+        # Without ties the search keeps the one set of its packed minimum.
+        return DifferentialResult(value, VertexSet(n, found[0]), counter.nodes)
     found = _card_lex(found, n)
     return DifferentialResult(
-        n - -(-best // unit),
+        value,
         VertexSet(n, max(found, key=int.bit_count)),
         counter.nodes,
-        all_sets=tuple(VertexSet(n, m) for m in found) if enumerate_all else None,
+        all_sets=tuple(VertexSet(n, m) for m in found),
     )
 
 
@@ -667,8 +687,11 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     it reads one row and makes one lookup per branch, at most
     ``SMALL_PART`` + 1 of them.
     """
-    adj, full = g.adj, g.full_mask
-    search = _ChoiceSearch(adj, 2, 3, [0] * g.n, 1, pairable, counter, 1).best
+    adj, full, budget = g.adj, g.full_mask, counter.budget
+    # Only a part of more than SMALL_PART vertices asks the search.
+    search = None
+    if g.n > SMALL_PART:
+        search = _ChoiceSearch(adj, 2, 3, [0] * g.n, 1, pairable, counter, 1).best
     exact = {0: 0}
 
     def weight(undecided: int) -> int:
@@ -676,7 +699,9 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
         # branching.
         known = exact.get(undecided)
         if known is None:
-            counter.spend(1)
+            counter.nodes += 1
+            if counter.nodes > budget:
+                counter.spend(0)
             low = undecided & -undecided
             around = adj[low.bit_length() - 1] & undecided
             rest = undecided & ~(around | low)
@@ -708,7 +733,9 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     walk = [(full, top, full)]  # undecided, weight still to place, S so far
     while walk:
         undecided, left, s = walk.pop()
-        counter.spend(1 + undecided.bit_count())
+        counter.nodes += 1 + undecided.bit_count()
+        if counter.nodes > budget:
+            counter.spend(0)
         if not undecided:
             optima.append(s)
             continue
@@ -733,7 +760,9 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     closing = optima
     while closing:
         s = closing.pop()
-        counter.spend(1 + g.n)
+        counter.nodes += 1 + g.n
+        if counter.nodes > budget:
+            counter.spend(0)
         t = full ^ s
         private = 0
         rest = t
@@ -934,14 +963,17 @@ class InstanceContext:
     def cached(self, key, fn):
         """``fn()``, computed once per context and kept under ``key``; a budget
         error is kept too and raised again to every later reader."""
-        if key not in self._cache:
+        try:
+            value = self._cache[key]
+        except KeyError:
             try:
-                self._cache[key] = fn()
+                value = fn()
             except BudgetExceededError as exc:
-                self._cache[key] = exc
-        if isinstance(self._cache[key], Exception):
-            raise self._cache[key]
-        return self._cache[key]
+                value = exc
+            self._cache[key] = value
+        if isinstance(value, BudgetExceededError):
+            raise value
+        return value
 
     @property
     def rg(self) -> Graph:
@@ -965,7 +997,7 @@ class InstanceContext:
         order, with its boundary B(A) and exterior C(A) in G as masks.
 
         One pass over the list takes N(A) once per set; ``diff_r_sizes`` and
-        the checks that read every set (P03, P05, P13 and P14) read it.
+        the checks that read every set (P03, P05 and P13) read it.
         """
 
         def partitions():

@@ -8,8 +8,11 @@ import pytest
 
 from gdiff import census
 from gdiff.census import (
+    _degree_survivors,
     _least_labelings,
+    _new_vertex_unbeaten,
     _orbit_least_masks,
+    _twin_transpositions,
     canonical_form,
     connected_census,
 )
@@ -61,19 +64,20 @@ def test_census_matches_networkx_atlas():
         assert set(forms) == atlas[n]
 
 
-def _automorphisms(g: Graph) -> int:
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, found by trying every permutation."""
     edges = set(g.edges())
-    return sum(
-        all((min(p[a], p[b]), max(p[a], p[b])) in edges for a, b in edges)
-        for p in permutations(range(g.n))
-    )
+    return [
+        p for p in permutations(range(g.n))
+        if all((min(p[a], p[b]), max(p[a], p[b])) in edges for a, b in edges)
+    ]
 
 
 def test_census_labeled_count():
     # Each class stands for n!/|Aut| labeled graphs; the labeled connected
     # graphs number 1, 1, 4, 38, 728, 26704 (OEIS A001187).
     for n, labeled in ((1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)):
-        assert sum(factorial(n) // _automorphisms(g) for g in connected_census(n)) == labeled
+        assert sum(factorial(n) // len(_automorphisms(g)) for g in connected_census(n)) == labeled
 
 
 def test_census_representatives_are_canonical_and_sorted():
@@ -207,15 +211,23 @@ def test_canonical_form_matches_oracle_on_symmetric_graphs():
 
 def test_least_labelings_of_a_representative_are_its_automorphisms():
     # A representative is canonically labeled, so the identity reaches its
-    # least code and the labelings that reach it are exactly Aut(rep).
+    # least code, and the labelings the twin-pruned search reaches, with the
+    # twin transpositions, generate Aut(rep): each of its elements and no
+    # other permutation.
     for n in range(1, 7):
         for g in connected_census(n):
-            _, labelings = _least_labelings(g, True)
+            _, labelings = _least_labelings(g)
             assert tuple(range(n)) in labelings
-            assert len(set(labelings)) == len(labelings) == _automorphisms(g)
-            edges = set(g.edges())
-            for p in labelings:
-                assert {(min(p[a], p[b]), max(p[a], p[b])) for a, b in edges} == edges
+            generators = labelings + [tuple(p) for p in _twin_transpositions(g)]
+            group = {tuple(range(n))}
+            frontier = list(group)
+            for p in frontier:
+                for q in generators:
+                    pq = tuple(p[q[v]] for v in range(n))
+                    if pq not in group:
+                        group.add(pq)
+                        frontier.append(pq)
+            assert group == set(_automorphisms(g))
 
 
 def _extension(g: Graph, nbrs: int) -> Graph:
@@ -238,8 +250,37 @@ def test_orbit_least_masks_reach_every_extension_class():
         assert sorted(level) == [write_graph6(g) for g in connected_census(n + 1)]
 
 
+def test_orbit_least_masks_are_the_least_of_each_orbit():
+    # Against the whole group: one mask per orbit of the nonempty masks,
+    # the least of it.
+    for n in range(1, 7):
+        for g in connected_census(n):
+            group = _automorphisms(g)
+            least = {
+                min(sum(1 << p[v] for v in range(n) if mask >> v & 1) for p in group)
+                for mask in range(1, 1 << n)
+            }
+            assert _orbit_least_masks(g) == sorted(least)
+
+
 def _profile(h: nx.Graph, v: int) -> tuple[int, list[int]]:
     return h.degree(v), sorted((h.degree(u) for u in h[v]), reverse=True)
+
+
+def test_degree_first_rule_rejects_only_beaten_extensions():
+    # Every orbit-least extension up to order 7 that the degree-first rule
+    # drops before building its rows is one the deletion rule rejects.
+    dropped = 0
+    for n in range(1, 7):
+        for g in connected_census(n):
+            masks = _orbit_least_masks(g)
+            survivors = set(_degree_survivors(g, masks))
+            assert survivors <= set(masks)
+            for nbrs in masks:
+                if nbrs not in survivors:
+                    dropped += 1
+                    assert not _new_vertex_unbeaten(list(_extension(g, nbrs).adj))
+    assert dropped > 0
 
 
 def test_kept_extensions_lose_no_class(monkeypatch):

@@ -213,9 +213,10 @@ def test_p08_builds_no_r_graph(monkeypatch):
 
 
 def test_set_checks_build_no_r_graph_when_they_pass(monkeypatch):
-    # P02 reads gamma(R(G))'s set as a cover of G's edges, and P03, P05,
-    # P13 and P14 read the sets inside V with their boundaries and
-    # exteriors in G, so none builds R(G) on its way to a pass.
+    # P02 reads gamma(R(G))'s set as a cover of G's edges, P03, P05 and
+    # P13 read the sets inside V with their boundaries and exteriors in G,
+    # and P14 decides from n, m, mu and diff(R(G)), so none builds R(G) on
+    # its way to a pass.
     import gdiff.solvers as solvers
 
     def refuse(g):
@@ -677,15 +678,45 @@ def test_p05_fail_row(monkeypatch):
 
 
 def test_p14_fail_row(monkeypatch):
-    # P_4 and {0}: C({0}) in R(P_4) is {2, 3} and the edge-vertices 5 and 6
-    # of the edges 12 and 23.
-    _stand_in_sets(monkeypatch, 4, [[0]])
+    # P_4 and a stand-in "largest" search with witness {0} and differential
+    # 1 in R(G), as {0} has: |C_R({0})| = n + m - 2 mu - 1 = 4 > (4 - 1)/2.
+    # C({0}) in R(P_4) is {2, 3} and the edge-vertices 5 and 6 of the edges
+    # 12 and 23. P14 asks for no list.
+    import gdiff.solvers as solvers
+
+    def largest_only(g, key, budget):
+        assert key == "largest"
+        return DifferentialResult(1, VertexSet.of(4, [0]), 0)
+
+    monkeypatch.setattr(solvers, "differential_of_r", largest_only)
     report = run_proposition("P14", path(4))
     assert (report.status, report.witness_sets, report.note) == (
         "fail",
         ((0,), (2, 3, 5, 6)),
         "|C(S)| = 4 > (4 - 1)/2",
     )
+
+
+def test_p14_verdict_matches_the_list_based_count():
+    # Every maximizer S inside V of size mu has |C_R(S)| = n + m - 2 mu -
+    # diff(R(G)); the listed sets, with C_R(S) counted as C(S) plus one
+    # edge-vertex per edge of G[V - S], give P14's status.
+    rng = Random(109)
+    graphs = [g for n in range(3, 8) for g in connected_census(n)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
+    for g in graphs:
+        ctx = InstanceContext(g)
+        res = ctx.diff_r("all")
+        mu = len(res.witness)
+        counts = set()
+        for s, _, ext in ctx.diff_r_partitions:
+            if len(s) == mu:
+                t = g.full_mask & ~s.mask
+                inside = sum((g.adj[v] & t).bit_count() for v in bits(t)) // 2
+                counts.add(ext.bit_count() + inside)
+        assert counts == {g.n + g.m - 2 * mu - res.value}, write_graph6(g)
+        status = "pass" if 2 * counts.pop() <= g.n - mu else "fail"
+        assert run_proposition("P14", g).status == status, write_graph6(g)
 
 
 def test_run_all_shares_context():

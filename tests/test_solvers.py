@@ -87,11 +87,8 @@ def test_differential_pruned_equals_naive_census():
             assert res.witness.mask == top, write_graph6(g)
 
 
-def test_set_cover_units_on_the_census(monkeypatch):
-    # gamma(G) and gamma(R(G)) keep their branch order and so their units:
-    # summed over the census to order 7 they spend what they spent before
-    # the kernel took its dominator rows from the caller. The 2-packing
-    # rule only cuts the ∂(G) search, which spent 56,938 units here before.
+def _recorded_counters(monkeypatch) -> list:
+    """The node counters the solvers make from now on, in order."""
     import gdiff.solvers as solvers
 
     made = []
@@ -104,6 +101,15 @@ def test_set_cover_units_on_the_census(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(solvers, "_NodeCounter", Recording)
+    return made
+
+
+def test_set_cover_units_on_the_census(monkeypatch):
+    # gamma(G) and gamma(R(G)) keep their branch order and so their units:
+    # summed over the census to order 7 they spend what they spent before
+    # the kernel took its dominator rows from the caller. The 2-packing
+    # rule only cuts the ∂(G) search, which spent 56,938 units here before.
+    made = _recorded_counters(monkeypatch)
     spent = {"diff": 0, "gamma": 0, "gamma_r": 0}
     for n in range(1, 8):
         for g in connected_census(n):
@@ -120,6 +126,26 @@ def test_set_cover_units_on_the_census(monkeypatch):
                 spent[name] += made[-1].nodes
     assert (spent["gamma"], spent["gamma_r"]) == (17_595, 48_200)
     assert spent["diff"] < 56_938
+
+
+def test_choice_search_units_on_the_census(monkeypatch):
+    # The choice search, the walk and the closure add their units to the
+    # counter and call spend only past the budget; summed over the census
+    # to order 7 they spend what they spent when every node called it.
+    made = _recorded_counters(monkeypatch)
+    spent = {"all": 0, "largest": 0, "alpha": 0}
+    for n in range(1, 8):
+        for g in connected_census(n):
+            made.clear()
+            independence_number(g)
+            spent["alpha"] += made[-1].nodes
+            if n < 3:
+                continue
+            for key in ("all", "largest"):
+                made.clear()
+                differential_of_r(g, key)
+                spent[key] += made[-1].nodes
+    assert spent == {"all": 74_074, "largest": 28_643, "alpha": 6_883}
 
 
 def test_differential_pruned_equals_naive_random():
