@@ -152,14 +152,6 @@ def is_complete(g: Graph) -> bool:
     return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
 
 
-def is_cycle(g: Graph) -> bool:
-    return (
-        g.n >= 3
-        and g.is_connected
-        and all(row.bit_count() == 2 for row in g.adj)
-    )
-
-
 def is_path(g: Graph) -> bool:
     if g.n == 1:
         return g.m == 0

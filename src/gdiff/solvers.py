@@ -7,11 +7,9 @@ For a graph of order n:
   2|T| + |V - N[T]| (``differential_exact``) by the weighted set-cover
   branch and bound ``_min_cover`` over G's closed neighbourhoods: branch on
   an uncovered vertex with the fewest dominators, where the last branch
-  leaves it uncovered, pruned by a coverage lower bound; one search finds
-  the value and the first maximizer of the largest cardinality, and its
-  ``key`` says whether it also enumerates every maximizer (``"all"``) or
-  not (``"largest"``, which also keeps the uncovered set a 2-packing,
-  below);
+  leaves it uncovered, pruned by a coverage lower bound and by keeping the
+  uncovered set a 2-packing (below); one search finds the value and the
+  first maximizer of the largest cardinality;
 * the differential of R(G): a maximum-weight choice of G's vertices and
   non-pendant edges (the lemma below), by the memoized weighted search
   ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
@@ -69,7 +67,7 @@ the sets inside V that dominate R(G) are G's vertex covers, and
 gamma(R(G)) = tau (P11). ``InstanceContext.gamma_r`` searches for a least
 cover of G's edges: v covers the edges at v.
 
-The 2-packing rule. The ``"largest"`` search minimizes one packed cost
+The 2-packing rule. The differential search minimizes one packed cost
 (see ``differential_exact``): with card = 2^n and the unit (n + 1) card, an
 uncovered vertex costs one unit and a member v costs 2 units - card -
 2^(n - 1 - v). Let S be the minimum and U = V - N[S] the vertices it
@@ -84,14 +82,7 @@ u is left; from then on every vertex of N[N[u]] - u must end covered, so
 it gets no last branch (and so is branched on sooner), and a node that
 leaves one uncovered ends. Every S is reached in exactly one branch and
 the cut branches hold no S with a 2-packing U, so the minimum, the
-witness, is the one the search without the rule finds. ``_min_cover`` runs
-the rule exactly when it keeps no ties. The ``"all"`` search keeps them and
-cannot use the rule. Its cost is the Roman weight itself, and there S + z,
-for a z with exactly two vertices of U in N[z], weighs what S weighs: both
-are maximizers, the list must hold both, and the rule would cut S. No check
-lists the maximizers of diff(G); ``"all"`` stays as the tests' exhaustive
-reference for the differential sets of R(G) over all its n + m vertices,
-where a scan of every subset would visit up to 2^(n + m) of them.
+witness, is the one the search without the rule finds.
 
 P15 follows. I alone, with M empty, gives diff(R(G)) >= m - n + 2 alpha =
 lambda. I plus one end of each M-edge is independent, so 2|I| + 3|M| <=
@@ -147,9 +138,10 @@ class DifferentialResult(NamedTuple):
 
     ``witness`` is the first maximizer of the largest cardinality.
     ``all_sets``, every maximizer sorted by cardinality, then member tuple,
-    is filled only by the ``"all"`` search. ``search_space_size`` counts
-    the units the search spent, the work its nodes did (see
-    ``differential_exact`` and ``_ChoiceSearch``), for instrumentation.
+    is filled only by ``differential_of_r``'s ``"all"`` search.
+    ``search_space_size`` counts the units the search spent, the work its
+    nodes did (see ``differential_exact`` and ``_ChoiceSearch``), for
+    instrumentation.
     """
 
     value: int
@@ -184,9 +176,10 @@ class _NodeCounter:
 
 def _min_cover(
     covers: Sequence[int], dominators: Sequence[int], price: list[int], unit: int,
-    ties: bool, counter: _NodeCounter, best: float, found: list[int],
-) -> tuple[float, list[int]]:
-    """The least cost of a subset S of 0..n-1, n = len(covers), and its sets.
+    counter: _NodeCounter, best: float, found: int,
+) -> tuple[float, int]:
+    """The least cost of a subset S of 0..n-1, n = len(covers), and the
+    first set of that cost the search finds, as a mask.
 
     ``covers[v]`` is the set of elements 0..order-1, order =
     len(``dominators``), that candidate v covers: N[v] for domination and
@@ -197,14 +190,15 @@ def _min_cover(
     neighbourhoods and the two ends of an edge. The cost of S is the sum
     of its members' ``price``, which the caller lists cheapest first and
     all between the same two multiples of ``unit``, plus ``unit`` for each
-    element S leaves uncovered. The callers give the cost
-    model: a member costs 2 and an uncovered vertex 1 for the Roman weight
-    2|S| + |V - N[S]| (see ``differential_exact``), a member 1 and an
-    uncovered element order + 1 for domination and covers. Set-cover branch
-    and bound: branch on an uncovered element with the fewest allowed
-    dominators, the candidates covering it, taking each of them in turn by
-    reach and excluding the earlier ones from the later branches; the last
-    branch leaves the element uncovered and forbids all of them. So every S
+    element S leaves uncovered. The callers give the cost model: a member
+    costs 2 units, less a part that orders sets of one Roman weight, and
+    an uncovered vertex one unit for the Roman weight 2|S| + |V - N[S]|
+    (see ``differential_exact``), a member 1 and an uncovered element
+    order + 1 for domination and covers. Set-cover branch and bound:
+    branch on an uncovered element with the fewest allowed dominators, the
+    candidates covering it, taking each of them in turn by reach and
+    excluding the earlier ones from the later branches; the last branch
+    leaves the element uncovered and forbids all of them. So every S
     is reached in exactly one branch. A dominator is kept while its price
     is at most ``unit`` times the uncovered elements it reaches, and an
     element with no kept dominator pays ``unit``. The bound adds to the cost
@@ -218,30 +212,28 @@ def _min_cover(
     Math. 159, 2011); the search then branches on the first of them, and
     otherwise on the lowest-index element with the fewest dominators. The
     last branch is entered only when the cost so far plus ``unit`` can
-    still beat ``best``, or, with ``ties``, tie it.
+    still beat ``best``.
 
-    Without ``ties`` the search runs the 2-packing rule: the least cost
-    must leave its uncovered elements a 2-packing, so that no candidate
-    covers two of them. The ``"largest"`` differential search proves it for
-    its packed cost (the module docstring). So once an element u is left
-    uncovered, by the last branch or for want of a kept dominator, every
-    other element that shares a dominator with u must end covered: a node
-    that leaves one of them uncovered ends, and an element that must be
-    covered gets no last branch, so the search branches on the lowest-index
-    element with the fewest branches, its dominators plus the last branch
-    if it has one. Those elements are the union of ``covers`` over
-    ``dominators[u]``, N[N[u]] for closed neighbourhoods, taken when u is
-    first left uncovered. The domination and cover searches start from a
-    full cover that costs less than ``unit``, so their least cost leaves
-    nothing uncovered: the rule holds for them, they open no last branch,
-    and it cuts nothing.
+    The search runs the 2-packing rule: the least cost must leave its
+    uncovered elements a 2-packing, so that no candidate covers two of
+    them. The module docstring proves it for the differential's packed
+    cost. So once an element u is left uncovered, by the last branch or
+    for want of a kept dominator, every other element that shares a
+    dominator with u must end covered: a node that leaves one of them
+    uncovered ends, and an element that must be covered gets no last
+    branch, so the search branches on the lowest-index element with the
+    fewest branches, its dominators plus the last branch if it has one.
+    Those elements are the union of ``covers`` over ``dominators[u]``,
+    N[N[u]] for closed neighbourhoods, taken when u is first left
+    uncovered. The domination and cover searches start from a full cover
+    that costs less than ``unit``, so their least cost leaves nothing
+    uncovered: the rule holds for them, they open no last branch, and it
+    cuts nothing.
 
     The search starts from the incumbent ``best``, reached by ``found``. It
-    prunes when the bound meets the incumbent, or, with ``ties``, exceeds
-    it, keeping every set of the least cost in the order found; without
-    ``ties`` ``found`` holds the first set of the least cost. Each call
-    spends one unit plus one per allowed candidate and per uncovered
-    element, the work it does.
+    prunes when the bound meets the incumbent, so ``found`` ends as the
+    first set of the least cost. Each call spends one unit plus one per
+    allowed candidate and per uncovered element, the work it does.
     """
     n = len(covers)
     must_cover = unit > max(price)
@@ -286,21 +278,18 @@ def _min_cover(
             # The bound below is at least ``cost``, so prune before the
             # 2-packing bookkeeping; a search that must cover everything
             # always ends here once it leaves an element uncovered.
-            if cost >= best + ties:
+            if cost >= best:
                 return
             uncovered ^= left
-            if not ties:
-                while left:
-                    low = left & -left
-                    if low & forced:
-                        return
-                    left ^= low
-                    forced |= shared(low)
+            while left:
+                low = left & -left
+                if low & forced:
+                    return
+                left ^= low
+                forced |= shared(low)
         if not uncovered:
             if cost < best:
-                best, found = cost, [chosen]
-            elif cost == best and ties:
-                found.append(chosen)
+                best, found = cost, chosen
             return
         # Prices come cheapest first and reaches largest first, so each
         # further member gains no more than the one before; stop at the
@@ -317,8 +306,7 @@ def _min_cover(
             bound += p
             left -= k
         bound += unit * left
-        # With ties an equal bound may still tie, so prune only above it.
-        if bound >= best + ties:
+        if bound >= best:
             return
         if must_cover:
             options = []
@@ -334,7 +322,7 @@ def _min_cover(
                 if not d & taken:
                     packed += 1
                     taken |= d
-            if cost + sum(prices[:packed]) >= best + ties:
+            if cost + sum(prices[:packed]) >= best:
                 return
             _, candidates, branch = options[0]
         else:
@@ -351,15 +339,13 @@ def _min_cover(
                     branch, candidates, fewest = low, options, k
                     if k == 1:
                         break
-        leave = cost + unit < best + ties and not branch & forced
+        leave = cost + unit < best and not branch & forced
         for _, d in ranked:
             if candidates >> d & 1:
                 useful &= ~(1 << d)
                 search(uncovered & ~covers[d], useful, chosen | 1 << d, cost + price[d], forced)
         if leave:
-            if not ties:
-                forced |= shared(branch)
-            search(uncovered ^ branch, useful, chosen, cost + unit, forced)
+            search(uncovered ^ branch, useful, chosen, cost + unit, forced | shared(branch))
 
     search((1 << len(dominators)) - 1, (1 << n) - 1, 0, 0, 0)
     counter.nodes = units
@@ -575,55 +561,32 @@ class _ChoiceSearch:
         return got + self.best(second, need - got)
 
 
-def differential_exact(
-    g: Graph, key: str = "largest", budget: int = DEFAULT_BUDGET
-) -> DifferentialResult:
-    """Maximize |B(S)| - |S| over all subsets S of V.
+def differential_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DifferentialResult:
+    """Maximize |B(S)| - |S| over all subsets S of V, with the first
+    maximizer of the largest cardinality, in cardinality-then-member-tuple
+    order, as the witness.
 
     The search minimizes the Roman weight 2|S| + |V - N[S]| by
     ``_min_cover`` over the closed neighbourhoods; a dominator it keeps
-    reaches at least two uncovered vertices. ``key`` says what it finds
-    beside the value: ``"largest"``, the witness only, or ``"all"``, also
-    every maximizer, sorted by cardinality, then member tuple. Either way
-    the witness is the first maximizer of the largest cardinality in that
-    order.
-
-    For ``"all"`` a member costs 2 and the search keeps ties. For
-    ``"largest"`` the weight, |S| and the member tuple are packed into one
-    integer (see below) whose minimum is the set sought, and the weight is
-    that minimum in whole units, rounded up.
+    reaches at least two uncovered vertices. The weight, |S| and the member
+    tuple are packed into one integer (see below) whose minimum is the set
+    sought, and the weight is that minimum in whole units, rounded up.
     """
     if g.n == 0:
         raise ValueError("differential is undefined on the empty graph")
-    if key not in ("all", "largest"):
-        raise ValueError(f"unknown differential search key {key!r}")
     n = g.n
-    enumerate_all = key == "all"
-    if enumerate_all:
-        unit, price = 1, [2] * n
-    else:
-        # An uncovered vertex costs `unit` and a member v 2 units less
-        # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
-        # Of two sets of one weight the larger is kept; of two k-sets, the
-        # one holding the least vertex they do not share, which has the
-        # larger sum of 2^(n - 1 - v).
-        card = 1 << n
-        unit = (n + 1) * card
-        price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
+    # An uncovered vertex costs `unit` and a member v 2 units less
+    # 2^n + 2^(n - 1 - v); over a set these parts stay under one unit.
+    # Of two sets of one weight the larger is kept; of two k-sets, the
+    # one holding the least vertex they do not share, which has the
+    # larger sum of 2^(n - 1 - v).
+    card = 1 << n
+    unit = (n + 1) * card
+    price = [2 * unit - card - (1 << n - 1 - v) for v in range(n)]
     closed = g.closed_adj
     counter = _NodeCounter("differential_exact", budget)
-    best, found = _min_cover(closed, closed, price, unit, enumerate_all, counter, math.inf, [])
-    value = n - -(-best // unit)
-    if not enumerate_all:
-        # Without ties the search keeps the one set of its packed minimum.
-        return DifferentialResult(value, VertexSet(n, found[0]), counter.nodes)
-    found = _card_lex(found, n)
-    return DifferentialResult(
-        value,
-        VertexSet(n, max(found, key=int.bit_count)),
-        counter.nodes,
-        all_sets=tuple(VertexSet(n, m) for m in found),
-    )
+    best, found = _min_cover(closed, closed, price, unit, counter, math.inf, 0)
+    return DifferentialResult(n - -(-best // unit), VertexSet(n, found), counter.nodes)
 
 
 def _require_r_base(g: Graph) -> None:
@@ -852,10 +815,9 @@ def _dominate(covers: Sequence[int], dominators: Sequence[int], budget: int) -> 
         uncovered &= ~covers[pick]
     counter = _NodeCounter("domination_number", budget)
     _, found = _min_cover(
-        covers, dominators, [1] * len(covers), order + 1, False, counter,
-        greedy.bit_count(), [greedy],
+        covers, dominators, [1] * len(covers), order + 1, counter, greedy.bit_count(), greedy
     )
-    return found[0]
+    return found
 
 
 def vertex_cover_number(
@@ -945,7 +907,7 @@ class InstanceContext:
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
     only when a check inspects it), the differential searches and the
     domination and independence numbers instead of re-solving. ``diff`` (on
-    G) runs the ``"largest"`` search. ``diff_r`` (on R(G) over V) takes the
+    G) runs ``differential_exact``. ``diff_r`` (on R(G) over V) takes the
     search's ``key`` (see ``differential_of_r``) and runs each search at
     most once; a ``"largest"`` read is answered by the enumeration
     (``"all"``) when that has already answered, since both give the same
@@ -982,7 +944,7 @@ class InstanceContext:
     def diff(self) -> DifferentialResult:
         """Differential of the instance and its first maximizer of the largest
         cardinality."""
-        return self.cached("diff", lambda: differential_exact(self.g, "largest", self.budget))
+        return self.cached("diff", lambda: differential_exact(self.g, self.budget))
 
     def diff_r(self, key: str = "largest") -> DifferentialResult:
         """Differential of the R-graph over subsets of V by the search ``key``."""

@@ -1,10 +1,20 @@
 """Independent brute-force oracles used to pin expected values.
 
-Every oracle here is a plain full scan with no pruning and no shared code
-with the solvers it checks, so agreement is meaningful. All of them are
-exponential and meant for orders up to ~10 (the Roman labeling scan, 3^n,
-up to ~7; the differentials in R(G) of the subsets of V, built up one
-vertex at a time, up to 20).
+Every oracle here is a scan that shares no code with the solvers it
+checks, so agreement is meaningful; it imports nothing of gdiff but
+``gdiff.core``. All but one are plain full scans with no pruning. All of
+them are exponential and meant for orders up to ~10 (the Roman labeling
+scan, 3^n, up to ~7; the differentials in R(G) of the subsets of V, built
+up one vertex at a time, up to 20).
+
+The one with cuts is ``naive_r_maximizers``, every maximizer of the
+differential over all n + m vertices of R(G), where a plain scan would
+visit 2^(n + m) sets. It scans A + F, A inside V and F a set of
+edge-vertices, with two exact cuts that its docstring proves: F holds no
+edge-vertex at A or with both ends in N(A), and an A whose value with F
+empty plus |C(A)| is below the best value inside V is skipped.
+``test_r_maximizer_oracle_matches_the_full_scan`` checks it against the
+plain scan of R(G) on the small census.
 """
 
 from itertools import combinations, permutations, product
@@ -163,6 +173,55 @@ def naive_r_differentials(g: Graph) -> list[int]:
     return [
         (b & ~s).bit_count() + t - s.bit_count() for s, (b, t) in enumerate(zip(near, touched))
     ]
+
+
+def naive_r_maximizers(g: Graph) -> tuple[int, list[int]]:
+    """The differential of R(G) and every maximizer over all n + m vertices
+    of R(G), as masks in ``build_r``'s layout (V = 0..n-1, then n + i for
+    edge i of ``g.edges()``), in mask order.
+
+    Computed from G alone. A set of R(G) is A + F, A inside V and F a set
+    of edge-vertices, and with E_A the edges with an end in A
+
+        diff_R(A + F) = |N(A) - A| + |E_A - F| + |ends(F) - N[A]| - |A| - |F|.
+
+    Two exact cuts leave a scan small enough for every graph with n + m up
+    to 22:
+
+    * an edge-vertex at A, or one with both ends in N(A), reaches nothing
+      outside N[A], so dropping it from F raises the value by 2 or by 1,
+      whatever else F holds: no maximizer holds one, and F is made of
+      edges with an end in C(A) = V - N[A] and none in A;
+    * F adds at most |C(A)| to A's value with F empty, so an A whose value
+      plus |C(A)| is below the largest value of a set inside V holds no
+      maximizer.
+
+    Every F of the edges left is scanned for every other A.
+    """
+    n, edges = g.n, g.edges()
+    in_v = naive_r_differentials(g)
+    best = floor = max(in_v)
+    found = []
+    for a, base in enumerate(in_v):
+        closed = a
+        for v in bits(a):
+            closed |= g.adj[v]
+        outside = g.full_mask & ~closed
+        if base + outside.bit_count() < floor:
+            continue
+        free = [i for i, (x, y) in enumerate(edges) if (1 << x | 1 << y) & outside]
+        for f in range(1 << len(free)):
+            ends, s = 0, a
+            for j in bits(f):
+                x, y = edges[free[j]]
+                ends |= 1 << x | 1 << y
+                s |= 1 << n + free[j]
+            d = base + (ends & outside).bit_count() - f.bit_count()
+            if d > best:
+                best, found = d, [s]
+            elif d == best:
+                found.append(s)
+    return best, sorted(found)
 
 
 def naive_p12(g: Graph) -> tuple[str, int]:

@@ -6,7 +6,7 @@ from random import Random
 from gdiff.core import Graph, VertexSet, bits
 from gdiff.families import complete, complete_bipartite, cycle, empty_graph, path, wheel
 from gdiff.propositions import run_all
-from gdiff.solvers import differential_exact, full_record
+from gdiff.solvers import differential_of_r, full_record
 
 from oracles import naive_differential, random_graph
 
@@ -159,7 +159,7 @@ def test_values_round_trip_through_pickle_and_deepcopy():
         g,
         VertexSet.of(6, [1, 3]),
         run_all(g, ["P09"])[0],
-        differential_exact(g, "all"),
+        differential_of_r(g, "all"),
         full_record(g),
     ]
     for value in values:

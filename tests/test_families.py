@@ -18,7 +18,6 @@ from gdiff.families import (
 from gdiff.propositions import (
     complete_bipartite_parts,
     is_complete,
-    is_cycle,
     is_path,
     kprime_order,
     star_center,
@@ -105,7 +104,6 @@ def test_parameter_validation():
 
 def test_detectors_positive():
     assert is_complete(complete(5))
-    assert is_cycle(cycle(6))
     assert is_path(path(5)) and is_path(path(1))
     assert star_center(star(6)) == 0
     assert star_plus_edge_center(star_plus_edge(5)) == 0
@@ -119,7 +117,6 @@ def test_detectors_positive():
 
 def test_detectors_negative():
     assert not is_complete(path(3))
-    assert not is_cycle(path(4))
     assert not is_path(cycle(4))
     assert star_center(path(4)) is None
     assert star_plus_edge_center(cycle(4)) is None

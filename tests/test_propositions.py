@@ -45,6 +45,7 @@ from gdiff.solvers import (
 
 from oracles import (
     naive_differential,
+    naive_differential_sets,
     naive_independence,
     naive_minimum_dominating_sets,
     naive_p12,
@@ -550,23 +551,22 @@ def test_p12_fail_row_lists_a_minimum_cover(monkeypatch):
 
 
 def test_run_all_searches_the_differential_of_g_for_its_value_only(monkeypatch):
-    # No check enumerates the maximizers of diff(G): over the census of
-    # order 3-6, run_all calls differential_exact with the key "largest"
-    # alone, once per instance that needs it.
+    # Over the census of order 3-6, run_all calls differential_exact once
+    # per instance, on that instance.
     import gdiff.solvers as solvers
 
-    keys = []
+    searched = []
     search = solvers.differential_exact
 
-    def recording(g, key="largest", budget=DEFAULT_BUDGET):
-        keys.append(key)
-        return search(g, key, budget)
+    def recording(g, budget=DEFAULT_BUDGET):
+        searched.append(g)
+        return search(g, budget)
 
     monkeypatch.setattr(solvers, "differential_exact", recording)
     graphs = [g for n in range(3, 7) for g in connected_census(n)]
     for g in graphs:
         run_all(g)
-    assert keys == ["largest"] * len(graphs)
+    assert searched == graphs
 
 
 def test_p04_certificate_agrees_with_the_enumeration():
@@ -804,12 +804,10 @@ def test_bipartite_differential_set_shapes_recorded():
     # Observed structure of the differential sets of K_{p,q}, 3 <= p < q <= 5:
     # cross-part pairs always; for p = 3 the singletons of the small part tie.
     for p, q in ((3, 4), (3, 5), (4, 5)):
-        g = complete_bipartite(p, q)
-        res = differential_exact(g, "all")
         shapes = set()
-        for s in res.all_sets:
-            in_p = sum(1 for v in s if v < p)
-            shapes.add((in_p, len(s) - in_p))
+        for s in naive_differential_sets(complete_bipartite(p, q)):
+            in_p = (s & (1 << p) - 1).bit_count()
+            shapes.add((in_p, s.bit_count() - in_p))
         if p == 3:
             assert shapes == {(1, 0), (1, 1)}
         else:

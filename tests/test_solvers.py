@@ -43,6 +43,7 @@ from oracles import (
     naive_independence,
     naive_minimum_dominating_sets,
     naive_r_differentials,
+    naive_r_maximizers,
     naive_roman,
     naive_roman_labeling,
     naive_vertex_cover,
@@ -105,10 +106,11 @@ def _recorded_counters(monkeypatch) -> list:
 
 
 def test_set_cover_units_on_the_census(monkeypatch):
-    # gamma(G) and gamma(R(G)) keep their branch order and so their units:
-    # summed over the census to order 7 they spend what they spent before
-    # the kernel took its dominator rows from the caller. The 2-packing
-    # rule only cuts the ∂(G) search, which spent 56,938 units here before.
+    # The set-cover kernel keeps its branch order and so its units: summed
+    # over the census to order 7, gamma(G) and gamma(R(G)) spend what they
+    # spent before the kernel took its dominator rows from the caller, and
+    # diff(G) what it spent once the 2-packing rule cut its search (56,938
+    # units before the rule).
     made = _recorded_counters(monkeypatch)
     spent = {"diff": 0, "gamma": 0, "gamma_r": 0}
     for n in range(1, 8):
@@ -125,7 +127,7 @@ def test_set_cover_units_on_the_census(monkeypatch):
                 search()
                 spent[name] += made[-1].nodes
     assert (spent["gamma"], spent["gamma_r"]) == (17_595, 48_200)
-    assert spent["diff"] < 56_938
+    assert spent["diff"] == 55_396
 
 
 def test_choice_search_units_on_the_census(monkeypatch):
@@ -156,24 +158,23 @@ def test_differential_pruned_equals_naive_random():
 
 
 def test_differential_enumeration_complete():
+    # Every maximizer the full scan lists attains the search's value, and
+    # the witness is the first of them of the largest cardinality.
     g = path(7)
-    res = differential_exact(g, "all")
-    expected = {VertexSet(7, m) for m in naive_differential_sets(g)}
-    assert set(res.all_sets) == expected
-    assert len(res.all_sets[0]) == min(len(s) for s in expected)
-    assert len(res.witness) == max(len(s) for s in expected)
-    assert res.witness == next(s for s in res.all_sets if len(s) == len(res.witness))
+    res = differential_exact(g)
+    expected = card_lex_order(naive_differential_sets(g))
+    assert {g.set_differential(VertexSet(7, m)) for m in expected} == {res.value}
+    assert res.witness.mask == first_of_largest(expected)
 
 
 def test_differential_enumeration_matches_naive_random():
-    # one pass finds the value and every maximizer, in (cardinality, lex) order
+    # The value and the witness against the full scan's maximizers in
+    # (cardinality, lex) order.
     for g in random_graphs(seed=61, count=60, nmin=1):
-        res = differential_exact(g, "all")
+        res = differential_exact(g)
         expected = card_lex_order(naive_differential_sets(g))
         assert res.value == naive_differential(g)
-        assert [s.mask for s in res.all_sets] == expected
         assert res.witness.mask == first_of_largest(expected)
-        assert differential_exact(g).witness == res.witness
 
 
 def test_differential_rejects_empty_graph():
@@ -231,9 +232,9 @@ def check_r_maximizers(g, in_r):
 
 def test_differential_searches_match_the_oracles_beyond_order_10():
     # Both searches against the full scans on sparse and dense connected
-    # graphs of order 11-13: value, witness, every maximizer in
-    # cardinality-then-lexicographic order, and the witness of both keys,
-    # which must be the first maximizer of the largest cardinality.
+    # graphs of order 11-13: value and witness, the first maximizer of the
+    # largest cardinality in cardinality-then-lexicographic order, and for
+    # diff(R(G)) the "all" list of every maximizer in that order.
     rng = Random(113)
     graphs = []
     while len(graphs) < 6:
@@ -241,20 +242,19 @@ def test_differential_searches_match_the_oracles_beyond_order_10():
         if g.is_connected:
             graphs.append(g)
     for g in graphs:
+        expected = card_lex_order(naive_differential_sets(g))
+        res = differential_exact(g)
+        assert res.value == naive_differential(g), write_graph6(g)
+        assert res.witness.mask == first_of_largest(expected)
         in_r = naive_r_differentials(g)
-        value_r = max(in_r)
-        cases = (
-            (differential_exact, naive_differential(g), naive_differential_sets(g)),
-            (differential_of_r, value_r, [m for m, d in enumerate(in_r) if d == value_r]),
-        )
-        for search, value, maximizers in cases:
-            expected = card_lex_order(maximizers)
-            res = search(g, "all")
-            assert res.value == value, (search.__name__, write_graph6(g))
-            assert res.witness.mask == first_of_largest(expected)
-            assert [s.mask for s in res.all_sets] == expected
-            lone = search(g)
-            assert (lone.value, lone.witness) == (value, res.witness)
+        value = max(in_r)
+        expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
+        res = differential_of_r(g, "all")
+        assert res.value == value, write_graph6(g)
+        assert res.witness.mask == first_of_largest(expected)
+        assert [s.mask for s in res.all_sets] == expected
+        lone = differential_of_r(g)
+        assert (lone.value, lone.witness) == (value, res.witness)
 
 
 @functools.cache
@@ -267,18 +267,17 @@ def r_oracle_cases():
     return [(g, naive_r_differentials(g)) for g in graphs]
 
 
-def test_both_keys_give_the_first_largest_maximizer():
-    # On G, against the full scans: "largest" and "all" give the value and
-    # the same witness, the first maximizer of the largest cardinality in
-    # cardinality-then-lexicographic order. test_differential_of_r_modes_agree
-    # and test_largest_r_search_matches_the_oracle check both keys of
+def test_differential_gives_the_first_largest_maximizer():
+    # On G, against the full scans: the value and the witness, the first
+    # maximizer of the largest cardinality in cardinality-then-lexicographic
+    # order. test_differential_of_r_modes_agree and
+    # test_largest_r_search_matches_the_oracle check both keys of
     # differential_of_r on the same graphs.
     for g, _ in r_oracle_cases():
         value = naive_differential(g)
         top = first_of_largest(card_lex_order(naive_differential_sets(g)))
-        for key in ("largest", "all"):
-            res = differential_exact(g, key)
-            assert (res.value, res.witness.mask) == (value, top), (key, write_graph6(g))
+        res = differential_exact(g)
+        assert (res.value, res.witness.mask) == (value, top), write_graph6(g)
 
 
 def test_largest_r_search_matches_the_oracle():
@@ -498,9 +497,10 @@ def test_diff_r_reuses_the_enumeration(monkeypatch):
 
 def test_r_differential_sets_match_the_exhaustive_search():
     # The differential sets of R(G) over all its subsets, derived from those
-    # inside V, against every subset of R(G): the value, each set A inside V
-    # with the sizes of the differential sets meeting V in A, the realized
-    # sizes, and whether the differential set is unique (and which it is).
+    # inside V, against every maximizer over all of R(G)'s vertices
+    # (naive_r_maximizers): the value, each set A inside V with the sizes
+    # of the differential sets meeting V in A, the realized sizes, and
+    # whether the differential set is unique (and which it is).
     graphs = [g for n in range(3, 8) for g in connected_census(n)]
     rng = Random(103)
     graphs += [random_connected_graph(rng, rng.randint(3, 8)) for _ in range(60)]
@@ -511,21 +511,34 @@ def test_r_differential_sets_match_the_exhaustive_search():
         checked += 1
         ctx = InstanceContext(g)
         vres = ctx.diff_r("all")
-        brute = differential_exact(build_r(g), "all")
-        assert vres.value == brute.value, write_graph6(g)
+        value, maximizers = naive_r_maximizers(g)
+        assert vres.value == value, write_graph6(g)
         by_a = {}
-        for s in brute.all_sets:
-            by_a.setdefault(s.mask & g.full_mask, set()).add(len(s))
+        for s in maximizers:
+            by_a.setdefault(s & g.full_mask, set()).add(s.bit_count())
         sizes = {}
         for a in vres.all_sets:
             sizes[a.mask] = set(range(len(a), len(a) + len(g.exterior(a)) + 1))
         assert sizes == by_a, write_graph6(g)
-        assert ctx.diff_r_sizes == {len(s) for s in brute.all_sets}
+        assert ctx.diff_r_sizes == {s.bit_count() for s in maximizers}
         unique = len(vres.all_sets) == 1 and ctx.diff_r_sizes == {len(vres.witness)}
-        assert unique == (len(brute.all_sets) == 1), write_graph6(g)
+        assert unique == (len(maximizers) == 1), write_graph6(g)
         if unique:
-            assert brute.all_sets[0].mask == vres.witness.mask
+            assert maximizers[0] == vres.witness.mask
     assert checked > 950
+
+
+def test_r_maximizer_oracle_matches_the_full_scan():
+    # naive_r_maximizers' two cuts and its bound against a scan of every
+    # subset of R(G) on the connected census graphs of order 3-7 with
+    # n + m <= 12: the same value and the same maximizers.
+    graphs = [g for n in range(3, 8) for g in connected_census(n) if g.n + g.m <= 12]
+    assert len(graphs) == 44
+    for g in graphs:
+        r = build_r(g)
+        value, maximizers = naive_r_maximizers(g)
+        assert value == naive_differential(r), write_graph6(g)
+        assert maximizers == naive_differential_sets(r), write_graph6(g)
 
 
 def test_differential_of_r_budget_bounds_the_work():
@@ -552,10 +565,9 @@ def test_differential_of_r_guards():
         differential_of_r(disconnected)
     # an unknown key, "first" among them, is refused, not searched with
     # another key's prices
-    for search in (differential_exact, differential_of_r):
-        for key in ("Largest", "first"):
-            with pytest.raises(ValueError, match=f"unknown differential search key '{key}'"):
-                search(cycle(5), key)
+    for key in ("Largest", "first"):
+        with pytest.raises(ValueError, match=f"unknown differential search key '{key}'"):
+            differential_of_r(cycle(5), key)
     ctx = InstanceContext(cycle(5))
     assert (ctx.diff().value, ctx.diff_r("all").value) == (1, 5)
     for key in ("Largest", "every", "first"):

@@ -6,6 +6,8 @@ Every command-line option must be read by the subcommand that takes it,
 and README's option table must list exactly the options each one takes.
 Importing the CLI leaves the process pool and pathlib out, each command loads only the
 gdiff modules it runs, and `python -m gdiff.cli` runs the CLI.
+The oracles in tests/oracles.py read nothing of gdiff but its core, so they
+share no code with the solvers they check.
 """
 
 import argparse
@@ -264,3 +266,15 @@ def test_package_namespace_is_lazy():
     namespace = {}
     exec("from gdiff import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(gdiff.__all__)
+
+
+def test_oracles_import_only_the_core():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "oracles.py makes no relative import"
+            imported.add(node.module)
+    assert {name for name in imported if name.split(".")[0] == "gdiff"} == {"gdiff.core"}
