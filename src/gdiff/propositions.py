@@ -14,13 +14,13 @@ check that reads it, and so are the benchmark's per-check layers
 checks with no change in work.
 The differential sets of R(G) over its full subset space follow from those
 inside V (``InstanceContext.diff_r_sizes``), so P03, P06 and P09 decide from
-those alone. P03, P05 and P13 read every set A inside V through one
-pass (``InstanceContext.diff_r_partitions``) that gives B(A) and C(A) in G:
-A dominates G iff C(A) is empty (P05). P14 reads no list. A maximizer S
+those alone. P03, P05, P06, P09 and P13 read the sets A inside V through
+one pass (``InstanceContext.diff_r_partitions``) that gives B(A) and C(A)
+in G: A dominates G iff C(A) is empty (P05). P14 reads no list. A maximizer S
 of R(G) inside V, its boundary B_R(S) and its exterior C_R(S) partition
 the n + m vertices of R(G), and |B_R(S)| = |S| + diff(R(G)), so every
 maximizer of size mu has |C_R(S)| = n + m - 2 mu - diff(R(G)). P14 decides
-from n, m, mu and diff(R(G)), all from the ``"largest"`` search, and
+from n, m, mu and diff(R(G)), all from ``InstanceContext.diff_r``, and
 builds R(G) only to list the failing exterior of its witness. A passing
 instance builds R(G) only in P01, P10 (complete graphs) and P18.
 The lemma in ``solvers`` also says that the largest differential set of
@@ -322,7 +322,7 @@ def _p06(ctx):
     biggest_x = ctx.diff().witness
     # A smallest differential set of R(G) is the first set inside V (see
     # diff_r_sizes).
-    smallest_y = ctx.diff_r("all").all_sets[0]
+    smallest_y = ctx.diff_r_partitions[0][0]
     if len(smallest_y) >= len(biggest_x):
         return PASS, (), ""
     return (
@@ -378,7 +378,7 @@ def _p09(ctx):
     p_set = _recognized(ctx, complete_bipartite_parts)[0]
     # A differential set of R(G) is one inside V, A, plus up to |C(A)|
     # edge-vertices, so it is unique iff A is and C(A) is empty.
-    sets = ctx.diff_r("all").all_sets
+    sets = tuple(a for a, _, _ in ctx.diff_r_partitions)
     sizes = ctx.diff_r_sizes
     if sets == (p_set,) and sizes == {len(p_set)}:
         return PASS, (p_set.members,), ""
@@ -497,8 +497,9 @@ def _boundaries(g: Graph, partitions: tuple[tuple[VertexSet, int, int], ...]):
 
 @_register("P13", "boundaries of differential sets inside V are 2-dependent", _connected3)
 def _p13(ctx):
-    mu = len(ctx.diff_r("all").witness)
-    for s, bound, inner, maximal in _boundaries(ctx.g, ctx.diff_r_partitions):
+    # The list first: it then answers mu, and no second search starts.
+    partitions, mu = ctx.diff_r_partitions, ctx.mu
+    for s, bound, inner, maximal in _boundaries(ctx.g, partitions):
         if inner > 2:
             return FAIL, (s.members, tuple(bits(bound))), "boundary is not 2-dependent"
         if maximal and inner > 1:

@@ -12,10 +12,10 @@ For a graph of order n:
   first maximizer of the largest cardinality;
 * the differential of R(G): a maximum-weight choice of G's vertices and
   non-pendant edges (the lemma below), by the memoized weighted search
-  ``_ChoiceSearch``; the key ``"all"`` lists the maximizers from the
-  optimal choices and their closure (below), and the walk that lists the
-  optimal choices reads the largest weight on at most ``SMALL_PART``
-  undecided vertices from an exact memo that its own branching fills;
+  ``_ChoiceSearch`` (``differential_of_r``); ``_r_maximizers`` lists the
+  maximizers from the optimal choices and their closure (below), reading
+  the largest weight on at most ``SMALL_PART`` undecided vertices from an
+  exact memo that its own walk fills;
 * domination: ``_min_cover`` over the closed neighbourhoods from the
   greedy set, with a member priced 1 and an undominated vertex n + 1, so
   every vertex must be covered and a packing lower bound joins the
@@ -91,8 +91,8 @@ has the largest cardinality mu. So lambda <= diff(R(G)) <= lambda +
 floor((n - mu) / 2).
 
 ``InstanceContext`` is the single per-instance cache: it runs each search
-on one graph at most once and answers a one-witness read of diff(R(G))
-from the enumeration when that has answered. ``full_record``, the proposition checks
+on one graph at most once and reads diff(R(G)) from the list of its
+maximizers once that has answered. ``full_record``, the proposition checks
 and the public one-quantity solvers all read from it. The identities live
 on it and nowhere else. Four quantities are derived instead of searched: the
 Roman domination number gamma_R = n - diff (Bermudo, Fernau and
@@ -137,8 +137,6 @@ class DifferentialResult(NamedTuple):
     """Outcome of an exact differential search.
 
     ``witness`` is the first maximizer of the largest cardinality.
-    ``all_sets``, every maximizer sorted by cardinality, then member tuple,
-    is filled only by ``differential_of_r``'s ``"all"`` search.
     ``search_space_size`` counts the units the search spent, the work its
     nodes did (see ``differential_exact`` and ``_ChoiceSearch``), for
     instrumentation.
@@ -147,7 +145,6 @@ class DifferentialResult(NamedTuple):
     value: int
     witness: VertexSet
     search_space_size: int
-    all_sets: tuple[VertexSet, ...] | None = None
 
 
 class _NodeCounter:
@@ -596,29 +593,23 @@ def _require_r_base(g: Graph) -> None:
         raise ValueError("R-graph invariants require a connected graph")
 
 
-def differential_of_r(
-    g: Graph, key: str = "largest", budget: int = DEFAULT_BUDGET
-) -> DifferentialResult:
-    """Differential of R(g) over subsets of V(g), as sets of g's vertices.
+def differential_of_r(g: Graph, budget: int = DEFAULT_BUDGET) -> DifferentialResult:
+    """Differential of R(g) over subsets of V(g), as sets of g's vertices,
+    with the first maximizer of the largest cardinality as the witness.
 
     It requires a connected g of order at least 3; R(g) itself is never
-    built. Both keys run ``_ChoiceSearch`` on g (see the lemma in the module
-    docstring): a vertex alone weighs 2 and a non-pendant edge 3.
-    ``"all"`` lists the maximizers from that search's optima
-    (``_r_maximizers``). For ``"largest"``, with A = (n + 1) 2^n as the
-    unit, each v in T ties at -(2^n + 2^(n - 1 - v)), so the largest key
-    has the largest weight, then the smallest |T|, then the T whose
-    complement has the smallest member tuple: it is the first maximizer of
-    the largest cardinality, and its ties, mod 2^n, spell T.
+    built. It runs ``_ChoiceSearch`` on g (see the lemma in the module
+    docstring): a vertex alone weighs 2 and a non-pendant edge 3. With
+    A = (n + 1) 2^n as the unit, each v in T ties at -(2^n + 2^(n - 1 - v)),
+    so the largest key has the largest weight, then the smallest |T|, then
+    the T whose complement has the smallest member tuple: it is the first
+    maximizer of the largest cardinality, and its ties, mod 2^n, spell T.
+    ``_r_maximizers`` lists every maximizer.
     """
     _require_r_base(g)
-    if key not in ("all", "largest"):
-        raise ValueError(f"unknown differential search key {key!r}")
     n = g.n
     pairable = sum(1 << v for v, row in enumerate(g.adj) if row & row - 1)
     counter = _NodeCounter("differential_of_r", budget)
-    if key == "all":
-        return _r_maximizers(g, pairable, counter)
     card = 1 << n
     unit = (n + 1) * card
     tie = [-card - (1 << n - 1 - v) for v in range(n)]
@@ -629,13 +620,16 @@ def differential_of_r(
     )
 
 
-def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> DifferentialResult:
+def _r_maximizers(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[DifferentialResult, list[int]]:
     """Every maximizer of the differential of R(g) inside V (see the closure
-    in the module docstring), sorted by cardinality, then member tuple.
+    in the module docstring), as masks sorted by cardinality, then member
+    tuple, with the value and witness ``differential_of_r`` gives.
 
-    A walk branches on the lowest undecided vertex v: alone in T, paired
-    with each pairable undecided neighbour, or in S when it has an
-    undecided neighbour (else v alone in T would add 2). It descends where
+    It requires a connected g of order at least 3, and it spends its units,
+    and names itself when they run out, as ``differential_of_r``. A walk
+    branches on the lowest undecided vertex v: alone in T, paired with each
+    pairable undecided neighbour, or in S when it has an undecided
+    neighbour (else v alone in T would add 2). It descends where
     the largest weight of a choice on the vertices still undecided is the
     weight still to place, so it ends on the optimal choices alone. For a
     set U of at most ``SMALL_PART`` vertices that weight is a lookup in an
@@ -650,7 +644,10 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
     it reads one row and makes one lookup per branch, at most
     ``SMALL_PART`` + 1 of them.
     """
-    adj, full, budget = g.adj, g.full_mask, counter.budget
+    _require_r_base(g)
+    adj, full = g.adj, g.full_mask
+    pairable = sum(1 << v for v, row in enumerate(adj) if row & row - 1)
+    counter = _NodeCounter("differential_of_r", budget)
     # Only a part of more than SMALL_PART vertices asks the search.
     search = None
     if g.n > SMALL_PART:
@@ -748,12 +745,8 @@ def _r_maximizers(g: Graph, pairable: int, counter: _NodeCounter) -> Differentia
                 found.add(s ^ low)
                 closing.append(s ^ low)
     ordered = _card_lex(found, g.n)
-    return DifferentialResult(
-        g.m - g.n + top,
-        VertexSet(g.n, max(ordered, key=int.bit_count)),
-        counter.nodes,
-        all_sets=tuple(VertexSet(g.n, m) for m in ordered),
-    )
+    witness = VertexSet(g.n, max(ordered, key=int.bit_count))
+    return DifferentialResult(g.m - g.n + top, witness, counter.nodes), ordered
 
 
 def _reversed_bits(packed: int, n: int) -> int:
@@ -907,14 +900,13 @@ class InstanceContext:
     Every reader of the same instance reuses R(G) (a plain ``Graph``, built
     only when a check inspects it), the differential searches and the
     domination and independence numbers instead of re-solving. ``diff`` (on
-    G) runs ``differential_exact``. ``diff_r`` (on R(G) over V) takes the
-    search's ``key`` (see ``differential_of_r``) and runs each search at
-    most once; a ``"largest"`` read is answered by the enumeration
-    (``"all"``) when that has already answered, since both give the same
-    value and witness. A search that runs out of budget is not run again:
-    its error is cached and raised to every later reader of its key. A
-    ``"largest"`` read whose enumeration ran out runs its own search, which
-    does less work and may answer.
+    G) runs ``differential_exact``, ``diff_r`` (on R(G) over V)
+    ``differential_of_r``, and ``diff_r_partitions`` lists the maximizers by
+    ``_r_maximizers``, which gives the same value and witness: once the list
+    has answered, ``diff_r`` reads them from it and starts no search. A
+    search that runs out of budget is not run again: its error is cached
+    and raised to every later reader. A ``diff_r`` read whose list ran out
+    runs its own search, which does less work and may answer.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -946,28 +938,32 @@ class InstanceContext:
         cardinality."""
         return self.cached("diff", lambda: differential_exact(self.g, self.budget))
 
-    def diff_r(self, key: str = "largest") -> DifferentialResult:
-        """Differential of the R-graph over subsets of V by the search ``key``."""
-        done = self._cache.get(("diff_r", "all"))
-        if key == "largest" and isinstance(done, DifferentialResult):
-            return done
-        return self.cached(("diff_r", key), lambda: differential_of_r(self.g, key, self.budget))
+    def diff_r(self) -> DifferentialResult:
+        """Differential of the R-graph over subsets of V and its first
+        maximizer of the largest cardinality."""
+        return self.cached("diff_r", lambda: differential_of_r(self.g, self.budget))
 
     @property
     def diff_r_partitions(self) -> tuple[tuple[VertexSet, int, int], ...]:
-        """Each differential set A of the R-graph inside V, in ``diff_r("all")``'s
-        order, with its boundary B(A) and exterior C(A) in G as masks.
+        """Each differential set A of the R-graph inside V, sorted by
+        cardinality, then member tuple, with its boundary B(A) and exterior
+        C(A) in G as masks.
 
-        One pass over the list takes N(A) once per set; ``diff_r_sizes`` and
-        the checks that read every set (P03, P05 and P13) read it.
+        It is the one reader of ``_r_maximizers``' list: one pass over it
+        takes N(A) once per set, and ``diff_r_sizes`` and the checks that
+        read the sets (P03, P05, P06, P09 and P13) read that pass.
         """
 
         def partitions():
-            adj, full = self.g.adj, self.g.full_mask
+            g = self.g
+            res, masks = _r_maximizers(g, self.budget)
+            # The same value and witness as differential_of_r's: diff_r
+            # reads them from here on.
+            self._cache["diff_r"] = res
             out = []
-            for a in self.diff_r("all").all_sets:
-                near = _union(adj, a.mask)
-                out.append((a, near & ~a.mask, full & ~(near | a.mask)))
+            for a in masks:
+                near = _union(g.adj, a)
+                out.append((VertexSet(g.n, a), near & ~a, g.full_mask & ~(near | a)))
             return tuple(out)
 
         return self.cached("diff_r_partitions", partitions)

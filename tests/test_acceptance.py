@@ -103,7 +103,7 @@ def test_criterion_05_cover_domination_duality():
 def test_criterion_06_main_bounds():
     with criterion("06 lambda <= diff(R) <= lambda + floor((n - mu)/2)", limit=600):
         for g in census_3_to_6():
-            res = differential_of_r(g, "all")
+            res = differential_of_r(g)
             lam = InstanceContext(g).lam
             mu = len(res.witness)
             assert lam <= res.value <= lam + (g.n - mu) // 2, write_graph6(g)

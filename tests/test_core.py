@@ -159,7 +159,7 @@ def test_values_round_trip_through_pickle_and_deepcopy():
         g,
         VertexSet.of(6, [1, 3]),
         run_all(g, ["P09"])[0],
-        differential_of_r(g, "all"),
+        differential_of_r(g),
         full_record(g),
     ]
     for value in values:

@@ -114,13 +114,14 @@ def test_full_space_checks_answer_beyond_the_exhaustive_search():
 
 
 def _stand_in_sets(monkeypatch, n, sets):
-    # A stand-in V search, with differential 0, that lists ``sets``; the
-    # last is the witness.
+    # A stand-in value search over V, with differential 0, and a stand-in
+    # list of ``sets``; the last set is the witness of both.
     import gdiff.solvers as solvers
 
-    found = tuple(VertexSet.of(n, s) for s in sets)
-    res = DifferentialResult(0, found[-1], 0, found)
-    monkeypatch.setattr(solvers, "differential_of_r", lambda g, key, budget: res)
+    masks = [VertexSet.of(n, s).mask for s in sets]
+    res = DifferentialResult(0, VertexSet(n, masks[-1]), 0)
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, budget: res)
+    monkeypatch.setattr(solvers, "_r_maximizers", lambda g, budget: (res, masks))
 
 
 def test_full_space_fail_paths_read_the_sets_inside_v(monkeypatch):
@@ -341,16 +342,54 @@ def test_census_order8_is_pinned():
     assert census_body(8) == CENSUS_ORDER8
 
 
+# The sha256 of each family's run_all rows (CheckReport.row, keys sorted)
+# and the checks it skips. Each skip is the list of R(G)'s maximizers
+# running out of the default budget, with the note "budget:
+# differential_of_r search exceeded its node budget of 10000000 after ...
+# units".
+FAMILIES_ORDER64 = {
+    "C64": (
+        "9ad9e88bd6524f4d5b869cbdaf39b577c08ce15409725cb6dc8f85eb8260c13b",
+        ("P03", "P05", "P06", "P13"),
+    ),
+    "P64": ("b7080141cbe37b274cfeb5dffba8fc621ec8138b36b6fbf067b117cf60028fda", ("P03", "P13")),
+    "W64": (
+        "442406538be63ab9a6ff47a2d8faec134b24ac3e7a346221bda399b81991c4d4",
+        ("P03", "P05", "P06", "P13"),
+    ),
+    "C32": ("75d1207dc3c0b1e6fbdd413495db3381de40e65f509f789862b57206057db9a9", ()),
+    "K64": ("07874b6a26b9e4cd9ac3dd9dbd3874ffb8260b42e4486c741e90f48f32715561", ()),
+    "K_{21,42}": ("b4b1c1b9cbd3ee8f6983ab0a14ac6031c923e2240540d3d600c68166871e20fc", ()),
+    "K'_21": ("8e38ec55ca4b9a88eb270c8a1a9c9344f31bdba8999cec989c4c0ab15d23e6d8", ()),
+}
+
+
+@pytest.mark.skipif(not os.environ.get("GDIFF_SLOW"), reason="set GDIFF_SLOW=1; takes about 9 s")
+def test_family_reports_to_order64_are_pinned():
+    # All 18 checks at the default budget on C64, P64, W64, C32, K64,
+    # K_{21,42} and K'_21: the status, witness sets and note of every report.
+    graphs = {
+        "C64": cycle(64), "P64": path(64), "W64": wheel(64), "C32": cycle(32),
+        "K64": complete(64), "K_{21,42}": complete_bipartite(21, 42), "K'_21": kprime(21),
+    }
+    for name, g in graphs.items():
+        rows = [r.row() for r in run_all(g)]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        skipped = tuple(r["prop"] for r in rows if r["status"] == "skipped")
+        assert (digest, skipped) == FAMILIES_ORDER64[name], name
+
+
 def test_failed_search_runs_once_per_instance(monkeypatch):
     # A search that runs out of budget is cached with its error: run_all
-    # starts each search at most once per graph and key, and every check
-    # that needs it gets the note it would get in a context of its own.
-    # Calls are counted per (search, graph, key): the domination search
-    # covers K7's 21 edges with its 7 vertices, the differential searches
-    # and independence_number run on K7 itself. At 30 units both keys of
-    # differential_of_r run out on K7 (the "largest" one needs 33), and so
-    # does the domination search: its first node is charged 1 + 7 + 21 and
-    # its second node more than the one unit left.
+    # starts each search at most once per graph, and every check that needs
+    # it gets the note it would get in a context of its own. Calls are
+    # counted per (search, graph): the domination search covers K7's 21
+    # edges with its 7 vertices, the other searches run on K7 itself. At 30
+    # units the list of R(G)'s maximizers and the value search of diff(R(G))
+    # both run out on K7 (the value search needs 33), and so does the
+    # domination search: its first node is charged 1 + 7 + 21 and its
+    # second node more than the one unit left. Once the list answers, no
+    # value search of diff(R(G)) starts.
     import gdiff.solvers as solvers
 
     calls = {}
@@ -360,7 +399,7 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
             if fn.__name__ == "_dominate":  # covers, dominators: the order is len(dominators)
                 key = (fn.__name__, tuple(args[0]), len(args[1]))
             else:
-                key = (fn.__name__, write_graph6(args[0]), *args[1:2])
+                key = (fn.__name__, write_graph6(args[0]))
             calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
 
@@ -368,14 +407,21 @@ def test_failed_search_runs_once_per_instance(monkeypatch):
 
     g = complete(7)
     alone = [run_proposition(pid, g, budget=30).row() for pid in PROPOSITIONS]
-    searches = ("differential_exact", "differential_of_r", "_dominate", "independence_number")
+    searches = (
+        "differential_exact", "differential_of_r", "_r_maximizers", "_dominate",
+        "independence_number",
+    )
     for name in searches:
         monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     shared = run_all(g, budget=30)
     assert [r.row() for r in shared] == alone
     assert sum(r.status == "skipped" for r in shared) >= 5
     assert {key[0] for key in calls} == set(searches)
-    assert ("differential_of_r", write_graph6(g), "largest") in calls
+    assert set(calls.values()) == {1}
+    calls.clear()
+    assert all(r.status != "skipped" for r in run_all(g))
+    assert ("_r_maximizers", write_graph6(g)) in calls
+    assert ("differential_of_r", write_graph6(g)) not in calls
     assert set(calls.values()) == {1}
 
 
@@ -579,7 +625,7 @@ def test_p04_certificate_agrees_with_the_enumeration():
     for g in graphs:
         ctx = InstanceContext(g)
         witness = ctx.diff_r().witness
-        sets = ctx.diff_r("all").all_sets
+        sets = [a for a, _, _ in ctx.diff_r_partitions]
         largest = [s for s in sets if len(s) == len(sets[-1])]
         assert witness == largest[0], write_graph6(g)
         assert all(is_dominating(g, s) for s in largest), write_graph6(g)
@@ -609,14 +655,15 @@ def test_p13_maximality_matches_the_r_graph_scan():
     outcomes = set()
     for g in graphs:
         ctx = InstanceContext(g)
-        res = ctx.diff_r("all")
-        r = build_r(g)
         partitions = ctx.diff_r_partitions
+        res = ctx.diff_r()
+        r = build_r(g)
+        sets = [s for s, _, _ in partitions]
         assert [(b, c) for _, b, c in partitions] == [
-            (g.boundary(s).mask, g.exterior(s).mask) for s in res.all_sets
+            (g.boundary(s).mask, g.exterior(s).mask) for s in sets
         ]
         profiles = list(propositions._boundaries(g, partitions))
-        assert [p[0] for p in profiles] == list(res.all_sets)
+        assert [p[0] for p in profiles] == sets
         for s, bound, inner, maximal in profiles:
             scan = all(
                 r.set_differential(VertexSet(r.n, s.mask | 1 << w)) < res.value
@@ -678,17 +725,15 @@ def test_p05_fail_row(monkeypatch):
 
 
 def test_p14_fail_row(monkeypatch):
-    # P_4 and a stand-in "largest" search with witness {0} and differential
-    # 1 in R(G), as {0} has: |C_R({0})| = n + m - 2 mu - 1 = 4 > (4 - 1)/2.
+    # P_4 and a stand-in value search with witness {0} and differential 1
+    # in R(G), as {0} has: |C_R({0})| = n + m - 2 mu - 1 = 4 > (4 - 1)/2.
     # C({0}) in R(P_4) is {2, 3} and the edge-vertices 5 and 6 of the edges
     # 12 and 23. P14 asks for no list.
     import gdiff.solvers as solvers
 
-    def largest_only(g, key, budget):
-        assert key == "largest"
-        return DifferentialResult(1, VertexSet.of(4, [0]), 0)
-
-    monkeypatch.setattr(solvers, "differential_of_r", largest_only)
+    res = DifferentialResult(1, VertexSet.of(4, [0]), 0)
+    monkeypatch.setattr(solvers, "differential_of_r", lambda g, budget: res)
+    monkeypatch.setattr(solvers, "_r_maximizers", lambda g, budget: pytest.fail("P14 listed"))
     report = run_proposition("P14", path(4))
     assert (report.status, report.witness_sets, report.note) == (
         "fail",
@@ -706,10 +751,11 @@ def test_p14_verdict_matches_the_list_based_count():
     graphs += [random_connected_graph(rng, rng.randint(3, 11)) for _ in range(200)]
     for g in graphs:
         ctx = InstanceContext(g)
-        res = ctx.diff_r("all")
+        partitions = ctx.diff_r_partitions
+        res = ctx.diff_r()
         mu = len(res.witness)
         counts = set()
-        for s, _, ext in ctx.diff_r_partitions:
+        for s, _, ext in partitions:
             if len(s) == mu:
                 t = g.full_mask & ~s.mask
                 inside = sum((g.adj[v] & t).bit_count() for v in bits(t)) // 2

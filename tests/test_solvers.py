@@ -21,6 +21,7 @@ from gdiff.families import (
 from gdiff.roperator import build_r
 from gdiff.solvers import (
     InstanceContext,
+    _r_maximizers,
     differential_exact,
     differential_of_r,
     domination_number,
@@ -77,7 +78,7 @@ def test_differential_witness_is_valid():
 
 
 def test_differential_pruned_equals_naive_census():
-    # The "largest" search, with its 2-packing rule, against the full scan
+    # The search, with its 2-packing rule, against the full scan
     # on the census to order 7: the value and the witness, the first
     # maximizer of the largest cardinality.
     for n in range(1, 8):
@@ -133,9 +134,10 @@ def test_set_cover_units_on_the_census(monkeypatch):
 def test_choice_search_units_on_the_census(monkeypatch):
     # The choice search, the walk and the closure add their units to the
     # counter and call spend only past the budget; summed over the census
-    # to order 7 they spend what they spent when every node called it.
+    # to order 7 they spend what they spent when every node called it: the
+    # list of R(G)'s maximizers, the value search of diff(R(G)) and alpha.
     made = _recorded_counters(monkeypatch)
-    spent = {"all": 0, "largest": 0, "alpha": 0}
+    spent = {"list": 0, "value": 0, "alpha": 0}
     for n in range(1, 8):
         for g in connected_census(n):
             made.clear()
@@ -143,11 +145,11 @@ def test_choice_search_units_on_the_census(monkeypatch):
             spent["alpha"] += made[-1].nodes
             if n < 3:
                 continue
-            for key in ("all", "largest"):
+            for key, search in (("list", _r_maximizers), ("value", differential_of_r)):
                 made.clear()
-                differential_of_r(g, key)
+                search(g)
                 spent[key] += made[-1].nodes
-    assert spent == {"all": 74_074, "largest": 28_643, "alpha": 6_883}
+    assert spent == {"list": 74_074, "value": 28_643, "alpha": 6_883}
 
 
 def test_differential_pruned_equals_naive_random():
@@ -214,10 +216,11 @@ def test_differential_of_r_known_values():
 
 
 def test_differential_of_r_modes_agree():
-    # The "all" list of differential_of_r, read from the choice search's
-    # optima and their closure, against the differential in R(G) of every
-    # subset of V, computed from G by the oracle: the same value, witness
-    # and maximizers in cardinality-then-lexicographic order.
+    # The list of _r_maximizers, read from the choice search's optima and
+    # their closure, against the differential in R(G) of every subset of V,
+    # computed from G by the oracle: the same value, witness and maximizers
+    # in cardinality-then-lexicographic order, and differential_of_r gives
+    # the list's value and witness.
     for g, in_r in r_oracle_cases():
         check_r_maximizers(g, in_r)
 
@@ -225,16 +228,18 @@ def test_differential_of_r_modes_agree():
 def check_r_maximizers(g, in_r):
     value = max(in_r)
     expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
-    res = differential_of_r(g, "all")
-    assert [s.mask for s in res.all_sets] == expected, write_graph6(g)
+    res, masks = _r_maximizers(g)
+    assert masks == expected, write_graph6(g)
     assert (res.value, res.witness.mask) == (value, first_of_largest(expected))
+    lone = differential_of_r(g)
+    assert (lone.value, lone.witness) == (value, res.witness), write_graph6(g)
 
 
 def test_differential_searches_match_the_oracles_beyond_order_10():
     # Both searches against the full scans on sparse and dense connected
     # graphs of order 11-13: value and witness, the first maximizer of the
     # largest cardinality in cardinality-then-lexicographic order, and for
-    # diff(R(G)) the "all" list of every maximizer in that order.
+    # diff(R(G)) the list of every maximizer in that order.
     rng = Random(113)
     graphs = []
     while len(graphs) < 6:
@@ -246,15 +251,7 @@ def test_differential_searches_match_the_oracles_beyond_order_10():
         res = differential_exact(g)
         assert res.value == naive_differential(g), write_graph6(g)
         assert res.witness.mask == first_of_largest(expected)
-        in_r = naive_r_differentials(g)
-        value = max(in_r)
-        expected = card_lex_order(m for m, d in enumerate(in_r) if d == value)
-        res = differential_of_r(g, "all")
-        assert res.value == value, write_graph6(g)
-        assert res.witness.mask == first_of_largest(expected)
-        assert [s.mask for s in res.all_sets] == expected
-        lone = differential_of_r(g)
-        assert (lone.value, lone.witness) == (value, res.witness)
+        check_r_maximizers(g, naive_r_differentials(g))
 
 
 @functools.cache
@@ -271,8 +268,8 @@ def test_differential_gives_the_first_largest_maximizer():
     # On G, against the full scans: the value and the witness, the first
     # maximizer of the largest cardinality in cardinality-then-lexicographic
     # order. test_differential_of_r_modes_agree and
-    # test_largest_r_search_matches_the_oracle check both keys of
-    # differential_of_r on the same graphs.
+    # test_largest_r_search_matches_the_oracle check the list and the value
+    # search of diff(R(G)) on the same graphs.
     for g, _ in r_oracle_cases():
         value = naive_differential(g)
         top = first_of_largest(card_lex_order(naive_differential_sets(g)))
@@ -281,7 +278,7 @@ def test_differential_gives_the_first_largest_maximizer():
 
 
 def test_largest_r_search_matches_the_oracle():
-    # The weighted choice search behind differential_of_r(g, "largest")
+    # The weighted choice search behind differential_of_r
     # against the scan of every subset of V: the value, the witness (the
     # first maximizer of the largest cardinality) and mu. Its T = V - S is
     # 1-dependent and holds no edge with an end of degree 1 (the lemma in
@@ -316,7 +313,7 @@ def test_largest_r_searches_agree_beyond_the_oracle():
 
 
 def test_r_maximizers_agree_beyond_the_oracle():
-    # The walk behind differential_of_r(g, "all") reads its exact memo for
+    # The walk of _r_maximizers reads its exact memo for
     # parts of at most SMALL_PART vertices and the choice search above
     # that. Against the scan of every subset of V on sparse and denser
     # connected graphs of order 13-20, where the walk crosses SMALL_PART:
@@ -467,32 +464,35 @@ def test_mu_matches_the_oracle():
 
 
 def test_diff_r_reuses_the_enumeration(monkeypatch):
-    # Once the enumeration ("all") over V has answered, a "largest" read
-    # takes its answer from it and starts no search of its own. Where the
-    # enumeration ran out of budget, the read runs its own search once and
-    # answers; the enumeration's error stays cached.
+    # Once the list of maximizers over V has answered, diff_r takes the
+    # list's value and witness and starts no search of its own. Where the
+    # list ran out of budget, diff_r runs its own search once and answers;
+    # the list's error stays cached.
     import gdiff.solvers as solvers
 
     def refuse(*args, **kwargs):
         raise AssertionError("a second search ran")
 
     g = wheel(7)
-    alone = InstanceContext(g).diff_r("largest")
+    alone = InstanceContext(g).diff_r()
+    listed = _r_maximizers(g)[0]
+    # The two spend different units, so a result tells which one ran.
+    assert listed.search_space_size != alone.search_space_size
     ctx = InstanceContext(g)
     failed = InstanceContext(cycle(16), budget=1000)
-    assert ctx.diff_r("all").all_sets
+    assert ctx.diff_r_partitions
     with pytest.raises(BudgetExceededError):
-        failed.diff_r("all")
+        failed.diff_r_partitions
     answered = failed.diff_r()
     assert (answered.value, len(answered.witness)) == (16, 8)
     monkeypatch.setattr(solvers, "differential_of_r", refuse)
-    res = ctx.diff_r()
-    assert (res.value, res.witness) == (alone.value, alone.witness)
-    assert res is ctx.diff_r("all")
+    monkeypatch.setattr(solvers, "_r_maximizers", refuse)
+    assert ctx.diff_r() == listed
+    assert (listed.value, listed.witness) == (alone.value, alone.witness)
     assert failed.diff_r() is answered
     with pytest.raises(BudgetExceededError):
-        failed.diff_r("all")
-    assert ctx.mu == len(ctx.diff_r("all").all_sets[-1])
+        failed.diff_r_partitions
+    assert ctx.mu == len(ctx.diff_r_partitions[-1][0])
 
 
 def test_r_differential_sets_match_the_exhaustive_search():
@@ -510,18 +510,19 @@ def test_r_differential_sets_match_the_exhaustive_search():
             continue
         checked += 1
         ctx = InstanceContext(g)
-        vres = ctx.diff_r("all")
+        sets = [a for a, _, _ in ctx.diff_r_partitions]
+        vres = ctx.diff_r()
         value, maximizers = naive_r_maximizers(g)
         assert vres.value == value, write_graph6(g)
         by_a = {}
         for s in maximizers:
             by_a.setdefault(s & g.full_mask, set()).add(s.bit_count())
         sizes = {}
-        for a in vres.all_sets:
+        for a in sets:
             sizes[a.mask] = set(range(len(a), len(a) + len(g.exterior(a)) + 1))
         assert sizes == by_a, write_graph6(g)
         assert ctx.diff_r_sizes == {s.bit_count() for s in maximizers}
-        unique = len(vres.all_sets) == 1 and ctx.diff_r_sizes == {len(vres.witness)}
+        unique = len(sets) == 1 and ctx.diff_r_sizes == {len(vres.witness)}
         assert unique == (len(maximizers) == 1), write_graph6(g)
         if unique:
             assert maximizers[0] == vres.witness.mask
@@ -545,34 +546,27 @@ def test_differential_of_r_budget_bounds_the_work():
     # Each node is charged the vertices it examines, not 1, so a budget
     # bounds the time: listing the maximizers of R(C64), of which there
     # are millions, runs out of 10^6 units in well under a second, while
-    # R(K'_21)'s one maximizer is listed within 10^4. The "largest" search
+    # R(K'_21)'s one maximizer is listed within 10^4. The value search
     # over R(C64) visits about a thousand nodes, but each is charged for its
     # passes over up to the 64 vertices of C64, so it runs out of 10^4
     # units and answers in 10^6.
     with pytest.raises(BudgetExceededError, match="^differential_of_r search exceeded"):
-        differential_of_r(cycle(64), "all", budget=10**6)
-    assert len(differential_of_r(kprime(21), "all", budget=10**4).all_sets) == 1
+        _r_maximizers(cycle(64), budget=10**6)
+    assert len(_r_maximizers(kprime(21), budget=10**4)[1]) == 1
     with pytest.raises(BudgetExceededError):
         differential_of_r(cycle(64), budget=10**4)
     assert differential_of_r(cycle(64), budget=10**6).value == 64
 
 
 def test_differential_of_r_guards():
-    with pytest.raises(ValueError, match="require order >= 3"):
-        differential_of_r(path(2))
     disconnected = complete(3).disjoint_union(complete(3))
-    with pytest.raises(ValueError, match="require a connected graph"):
-        differential_of_r(disconnected)
-    # an unknown key, "first" among them, is refused, not searched with
-    # another key's prices
-    for key in ("Largest", "first"):
-        with pytest.raises(ValueError, match=f"unknown differential search key '{key}'"):
-            differential_of_r(cycle(5), key)
+    for search in (differential_of_r, _r_maximizers):
+        with pytest.raises(ValueError, match="require order >= 3"):
+            search(path(2))
+        with pytest.raises(ValueError, match="require a connected graph"):
+            search(disconnected)
     ctx = InstanceContext(cycle(5))
-    assert (ctx.diff().value, ctx.diff_r("all").value) == (1, 5)
-    for key in ("Largest", "every", "first"):
-        with pytest.raises(ValueError, match="unknown differential search key"):
-            ctx.diff_r(key)
+    assert (ctx.diff().value, ctx.diff_r().value) == (1, 5)
     # the full-space search still works on the same instance
     assert differential_exact(build_r(disconnected)).value > 0
 
